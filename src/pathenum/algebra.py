@@ -216,6 +216,23 @@ OP_ONE = _raw((1,))
 W = _raw((0, 1))
 
 
+def _convolve(a, b, length: int) -> list:
+    """The first `length` coefficients of the product of coefficient tuples a and b.
+
+    Zero coefficients of either operand are skipped.
+    """
+    out = [OP_ZERO] * length
+    for i in range(min(len(a), length)):
+        x = a[i]
+        if x.is_zero():
+            continue
+        for j in range(min(len(b), length - i)):
+            y = b[j]
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
 class TPoly:
     """Polynomial in t with OmegaPoly coefficients, dense ascending order."""
 
@@ -226,10 +243,6 @@ class TPoly:
         while cs and cs[-1].is_zero():
             cs.pop()
         self._c = tuple(cs)
-
-    @classmethod
-    def from_ints(cls, ints) -> "TPoly":
-        return cls(ints)
 
     @property
     def coeffs(self) -> tuple:
@@ -281,15 +294,7 @@ class TPoly:
             k = as_opoly(other)
             return TPoly([c * k for c in self._c])
         if isinstance(other, TPoly):
-            if not self._c or not other._c:
-                return TP_ZERO
-            out = [OP_ZERO] * (len(self._c) + len(other._c) - 1)
-            for i, a in enumerate(self._c):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other._c):
-                    out[i + j] = out[i + j] + a * b
-            return TPoly(out)
+            return TPoly(_convolve(self._c, other._c, len(self._c) + len(other._c) - 1))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -457,16 +462,7 @@ class TSeries:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.order, other.order)
-        out = [OP_ZERO] * (n + 1)
-        for i in range(n + 1):
-            a = self._c[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other._c[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TSeries(out, n)
+        return TSeries(_convolve(self._c, other._c, n + 1), n)
 
     __rmul__ = __mul__
 

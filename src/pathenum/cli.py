@@ -1,7 +1,8 @@
 """Command-line surface: sequences, matrices, determinants, verifications.
 
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
-default; pass --omega with an integer to specialize.  Exit codes: 0 success,
+default; pass --omega with an integer to seq, matrix or hankel to
+specialize (verify always checks symbolically).  Exit codes: 0 success,
 1 a mathematical disagreement was detected, 2 usage error.  All output is
 deterministic and large integers are printed in full decimal.
 """
@@ -102,7 +103,7 @@ def _seq_series(args) -> TSeries:
     if j:
         raise UsageError("--j is not defined for banded sequences; see verify theorem-schroeder")
     if args.band_family == "motzkin":
-        return motzkin.banded_motzkin_gf(args.k).gf.expand(order)
+        return motzkin.banded_motzkin_gf(args.k).expand(order)
     if args.band_family == "schroder":
         return schroder.banded_schroder_series(args.k, order)
     if args.w < 1:
@@ -293,9 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
-        p.add_argument("--omega", type=_omega_arg, default=None,
-                       help="integer weight, or 'symbolic' (default)")
+    def add_common(p, omega=True):
+        if omega:
+            p.add_argument("--omega", type=_omega_arg, default=None,
+                           help="integer weight, or 'symbolic' (default)")
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p_seq = sub.add_parser("seq", help="coefficient sequences")
@@ -342,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max", type=int, default=12, help="generic index bound")
     p_ver.add_argument("--k", type=int, default=0, help="band height / upper index bound")
     p_ver.add_argument("--N", type=int, default=0, help="horizon / truncation order")
-    add_common(p_ver)
+    add_common(p_ver, omega=False)  # the suites check symbolically in w
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -54,7 +54,7 @@ def _check_banded4_tail() -> CheckResult:
     # rational generating function both give 322, 826.
     table = CountTable(PathSpec.banded(4), 9)
     got = [table.value(n, 0).evaluate(1) for n in (8, 9)]
-    gf = banded_motzkin_gf(4).gf.expand(9).eval_omega(1).int_coeffs()
+    gf = banded_motzkin_gf(4).expand(9).eval_omega(1).int_coeffs()
     if got != [322, 826]:
         return fail("oracle n=8,9", got, [322, 826])
     if gf[8:10] != [322, 826]:

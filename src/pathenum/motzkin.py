@@ -2,9 +2,10 @@
 
 The Motzkin series mu satisfies mu = 1 + w*t*mu + t^2*mu^2 and is computed by
 coefficient recursion, never through a square root, so everything stays in
-Z[w].  The grand (unrestricted-height) series is 1/(1 - w*t - 2*t^2*mu),
-using the fact that 1 - w*t - 2*t^2*mu equals the radical in the usual
-closed form.
+Z[w].  Series, row polynomials, columns and bands are the (1, 2) case of the
+step-family engine in the schroder module.  The grand (unrestricted-height)
+series is 1/(1 - w*t - 2*t^2*mu), using the fact that 1 - w*t - 2*t^2*mu
+equals the radical in the usual closed form.
 
 The inverse of the Motzkin triangle is produced three independent ways: a
 Gegenbauer-type double-binomial sum, a three-term recurrence with exact
@@ -14,8 +15,6 @@ path counts confined to 0 <= y < k.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import (
     OP_ONE,
@@ -30,17 +29,12 @@ from .algebra import (
 from .checks import PASS, CheckResult, fail
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
+from .schroder import _band_poly, _banded, _column, _count_triangle, _fixed_point
 
 
 def motzkin_series(order: int) -> TSeries:
     """Weighted Motzkin numbers M_n as a series, from the quadratic fixed point."""
-    m = [OP_ONE]
-    for n in range(1, order + 1):
-        acc = W * m[n - 1]
-        for i in range(n - 1):
-            acc = acc + m[i] * m[n - 2 - i]
-        m.append(acc)
-    return TSeries(m, order)
+    return _fixed_point(1, 2, order)
 
 
 def grand_motzkin_series(order: int) -> TSeries:
@@ -70,25 +64,23 @@ def motzkin_from_catalan(n: int) -> int:
 
 def motzkin_matrix(n: int) -> TriMatrix:
     """n x n triangle of quadrant path counts; entry (i, j) counts paths to (i, j)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    table = CountTable(PathSpec.quadrant(), n - 1)
-    return TriMatrix([[table.value(i, j) for j in range(i + 1)] for i in range(n)])
+    return _count_triangle(PathSpec.quadrant(), n)
 
 
 def grand_matrix(n: int) -> TriMatrix:
     """n x n triangle of grand path counts for heights j >= 0."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    table = CountTable(PathSpec.grand(), n - 1)
-    return TriMatrix([[table.value(i, j) for j in range(i + 1)] for i in range(n)])
+    return _count_triangle(PathSpec.grand(), n)
 
 
 def motzkin_column_gf(j: int, order: int) -> TSeries:
-    """Column j of the Motzkin triangle: mu^(j+1); t^n holds the count to (n+j, j)."""
+    """Column j of the Motzkin triangle, mu^(j+1); t^n holds the count to (n+j, j).
+
+    The engine's column of order order+j counts paths to (n, j); its j lowest
+    coefficients vanish, and dropping them re-indexes it by j.
+    """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    return motzkin_series(order) ** (j + 1)
+    return _column(1, 2, j, order + j).shift_down(j)
 
 
 def grand_column_gf(j: int, order: int) -> TSeries:
@@ -142,24 +134,10 @@ def inverse_motzkin_poly(k: int) -> TPoly:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    one_minus_wt = TPoly([OP_ONE, -W])
-    acc = TPoly(())
-    for l in range(k // 2 + 1):
-        term = (one_minus_wt ** (k - 2 * l)).shift(2 * l) * ((-1) ** l * binom(k - l, l))
-        acc = acc + term
-    return acc
+    return _band_poly(1, 2, k)
 
 
-@dataclass(frozen=True)
-class BandedGF:
-    """Rational generating function of path counts confined to 0 <= y < k."""
-
-    k: int
-    gf: RationalGF
-    level: int = 0  # ending height of the counted paths
-
-
-def banded_motzkin_gf(k: int) -> BandedGF:
+def banded_motzkin_gf(k: int) -> RationalGF:
     """Counts of Motzkin paths staying strictly below height k, as num/den.
 
     Numerator and denominator are the inverse-triangle row polynomials of
@@ -167,7 +145,7 @@ def banded_motzkin_gf(k: int) -> BandedGF:
     """
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return BandedGF(k, RationalGF(inverse_motzkin_poly(k - 1), inverse_motzkin_poly(k)))
+    return _banded(1, 2, k)
 
 
 def verify_lemma(i: int, j: int) -> CheckResult:

@@ -1,17 +1,21 @@
 """Paths with horizontal steps of length w; Schroeder and Delannoy structure.
 
 The step set is {up, down, horizontal (w,0)} with weight w on horizontal
-steps.  The column generating functions come from a Fibonacci-like linear
-recursion whose solution is expressed through the normalized polynomials
+steps.  One engine, parametrized by the step exponents (a, b) of the fixed
+point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
+step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
+and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
+t^2 -> t.  The column generating functions come from a Fibonacci-like
+linear recursion whose solution is expressed through the normalized
+polynomials
 
-    P_n(t) = sum_j C(n-j, j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)
+    P_n(t) = sum_j C(n-j, j) (-1)^j t^(b j) (1 - omega t^a)^(n-2j)
 
 with constant term 1; the counts confined to 0 <= y < k have generating
-function P_(k-1)/P_k.  For w = 2 ("Schroeder paths") the parity zeros are
-removed by t^2 -> t; the compressed triangle, its inverse (via Lagrange
+function P_(k-1)/P_k.  The compressed triangle, its inverse (via Lagrange
 inversion in closed form), Delannoy numbers and polynomials, and the
 Laurent-series identity linking the band generating function to the
-top-of-band column all live here.
+top-of-band column also live here.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all.
@@ -69,65 +73,87 @@ class DPoly:
     poly: TPoly
 
 
+def _fixed_point(a: int, b: int, order: int) -> TSeries:
+    """Coefficients of mu = 1 + omega t^a mu + t^b mu^2 by coefficient recursion."""
+    m = [OP_ONE]
+    for n in range(1, order + 1):
+        acc = W * m[n - a] if n >= a else OP_ZERO
+        for i in range(n - b + 1):
+            acc = acc + m[i] * m[n - b - i]
+        m.append(acc)
+    return TSeries(m, order)
+
+
+def _band_poly(a: int, b: int, n: int) -> TPoly:
+    """P_n = sum_j C(n-j, j) (-1)^j t^(b j) (1 - omega t^a)^(n-2j); zero for n < 0."""
+    base = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-W])  # 1 - omega t^a
+    acc = TPoly(())
+    for j in range(n // 2 + 1):
+        acc = acc + (base ** (n - 2 * j)).shift(b * j) * ((-1) ** j * binom(n - j, j))
+    return acc
+
+
+def _column(a: int, b: int, j: int, order: int) -> TSeries:
+    """Counts ending at height j as t^(-j) (mu P_j - P_(j-1)).
+
+    The j lowest coefficients of the numerator vanish identically, which
+    shift_down re-checks.  The index alignment (no offset) is calibrated
+    against the oracle.
+    """
+    mu = _fixed_point(a, b, order + j)
+    return (mu * _band_poly(a, b, j) - _band_poly(a, b, j - 1)).shift_down(j)
+
+
+def _banded(a: int, b: int, k: int) -> RationalGF:
+    """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
+    return RationalGF(_band_poly(a, b, k - 1), _band_poly(a, b, k))
+
+
+def _count_triangle(spec: PathSpec, n: int) -> TriMatrix:
+    """n x n oracle triangle; entry (i, j) counts paths to (w i - (w-1) j, j).
+
+    That is the point (i, j) for w = 1 and the compressed entry for w = 2.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    w = spec.w
+    table = CountTable(spec, w * (n - 1))
+    return TriMatrix(
+        [[table.value(w * i - (w - 1) * j, j) for j in range(i + 1)] for i in range(n)]
+    )
+
+
 def w_series(w: int, order: int) -> TSeries:
     """Quadrant path counts at height 0, from mu = 1 + omega t^w mu + t^2 mu^2."""
     if w < 1:
         raise ValueError("horizontal step length must be positive")
-    m = [OP_ONE]
-    for n in range(1, order + 1):
-        acc = W * m[n - w] if n >= w else OP_ZERO
-        for i in range(n - 1):
-            acc = acc + m[i] * m[n - 2 - i]
-        m.append(acc)
-    return TSeries(m, order)
+    return _fixed_point(w, 2, order)
 
 
 def schroder_series(order: int) -> TSeries:
     """Compressed w=2 counts at height 0: mu = 1 + omega t mu + t mu^2."""
-    m = [OP_ONE]
-    for n in range(1, order + 1):
-        acc = W * m[n - 1]
-        for i in range(n):
-            acc = acc + m[i] * m[n - 1 - i]
-        m.append(acc)
-    return TSeries(m, order)
+    return _fixed_point(1, 1, order)
 
 
 def w_p_poly(n: int, w: int) -> PPoly:
     """Normalized t^n p_n(t) = sum_j C(n-j,j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    base = TPoly([OP_ONE] + [OP_ZERO] * (w - 1) + [-W])  # 1 - omega t^w
-    acc = TPoly(())
-    for j in range(n // 2 + 1):
-        acc = acc + (base ** (n - 2 * j)).shift(2 * j) * ((-1) ** j * binom(n - j, j))
-    return PPoly(n, w, acc)
+    return PPoly(n, w, _band_poly(w, 2, n))
 
 
 def compressed_p_poly(n: int) -> PPoly:
     """w=2 band polynomial after t^2 -> t: sum_j C(n-j,j)(-1)^j t^j (1-omega t)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    base = TPoly([OP_ONE, -W])
-    acc = TPoly(())
-    for j in range(n // 2 + 1):
-        acc = acc + (base ** (n - 2 * j)).shift(j) * ((-1) ** j * binom(n - j, j))
-    return PPoly(n, 2, acc)
+    return PPoly(n, 2, _band_poly(1, 1, n))
 
 
 def w_column_gf(j: int, w: int, order: int) -> TSeries:
-    """Quadrant counts ending at height j: coefficient of t^n counts paths to (n, j).
-
-    Computed as t^(-j) (mu_w P_j - P_(j-1)); the j lowest coefficients of the
-    Laurent numerator vanish identically, which shift_down re-checks.  The
-    index alignment (no offset) is calibrated against the oracle.
-    """
+    """Quadrant counts ending at height j: coefficient of t^n counts paths to (n, j)."""
     if j < 0:
         raise ValueError("height must be nonnegative")
-    mu = w_series(w, order + j)
-    pj = w_p_poly(j, w).poly
-    pjm1 = w_p_poly(j - 1, w).poly if j >= 1 else TPoly(())
-    return (mu * pj - pjm1).shift_down(j)
+    return _column(w, 2, j, order)
 
 
 def compressed_column_gf(j: int, order: int) -> TSeries:
@@ -138,35 +164,26 @@ def compressed_column_gf(j: int, order: int) -> TSeries:
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    mu = schroder_series(order + j)
-    pj = compressed_p_poly(j).poly
-    pjm1 = compressed_p_poly(j - 1).poly if j >= 1 else TPoly(())
-    return (mu * pj - pjm1).shift_down(j)
+    return _column(1, 1, j, order)
 
 
 def banded_w_gf(k: int, w: int) -> RationalGF:
     """Counts below height k as P_(k-1)/P_k; t^n counts paths to (n, 0)."""
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return RationalGF(w_p_poly(k - 1, w).poly, w_p_poly(k, w).poly)
+    return _banded(w, 2, k)
 
 
 def banded_schroder_series(k: int, order: int) -> TSeries:
     """Compressed banded w=2 counts at height 0, symbolic weight."""
     if k < 1:
         raise ValueError("band height must be >= 1")
-    gf = RationalGF(compressed_p_poly(k - 1).poly, compressed_p_poly(k).poly)
-    return gf.expand(order)
+    return _banded(1, 1, k).expand(order)
 
 
 def schroder_matrix_compressed(n: int) -> TriMatrix:
     """n x n compressed Schroeder triangle; entry (i,j) = compressed count (i,j)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    table = CountTable(PathSpec.quadrant(w=2), 2 * n - 2)
-    return TriMatrix(
-        [[table.value(2 * i - j, j) for j in range(i + 1)] for i in range(n)]
-    )
+    return _count_triangle(PathSpec.quadrant(w=2), n)
 
 
 def inverse_schroder_entry(k: int, j: int) -> OmegaPoly:

@@ -94,10 +94,10 @@ def test_criterion_03_banded_motzkin():
         4: [1, 1, 2, 4, 9, 21, 51, 127, 322, 826],
     }
     for k, want in prefixes.items():
-        got = banded_motzkin_gf(k).gf.expand(len(want) - 1).eval_omega(1).int_coeffs()
+        got = banded_motzkin_gf(k).expand(len(want) - 1).eval_omega(1).int_coeffs()
         assert got == want, k
     for k in range(1, 9):
-        formula = banded_motzkin_gf(k).gf.expand(40)
+        formula = banded_motzkin_gf(k).expand(40)
         assert formula == oracle_series(PathSpec.banded(k), 0, 40), k
     report(3, "banded counts k=1..4 prefixes; symbolic oracle equality k<=8, n<=40")
 

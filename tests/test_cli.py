@@ -175,6 +175,13 @@ class TestVerify:
         parsed = json.loads(out)
         assert parsed["ok"] is True
 
+    def test_omega_rejected(self, capsys):
+        # the suites check symbolically; a weight would be silently ignored
+        code, out, err = run("verify", "lemma", "--omega", "7", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "--omega" in err
+
 
 class TestLedgerAndMisc:
     def test_typo_ledger(self, capsys):

@@ -1,0 +1,139 @@
+"""Golden CLI outputs: stdout and exit code, byte for byte, for a fixed argv list.
+
+The golden file pins every `seq` family (with column heights), the banded
+families, every `matrix` kind, `hankel` at shifts 0-2, symbolic and integer
+weights, and the plain, csv and json formats.  To re-record it after an
+intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from pathenum import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+
+FORMATS = (["--format", "plain"], ["--format", "csv"], ["--format", "json"])
+
+ARGV = (
+    # seq: every family, column heights, both weight modes
+    [["seq", "motzkin", "--N", "8"] + f for f in FORMATS]
+    + [
+        ["seq", "motzkin", "--N", "8", "--omega", "1"],
+        ["seq", "motzkin", "--N", "6", "--omega", "3", "--format", "json"],
+        ["seq", "motzkin", "--N", "6", "--j", "1"],
+        ["seq", "motzkin", "--N", "5", "--j", "3", "--format", "json"],
+        ["seq", "motzkin", "--N", "7", "--j", "2", "--omega", "2", "--format", "csv"],
+        ["seq", "grand-motzkin", "--N", "6"],
+        ["seq", "grand-motzkin", "--N", "6", "--omega", "2"],
+        ["seq", "grand-motzkin", "--N", "5", "--j", "2", "--format", "json"],
+        ["seq", "grand-motzkin", "--N", "6", "--j", "1", "--omega", "1", "--format", "csv"],
+    ]
+    + [["seq", "w-path", "--w", str(w), "--N", "9"] for w in (1, 2, 3)]
+    + [["seq", "w-path", "--w", str(w), "--j", str(j), "--N", "8"]
+       for w in (1, 2, 3) for j in (1, 2)]
+    + [
+        ["seq", "w-path", "--w", "3", "--j", "2", "--N", "10", "--omega", "4", "--format", "json"],
+        ["seq", "w-path", "--w", "2", "--j", "1", "--N", "9", "--omega", "1", "--format", "csv"],
+        ["seq", "schroder-compressed", "--N", "6"],
+        ["seq", "schroder-compressed", "--N", "6", "--omega", "1"],
+        ["seq", "schroder-compressed", "--N", "5", "--j", "1", "--format", "json"],
+        ["seq", "schroder-compressed", "--N", "5", "--j", "3", "--omega", "2"],
+        ["seq", "delannoy", "--N", "6"],
+        ["seq", "delannoy", "--N", "6", "--omega", "1", "--format", "csv"],
+    ]
+    # banded: all three families
+    + [["seq", "banded", "--family", "motzkin", "--k", str(k), "--N", "9"] for k in (1, 2, 4)]
+    + [
+        ["seq", "banded", "--family", "motzkin", "--k", "3", "--N", "10", "--omega", "1"],
+        ["seq", "banded", "--family", "motzkin", "--k", "5", "--N", "8", "--format", "json"],
+        ["seq", "banded", "--family", "schroder", "--k", "1", "--N", "6"],
+        ["seq", "banded", "--family", "schroder", "--k", "3", "--N", "7"],
+        ["seq", "banded", "--family", "schroder", "--k", "4", "--N", "10", "--omega", "1"],
+        ["seq", "banded", "--family", "schroder", "--k", "2", "--N", "6", "--omega", "3",
+         "--format", "csv"],
+        ["seq", "banded", "--family", "w-path", "--w", "2", "--k", "3", "--N", "10"],
+        ["seq", "banded", "--family", "w-path", "--w", "3", "--k", "2", "--N", "10",
+         "--format", "json"],
+        ["seq", "banded", "--family", "w-path", "--w", "1", "--k", "4", "--N", "9",
+         "--omega", "2"],
+    ]
+    # seq usage errors
+    + [
+        ["seq", "motzkin", "--N", "-1"],
+        ["seq", "motzkin", "--N", "3", "--j", "-1"],
+        ["seq", "w-path", "--w", "0", "--N", "3"],
+        ["seq", "banded", "--N", "4"],
+        ["seq", "banded", "--k", "2", "--N", "4", "--j", "1"],
+        ["seq", "banded", "--family", "w-path", "--w", "0", "--k", "2", "--N", "4"],
+        ["seq", "delannoy", "--N", "3", "--j", "1"],
+        ["seq", "motzkin", "--N", "3", "--omega", "pi"],
+    ]
+    # matrix: every kind
+    + [["matrix", kind, "--n", "4"] + f
+       for kind in ("motzkin", "motzkin-inverse", "schroder", "schroder-inverse", "grand")
+       for f in FORMATS]
+    + [["matrix", kind, "--n", "5", "--omega", "1"] + f
+       for kind in ("motzkin", "motzkin-inverse", "schroder", "schroder-inverse", "grand")
+       for f in FORMATS]
+    + [["matrix", "grand", "--n", "4", "--omega", "2"], ["matrix", "motzkin", "--n", "0"]]
+    # hankel: shifts 0-2, weighted sums, both weight modes
+    + [["hankel", "--n", "5", "--shift", str(s)] + f for s in (0, 1, 2) for f in FORMATS]
+    + [["hankel", "--n", "4", "--shift", str(s), "--omega", "2"] for s in (0, 1, 2)]
+    + [
+        ["hankel", "--n", "5", "--alpha", "1", "--beta", "1", "--omega", "1"],
+        ["hankel", "--n", "4", "--alpha", "2", "--beta", "-1", "--format", "json"],
+        ["hankel", "--n", "4", "--alpha", "0", "--beta", "1", "--format", "csv"],
+        ["hankel", "--n", "3", "--shift", "1", "--alpha", "2"],
+        ["hankel", "--n", "3", "--alpha", "0", "--beta", "0"],
+        ["hankel", "--n", "0"],
+    ]
+    # verify and the ledger
+    + [
+        ["verify", "lemma", "--max", "4"],
+        ["verify", "orthogonality", "--max", "5", "--format", "csv"],
+        ["verify", "banded-recursion", "--k", "3", "--N", "12", "--format", "json"],
+        ["verify", "first-return", "--N", "10"],
+        ["verify", "delannoy", "--N", "6"],
+        ["verify", "bridge", "--N", "6"],
+        ["verify", "gould", "--k", "8"],
+        ["verify", "theorem-schroeder", "--k", "3", "--N", "8"],
+        ["verify", "theorem-schroeder", "--k", "1"],
+        ["verify", "all", "--max", "4", "--k", "3", "--N", "8", "--format", "json"],
+        ["--typo-ledger"],
+        [],
+    ]
+)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_argv_list(golden):
+    assert [case["argv"] for case in golden] == ARGV
+
+
+@pytest.mark.parametrize("index", range(len(ARGV)), ids=lambda i: " ".join(ARGV[i]) or "<none>")
+def test_golden(golden, index):
+    assert _run(ARGV[index]) == golden[index]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([_run(argv) for argv in ARGV], indent=1) + "\n")
+    print(f"wrote {len(ARGV)} cases to {GOLDEN}")

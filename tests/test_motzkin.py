@@ -283,26 +283,26 @@ class TestLemma:
 
 class TestBanded:
     def test_k1_all_ones(self):
-        got = banded_motzkin_gf(1).gf.expand(10).eval_omega(1).int_coeffs()
+        got = banded_motzkin_gf(1).expand(10).eval_omega(1).int_coeffs()
         assert got == [1] * 11
 
     def test_k2_powers_of_two(self):
-        got = banded_motzkin_gf(2).gf.expand(10).eval_omega(1).int_coeffs()
+        got = banded_motzkin_gf(2).expand(10).eval_omega(1).int_coeffs()
         assert got == [1] + [2**n for n in range(10)]
 
     def test_k3_prefix(self):
-        got = banded_motzkin_gf(3).gf.expand(7).eval_omega(1).int_coeffs()
+        got = banded_motzkin_gf(3).expand(7).eval_omega(1).int_coeffs()
         assert got == [1, 1, 2, 4, 9, 21, 50, 120]  # A171842
 
     def test_matches_oracle_symbolically(self):
         for k in range(1, 6):
-            got = banded_motzkin_gf(k).gf.expand(25)
+            got = banded_motzkin_gf(k).expand(25)
             assert got == oracle_series(PathSpec.banded(k), 0, 25), k
 
     def test_stabilizes_to_motzkin(self):
         mu = motzkin_series(12)
         for k in range(1, 13):
-            got = banded_motzkin_gf(k).gf.expand(k - 1)
+            got = banded_motzkin_gf(k).expand(k - 1)
             assert got == mu.truncate(k - 1), k
 
     def test_recursion_check(self):
@@ -312,11 +312,11 @@ class TestBanded:
 
     def test_denominator_unit_constant(self):
         for k in range(1, 9):
-            assert banded_motzkin_gf(k).gf.den.constant() == OP_ONE
+            assert banded_motzkin_gf(k).den.constant() == OP_ONE
 
     def test_expansion_coefficients_nonnegative(self):
         for k in (1, 3, 5):
-            series = banded_motzkin_gf(k).gf.expand(20)
+            series = banded_motzkin_gf(k).expand(20)
             for c in series.coeffs:
                 assert all(v >= 0 for v in c.coeffs), k
 

@@ -155,7 +155,7 @@ class TestColumnGenerating:
 class TestBandedGeneral:
     def test_w1_reduces_to_motzkin_band(self):
         for k in range(1, 7):
-            assert banded_w_gf(k, 1) == banded_motzkin_gf(k).gf
+            assert banded_w_gf(k, 1) == banded_motzkin_gf(k)
 
     def test_w2_k2_compressed_prefix(self):
         got = banded_w_gf(2, 2).expand(8).eval_omega(1).int_coeffs()
