@@ -7,9 +7,8 @@ elimination, rational generating functions for paths confined to a band,
 and a brute-force dynamic-programming oracle that every formula is checked
 against.
 
-The hot coefficient-vector kernels run from a compiled extension when it
-was built (see kernels.BACKEND); a pure-Python fallback is selected at
-import time otherwise.
+The package is pure Python: the integer coefficient-vector kernels that
+OmegaPoly arithmetic rests on live in pathenum.kernels.
 """
 
 from .algebra import (
@@ -29,7 +28,6 @@ from .algebra import (
     substitute_neg_t,
 )
 from .checks import CheckResult
-from .kernels import BACKEND
 from .matrices import SquareMatrix, TriMatrix
 from .oracle import (
     BandViolation,
@@ -44,7 +42,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BandViolation",
     "CheckResult",
     "CountTable",

@@ -15,6 +15,11 @@ so all coefficients stay in Z[w].  Rational numbers appear only in
 binom_general (half-integer binomial coefficients), backed by
 fractions.Fraction.
 
+OmegaPoly arithmetic runs on the integer coefficient-vector kernels of
+pathenum.kernels.  TPoly and TSeries products share one convolution loop,
+and TSeries.inverse (1/den) and RationalGF.expand (num/den) share one
+series-quotient recursion.
+
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 """
@@ -230,6 +235,25 @@ def _convolve(a, b, length: int) -> list:
             y = b[j]
             if not y.is_zero():
                 out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _quotient(num, den, order: int) -> list:
+    """The first order+1 coefficients of num/den, for coefficient tuples.
+
+    den[0] must be +1 or -1 (the callers check it), so it is its own inverse
+    and every coefficient stays in Z[w]:
+    q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
+    """
+    d0 = den[0]
+    out = [OP_ZERO] * (order + 1)
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else OP_ZERO
+        for k in range(1, min(n, len(den) - 1) + 1):
+            dk = den[k]
+            if not dk.is_zero():
+                acc = acc - dk * out[n - k]
+        out[n] = d0 * acc
     return out
 
 
@@ -487,17 +511,7 @@ class TSeries:
         c0 = self._c[0]
         if c0 != OP_ONE and c0 != -OP_ONE:
             raise NonUnitConstant(f"constant term {c0} is not +1 or -1")
-        n = self.order
-        out = [OP_ZERO] * (n + 1)
-        out[0] = c0  # 1/(+-1) = +-1
-        for k in range(1, n + 1):
-            acc = OP_ZERO
-            for i in range(1, k + 1):
-                ai = self._c[i]
-                if not ai.is_zero():
-                    acc = acc + ai * out[k - i]
-            out[k] = -(c0 * acc)
-        return TSeries(out, n)
+        return TSeries(_quotient((OP_ONE,), self._c, self.order), self.order)
 
     def shift_down(self, k: int) -> "TSeries":
         """Divide by t^k; the k lowest coefficients must be exactly zero."""
@@ -574,15 +588,7 @@ class RationalGF:
         d0 = self.den.constant()
         if d0 != OP_ONE and d0 != -OP_ONE:
             raise NonUnitConstant(f"denominator constant term {d0} is not +1 or -1")
-        out = [OP_ZERO] * (order + 1)
-        for n in range(order + 1):
-            acc = self.num.coeff(n)
-            for k in range(1, min(n, self.den.degree) + 1):
-                dk = self.den.coeff(k)
-                if not dk.is_zero():
-                    acc = acc - dk * out[n - k]
-            out[n] = acc * d0  # d0 in {+1,-1} is its own inverse
-        return TSeries(out, order)
+        return TSeries(_quotient(self.num.coeffs, self.den.coeffs, order), order)
 
 
 def series_from_rational(r: RationalGF, order: int) -> TSeries:

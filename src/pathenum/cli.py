@@ -2,7 +2,8 @@
 
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
-specialize (verify always checks symbolically).  Exit codes: 0 success,
+specialize (verify always checks symbolically, and each verify suite
+rejects the flags it does not read).  Exit codes: 0 success,
 1 a mathematical disagreement was detected, 2 usage error.  All output is
 deterministic and large integers are printed in full decimal.
 """
@@ -17,6 +18,7 @@ import sys
 
 from . import discrepancies, hankel, motzkin, schroder
 from .algebra import OmegaPoly, TSeries
+from .checks import PASS
 from .matrices import TriMatrix
 
 
@@ -171,9 +173,32 @@ def _cmd_hankel(args) -> int:
     return 0 if agree else 1
 
 
+def _first_failure(results):
+    """The first failing CheckResult of an iterable (evaluated lazily), else PASS."""
+    return next((r for r in results if not r), PASS)
+
+
+# The flags each verify suite reads; any other flag given is an error.
+_VERIFY_FLAGS = {
+    "lemma": ("max",),
+    "orthogonality": ("max",),
+    "banded-recursion": ("k", "N"),
+    "first-return": ("N",),
+    "delannoy": ("N",),
+    "bridge": ("N",),
+    "gould": ("k",),
+    "theorem-schroeder": ("k", "N"),
+    "all": ("max", "k", "N"),
+}
+
+
 def _verify_selected(args):
     """Yield (name, CheckResult, extra_output_lines) for the selected suite."""
-    which, bound = args.which, args.max
+    which = args.which
+    for flag in ("max", "k", "N"):
+        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[which]:
+            raise UsageError(f"verify {which} does not read --{flag}")
+    bound = 12 if args.max is None else args.max
     if bound < 1:
         raise UsageError("--max must be positive")
 
@@ -183,16 +208,7 @@ def _verify_selected(args):
         return kmax, horizon
 
     if which in ("lemma", "all"):
-        worst = None
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                r = motzkin.verify_lemma(i, j)
-                if not r:
-                    worst = r
-                    break
-            if worst:
-                break
-        yield f"lemma (i, j <= {bound})", worst or motzkin.verify_lemma(0, 0), []
+        yield f"lemma (i, j <= {bound})", motzkin.verify_lemma(bound), []
     if which in ("orthogonality", "all"):
         yield f"orthogonality (j <= {bound})", motzkin.verify_orthogonality(bound), []
     if which in ("banded-recursion", "all"):
@@ -211,25 +227,14 @@ def _verify_selected(args):
         yield f"delannoy-recursion (n, j <= {horizon})", schroder.delannoy_recursion_check(horizon), []
     if which in ("bridge", "all"):
         top = args.N if args.N else 20
-        worst = None
-        for n in range(1, top + 1):
-            r = schroder.delannoy_s_bridge_check(n)
-            if not r:
-                worst = r
-                break
-        yield f"delannoy-s-bridge (n <= {top})", worst or schroder.delannoy_s_bridge_check(1), []
+        result = _first_failure(schroder.delannoy_s_bridge_check(n) for n in range(1, top + 1))
+        yield f"delannoy-s-bridge (n <= {top})", result, []
     if which in ("gould", "all"):
         kmax = args.k if args.k else 20
-        worst = None
-        for k in range(kmax + 1):
-            for m in range(k // 2 + 1):
-                r = schroder.gould_identity_check(k, m)
-                if not r:
-                    worst = r
-                    break
-            if worst:
-                break
-        yield f"gould-carlitz (k <= {kmax})", worst or schroder.gould_identity_check(0, 0), []
+        result = _first_failure(
+            schroder.gould_identity_check(k, m) for k in range(kmax + 1) for m in range(k // 2 + 1)
+        )
+        yield f"gould-carlitz (k <= {kmax})", result, []
     if which in ("theorem-schroeder", "all"):
         k = args.k if args.k else 4
         order = args.N if args.N else 12
@@ -341,9 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "delannoy", "bridge", "gould", "theorem-schroeder", "all",
         ),
     )
-    p_ver.add_argument("--max", type=int, default=12, help="generic index bound")
-    p_ver.add_argument("--k", type=int, default=0, help="band height / upper index bound")
-    p_ver.add_argument("--N", type=int, default=0, help="horizon / truncation order")
+    p_ver.add_argument("--max", type=int, help="index bound of lemma and orthogonality (default 12)")
+    p_ver.add_argument("--k", type=int, help="band height / upper index bound")
+    p_ver.add_argument("--N", type=int, help="horizon / truncation order")
     add_common(p_ver, omega=False)  # the suites check symbolically in w
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -22,38 +22,50 @@ from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
 
 
-class _ZeroPivot(Exception):
-    """Internal: leading-minor scan hit a zero pivot; caller must fall back."""
+def _bareiss(m: SquareMatrix):
+    """One fraction-free elimination sweep; returns (pivots, sign, swapped).
 
-
-def det_fraction_free(m: SquareMatrix) -> OmegaPoly:
-    """Exact determinant by Bareiss elimination; dimension 0 gives 1."""
+    pivots[k] is the leading principal minor of dimension k+1 of the matrix
+    with its rows swapped as the sweep went; the list stops short of m.n when
+    a column has no nonzero pivot, so the determinant is zero.  sign is the
+    parity of the row swaps and swapped tells whether any took place.
+    """
     n = m.n
-    if n == 0:
-        return OP_ONE
     rows = [list(r) for r in m.rows]
+    pivots = []
     sign = 1
+    swapped = False
     prev = OP_ONE
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
+    for k in range(n):
+        if k < n - 1 and rows[k][k].is_zero():
             # zero pivot: swap in a nonzero row below, tracking the sign
             for i in range(k + 1, n):
                 if not rows[i][k].is_zero():
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
+                    swapped = True
                     break
             else:
-                return OP_ZERO
+                return pivots, sign, swapped
         pivot = rows[k][k]
+        pivots.append(pivot)
         for i in range(k + 1, n):
             rik = rows[i][k]
             for j in range(k + 1, n):
                 elt = pivot * rows[i][j] - rik * rows[k][j]
                 rows[i][j] = elt.exact_div(prev) if k else elt
-            rows[i][k] = OP_ZERO
         prev = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return pivots, sign, swapped
+
+
+def det_fraction_free(m: SquareMatrix) -> OmegaPoly:
+    """Exact determinant by Bareiss elimination; dimension 0 gives 1."""
+    if m.n == 0:
+        return OP_ONE
+    pivots, sign, _ = _bareiss(m)
+    if len(pivots) < m.n:
+        return OP_ZERO
+    return pivots[-1] if sign == 1 else -pivots[-1]
 
 
 def det_cofactor(m: SquareMatrix) -> OmegaPoly:
@@ -81,33 +93,16 @@ def det_cofactor(m: SquareMatrix) -> OmegaPoly:
 def leading_minor_dets(m: SquareMatrix) -> list:
     """Determinants of all leading principal minors (dimensions 1..n).
 
-    One Bareiss sweep gives every minor when no pivot vanishes; on a zero
-    pivot it falls back to independent determinants per dimension.
+    One Bareiss sweep gives every minor when it swaps no rows; otherwise
+    this falls back to independent determinants per dimension.
     """
-    n = m.n
-    try:
-        rows = [list(r) for r in m.rows]
-        dets = []
-        prev = OP_ONE
-        for k in range(n):
-            pivot = rows[k][k]
-            dets.append(pivot)
-            if k == n - 1:
-                break
-            if pivot.is_zero():
-                raise _ZeroPivot
-            for i in range(k + 1, n):
-                rik = rows[i][k]
-                for j in range(k + 1, n):
-                    elt = pivot * rows[i][j] - rik * rows[k][j]
-                    rows[i][j] = elt.exact_div(prev) if k else elt
-            prev = pivot
-        return dets
-    except _ZeroPivot:
-        return [
-            det_fraction_free(SquareMatrix([r[: d + 1] for r in m.rows[: d + 1]]))
-            for d in range(n)
-        ]
+    pivots, _, swapped = _bareiss(m)
+    if not swapped and len(pivots) == m.n:
+        return pivots
+    return [
+        det_fraction_free(SquareMatrix([r[: d + 1] for r in m.rows[: d + 1]]))
+        for d in range(m.n)
+    ]
 
 
 @dataclass(frozen=True)

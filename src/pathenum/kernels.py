@@ -1,28 +1,109 @@
-"""Kernel backend selection.
+"""Kernels for dense integer coefficient vectors.
 
-Imports the compiled coefficient-vector kernels when the extension module
-built from _speedups.pyx is importable, otherwise the pure-Python versions.
-Set PATHENUM_PURE=1 in the environment to force the pure-Python backend.
+A coefficient vector is a list of arbitrary-precision ints, index i holding
+the coefficient of the i-th power.  Normal form: no trailing zeros, the zero
+polynomial is the empty list.  OmegaPoly arithmetic in pathenum.algebra is
+built on these functions.
 """
 
-import os
 
-if os.environ.get("PATHENUM_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+def vnorm(c):
+    """Strip trailing zeros (returns a new list)."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return list(c[:n])
 
-BACKEND = _impl.BACKEND
 
-vnorm = _impl.vnorm
-vadd = _impl.vadd
-vsub = _impl.vsub
-vneg = _impl.vneg
-vmul = _impl.vmul
-vscale = _impl.vscale
-veval = _impl.veval
-vdivexact = _impl.vdivexact
-vdivexact_int = _impl.vdivexact_int
+def vadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    res = list(a)
+    for i in range(len(b)):
+        res[i] += b[i]
+    return vnorm(res)
+
+
+def vsub(a, b):
+    res = list(a)
+    if len(b) > len(res):
+        res.extend([0] * (len(b) - len(res)))
+    for i in range(len(b)):
+        res[i] -= b[i]
+    return vnorm(res)
+
+
+def vneg(a):
+    return [-x for x in a]
+
+
+def vmul(a, b):
+    """Full convolution product of two normalized vectors."""
+    if not a or not b:
+        return []
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            res[i + j] += ai * bj
+    return res
+
+
+def vscale(a, k):
+    if not k:
+        return []
+    return [k * x for x in a]
+
+
+def veval(a, x):
+    """Horner evaluation at an integer point."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def vdivexact(a, b):
+    """Quotient a // b when b divides a exactly over the integers.
+
+    Returns the quotient vector, or None when the division leaves any
+    remainder (including a non-integral intermediate quotient term).
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not a:
+        return []
+    if len(a) < len(b):
+        return None
+    rem = list(a)
+    nb = len(b)
+    lead = b[nb - 1]
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        top = rem[k + nb - 1]
+        if not top:
+            continue
+        qk, r = divmod(top, lead)
+        if r:
+            return None
+        q[k] = qk
+        for i in range(nb):
+            rem[k + i] -= qk * b[i]
+    for x in rem:
+        if x:
+            return None
+    return q
+
+
+def vdivexact_int(a, k):
+    """Divide every coefficient by the integer k; None if any is not divisible."""
+    if k == 0:
+        raise ZeroDivisionError("division by zero")
+    out = []
+    for x in a:
+        q, r = divmod(x, k)
+        if r:
+            return None
+        out.append(q)
+    return out

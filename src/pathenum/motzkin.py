@@ -39,7 +39,12 @@ def motzkin_series(order: int) -> TSeries:
 
 def grand_motzkin_series(order: int) -> TSeries:
     """Weighted grand Motzkin numbers G_n as a series."""
-    mu = motzkin_series(order)
+    return _grand_from(motzkin_series(order))
+
+
+def _grand_from(mu: TSeries) -> TSeries:
+    """The grand series 1/(1 - w*t - 2*t^2*mu) of the same order as mu."""
+    order = mu.order
     dm = [OP_ONE, -W] + [-2 * mu.coeff(k - 2) for k in range(2, order + 1)]
     return TSeries(dm[: order + 1], order).inverse()
 
@@ -87,10 +92,10 @@ def grand_column_gf(j: int, order: int) -> TSeries:
     """Column j of the grand triangle: g * (t*mu)^j; t^n holds the count to (n, j)."""
     if j < 0:
         raise ValueError("height must be nonnegative")
-    g = grand_motzkin_series(order)
+    mu = motzkin_series(order)
+    g = _grand_from(mu)
     if j == 0:
         return g
-    mu = motzkin_series(order)
     tmu = TSeries((OP_ZERO,) + mu.coeffs[:order], order)
     return g * tmu**j
 
@@ -148,30 +153,33 @@ def banded_motzkin_gf(k: int) -> RationalGF:
     return _banded(1, 2, k)
 
 
-def verify_lemma(i: int, j: int) -> CheckResult:
-    """Both triangle-to-sequence expansions at one index pair.
+def verify_lemma(bound: int) -> CheckResult:
+    """Both triangle-to-sequence expansions at every pair i, j <= bound.
 
-    Checks (symbolically in w):
+    Checks (symbolically in w), i outer and j inner:
       quadrant count to (i, j) = sum_{k<=j} m[j,k] M_{i+k}
-      m[i,j] = sum_{k<=i-j} m[i+1, j+1+k] M_k
+      m[i,j] = sum_{k<=i-j} m[i+1, j+1+k] M_k          (j <= i)
     """
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    mu = motzkin_series(i + j + 1)
-    table = CountTable(PathSpec.quadrant(), i)
-    lhs1 = table.value(i, j)
-    rhs1 = OP_ZERO
-    for k in range(j + 1):
-        rhs1 = rhs1 + inverse_motzkin_entry(j, k) * mu.coeff(i + k)
-    if lhs1 != rhs1:
-        return fail(f"count expansion at (i={i}, j={j})", lhs1, rhs1)
-    if j <= i:
-        lhs2 = inverse_motzkin_entry(i, j)
-        rhs2 = OP_ZERO
-        for k in range(i - j + 1):
-            rhs2 = rhs2 + inverse_motzkin_entry(i + 1, j + 1 + k) * mu.coeff(k)
-        if lhs2 != rhs2:
-            return fail(f"inverse expansion at (i={i}, j={j})", lhs2, rhs2)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    mu = motzkin_series(2 * bound + 1)
+    table = CountTable(PathSpec.quadrant(), bound)
+    inv_rows = [[inverse_motzkin_entry(r, c) for c in range(r + 1)] for r in range(bound + 2)]
+    for i in range(bound + 1):
+        for j in range(bound + 1):
+            lhs1 = table.value(i, j)
+            rhs1 = OP_ZERO
+            for k in range(j + 1):
+                rhs1 = rhs1 + inv_rows[j][k] * mu.coeff(i + k)
+            if lhs1 != rhs1:
+                return fail(f"count expansion at (i={i}, j={j})", lhs1, rhs1)
+            if j <= i:
+                lhs2 = inv_rows[i][j]
+                rhs2 = OP_ZERO
+                for k in range(i - j + 1):
+                    rhs2 = rhs2 + inv_rows[i + 1][j + 1 + k] * mu.coeff(k)
+                if lhs2 != rhs2:
+                    return fail(f"inverse expansion at (i={i}, j={j})", lhs2, rhs2)
     return PASS
 
 

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
 from pathenum import cli
+from pathenum.checks import fail
+
+PLANTED = fail("a planted failure", 0, 1)
 
 
 def run(*argv, capsys=None):
@@ -181,6 +186,52 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--omega" in err
+
+    @pytest.mark.parametrize(
+        "argv, module, name, bad, corrupt",
+        [
+            (["lemma", "--max", "6"], "motzkin", "inverse_motzkin_entry", (3, 1),
+             lambda v: v + 1),
+            (["bridge", "--N", "6"], "schroder", "delannoy_s_bridge_check", (4,),
+             lambda v: PLANTED),
+            (["gould", "--k", "8"], "schroder", "gould_identity_check", (5, 2),
+             lambda v: PLANTED),
+        ],
+    )
+    def test_failure_is_reported(self, argv, module, name, bad, corrupt, monkeypatch, capsys):
+        # a suite that loops over many checks must report its first failure
+        mod = getattr(cli, module)
+        real = getattr(mod, name)
+
+        def broken(*idx):
+            value = real(*idx)
+            return corrupt(value) if idx == bad else value
+
+        monkeypatch.setattr(mod, name, broken)
+        code, out, _ = run("verify", *argv, capsys=capsys)
+        assert code == 1
+        assert out.startswith("FAIL ")
+        assert "first mismatch" in out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lemma", "--max", "3", "--k", "9"], "--k"),
+            (["lemma", "--max", "3", "--N", "7"], "--N"),
+            (["orthogonality", "--max", "3", "--N", "50"], "--N"),
+            (["first-return", "--N", "5", "--k", "3"], "--k"),
+            (["delannoy", "--max", "4"], "--max"),
+            (["bridge", "--k", "0"], "--k"),
+            (["gould", "--k", "4", "--max", "99"], "--max"),
+            (["banded-recursion", "--max", "12"], "--max"),
+            (["theorem-schroeder", "--k", "4", "--max", "3"], "--max"),
+        ],
+    )
+    def test_unread_flag_rejected(self, argv, flag, capsys):
+        code, out, err = run("verify", *argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
 
 class TestLedgerAndMisc:

@@ -270,12 +270,10 @@ class TestInverse:
 
 class TestLemma:
     def test_all_small_indices(self):
-        for i in range(13):
-            for j in range(13):
-                assert verify_lemma(i, j), (i, j)
+        assert verify_lemma(12)  # every pair i, j <= 12
 
     def test_base_case(self):
-        assert verify_lemma(0, 0)
+        assert verify_lemma(0)
 
     def test_orthogonality(self):
         assert verify_orthogonality(12)
