@@ -13,7 +13,6 @@ OmegaPoly arithmetic rests on live in pathenum.kernels.
 
 from .algebra import (
     InexactDivision,
-    LaurentSeries,
     NonUnitConstant,
     OmegaPoly,
     RationalGF,
@@ -21,11 +20,6 @@ from .algebra import (
     TSeries,
     W,
     binom_general,
-    laurent_split,
-    series_from_rational,
-    series_inv,
-    series_mul,
-    substitute_neg_t,
 )
 from .checks import CheckResult
 from .matrices import SquareMatrix, TriMatrix
@@ -47,7 +41,6 @@ __all__ = [
     "CountTable",
     "IndexOutOfTriangle",
     "InexactDivision",
-    "LaurentSeries",
     "NonUnitConstant",
     "OmegaPoly",
     "PathSpec",
@@ -60,10 +53,5 @@ __all__ = [
     "binom_general",
     "compress_schroder",
     "count_paths",
-    "laurent_split",
     "oracle_series",
-    "series_from_rational",
-    "series_inv",
-    "series_mul",
-    "substitute_neg_t",
 ]

@@ -6,7 +6,6 @@ such scalars:
 
   * TPoly         polynomial in t with OmegaPoly coefficients
   * TSeries       truncated power series in t, explicit truncation order
-  * LaurentSeries finitely many negative t-powers plus a truncated tail
   * RationalGF    num/den pair of TPolys, expandable to a TSeries
 
 There are no floating-point numbers and no square roots anywhere: generating
@@ -415,10 +414,6 @@ TP_ONE = TPoly((OP_ONE,))
 T = TPoly((OP_ZERO, OP_ONE))
 
 
-def substitute_neg_t(p: TPoly) -> TPoly:
-    """t -> -t on a polynomial (an involution)."""
-    return p.at_neg_t()
-
 
 class TSeries:
     """Truncated power series in t with OmegaPoly coefficients.
@@ -563,16 +558,6 @@ def _as_tseries(x, order):
     return NotImplemented
 
 
-def series_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Cauchy product truncated at min(order(a), order(b))."""
-    return a * b
-
-
-def series_inv(a: TSeries) -> TSeries:
-    """Two-sided inverse up to truncation; constant term must be +1 or -1."""
-    return a.inverse()
-
-
 @dataclass(frozen=True)
 class RationalGF:
     """Rational generating function num/den over Z[w][t].
@@ -585,115 +570,8 @@ class RationalGF:
     den: TPoly
 
     def expand(self, order: int) -> TSeries:
+        """Expand num/den to a truncated series; den*result reproduces num."""
         d0 = self.den.constant()
         if d0 != OP_ONE and d0 != -OP_ONE:
             raise NonUnitConstant(f"denominator constant term {d0} is not +1 or -1")
         return TSeries(_quotient(self.num.coeffs, self.den.coeffs, order), order)
-
-
-def series_from_rational(r: RationalGF, order: int) -> TSeries:
-    """Expand num/den to a truncated series; den*result reproduces num."""
-    return r.expand(order)
-
-
-class LaurentSeries:
-    """Finitely many negative powers of t plus a truncated regular tail.
-
-    Stores coefficients for exponents min_exp..order inclusive; normalization
-    raises min_exp past leading zeros, so the coefficient at min_exp is
-    nonzero except for the zero series.
-    """
-
-    __slots__ = ("min_exp", "_c")
-
-    def __init__(self, min_exp: int, coeffs):
-        cs = [as_opoly(c) for c in coeffs]
-        top = min_exp + len(cs) - 1
-        while cs and cs[0].is_zero():
-            cs.pop(0)
-            min_exp += 1
-        if not cs:
-            # zero series: keep any regular range as explicit zeros
-            min_exp = 0
-            cs = [OP_ZERO] * (top + 1) if top >= 0 else []
-        self.min_exp = min_exp
-        self._c = tuple(cs)
-
-    @classmethod
-    def from_series(cls, ts: TSeries, shift: int = 0) -> "LaurentSeries":
-        """View a truncated series as Laurent, multiplied by t^shift."""
-        return cls(shift, ts.coeffs)
-
-    @property
-    def order(self) -> int:
-        return self.min_exp + len(self._c) - 1
-
-    def coeff(self, n: int) -> OmegaPoly:
-        if self.min_exp <= n <= self.order:
-            return self._c[n - self.min_exp]
-        if n < self.min_exp:
-            return OP_ZERO
-        raise IndexError(f"exponent {n} beyond order {self.order}")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._c)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.order, other.order)
-        out = []
-        for n in range(lo, hi + 1):
-            a = self._c[n - self.min_exp] if self.min_exp <= n <= self.order else OP_ZERO
-            b = other._c[n - other.min_exp] if other.min_exp <= n <= other.order else OP_ZERO
-            out.append(a + b)
-        return LaurentSeries(lo, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.order, other.order)
-        for n in range(lo, hi + 1):
-            a = self._c[n - self.min_exp] if self.min_exp <= n <= self.order else OP_ZERO
-            b = other._c[n - other.min_exp] if other.min_exp <= n <= other.order else OP_ZERO
-            if a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        return hash((self.min_exp, self._c))
-
-    def __str__(self):
-        parts = []
-        for n in range(self.min_exp, self.order + 1):
-            c = self._c[n - self.min_exp]
-            if not c.is_zero():
-                parts.append(f"({c})*t^{n}" if n else f"({c})")
-        return " + ".join(parts) if parts else "0"
-
-    def split(self):
-        """Split into (principal part, regular part).
-
-        The principal part holds exponents < 0, the regular part (a TSeries)
-        exponents >= 0; their sum reproduces the input.
-        """
-        if not self._c:
-            return LaurentSeries(0, ()), TSeries([OP_ZERO], 0)
-        if self.min_exp >= 0:
-            principal = LaurentSeries(0, ())
-            regular = TSeries([self.coeff(n) for n in range(self.order + 1)], self.order)
-            return principal, regular
-        neg = [self._c[i] for i in range(min(-self.min_exp, len(self._c)))]
-        principal = LaurentSeries(self.min_exp, neg)
-        if self.order >= 0:
-            regular = TSeries(self._c[-self.min_exp :], self.order)
-        else:
-            regular = TSeries([OP_ZERO], 0)
-        return principal, regular
-
-
-def laurent_split(x: LaurentSeries):
-    """(principal, regular) decomposition of a Laurent series."""
-    return x.split()

@@ -2,8 +2,9 @@
 
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
-specialize (verify always checks symbolically, and each verify suite
-rejects the flags it does not read).  Exit codes: 0 success,
+specialize (verify always checks symbolically).  seq and verify reject
+any flag the chosen family or suite does not read, and verify rejects a
+bound below its suite's domain.  Exit codes: 0 success,
 1 a mathematical disagreement was detected, 2 usage error.  All output is
 deterministic and large integers are printed in full decimal.
 """
@@ -77,8 +78,28 @@ def _emit_matrix(m: TriMatrix, omega, fmt: str) -> str:
     return _dump_json({"n": m.n, "rows": [[e.to_json() for e in row] for row in m.rows]})
 
 
+# The optional flags each seq family reads; any other flag given is an error.
+# banded also reads --w when its --family is w-path.
+_SEQ_FLAGS = {
+    "motzkin": ("j",),
+    "grand-motzkin": ("j",),
+    "w-path": ("j", "w"),
+    "schroder-compressed": ("j",),
+    "delannoy": ("j",),
+    "banded": ("k", "j", "family"),
+}
+
+
 def _seq_series(args) -> TSeries:
-    family, order, j = args.family, args.N, args.j
+    family, order = args.family, args.N
+    reads = _SEQ_FLAGS[family]
+    if family == "banded" and args.band_family == "w-path":
+        reads += ("w",)
+    for flag, value in (("k", args.k), ("w", args.w), ("j", args.j), ("family", args.band_family)):
+        if value is not None and flag not in reads:
+            raise UsageError(f"seq {family} does not read --{flag}")
+    j = 0 if args.j is None else args.j
+    w = 1 if args.w is None else args.w
     if order < 0:
         raise UsageError("--N must be nonnegative")
     if j < 0:
@@ -88,9 +109,9 @@ def _seq_series(args) -> TSeries:
     if family == "grand-motzkin":
         return motzkin.grand_column_gf(j, order) if j else motzkin.grand_motzkin_series(order)
     if family == "w-path":
-        if args.w < 1:
+        if w < 1:
             raise UsageError("--w must be a positive step length")
-        return schroder.w_column_gf(j, args.w, order)
+        return schroder.w_column_gf(j, w, order)
     if family == "schroder-compressed":
         return (
             schroder.compressed_column_gf(j, order) if j else schroder.schroder_series(order)
@@ -100,17 +121,17 @@ def _seq_series(args) -> TSeries:
             raise UsageError("--j is not defined for the delannoy family")
         return TSeries([schroder.delannoy_number(n, n) for n in range(order + 1)], order)
     # banded
-    if args.k < 1:
+    if args.k is None or args.k < 1:
         raise UsageError("banded sequences require a band height --k >= 1")
     if j:
         raise UsageError("--j is not defined for banded sequences; see verify theorem-schroeder")
-    if args.band_family == "motzkin":
+    if args.band_family in (None, "motzkin"):
         return motzkin.banded_motzkin_gf(args.k).expand(order)
     if args.band_family == "schroder":
         return schroder.banded_schroder_series(args.k, order)
-    if args.w < 1:
+    if w < 1:
         raise UsageError("--w must be a positive step length")
-    return schroder.banded_w_gf(args.k, args.w).expand(order)
+    return schroder.banded_w_gf(args.k, w).expand(order)
 
 
 def _cmd_seq(args) -> int:
@@ -178,41 +199,47 @@ def _first_failure(results):
     return next((r for r in results if not r), PASS)
 
 
-# The flags each verify suite reads; any other flag given is an error.
+# The flags each verify suite reads, with the least value each accepts;
+# any other flag given is an error.
 _VERIFY_FLAGS = {
-    "lemma": ("max",),
-    "orthogonality": ("max",),
-    "banded-recursion": ("k", "N"),
-    "first-return": ("N",),
-    "delannoy": ("N",),
-    "bridge": ("N",),
-    "gould": ("k",),
-    "theorem-schroeder": ("k", "N"),
-    "all": ("max", "k", "N"),
+    "lemma": {"max": 1},
+    "orthogonality": {"max": 1},
+    "banded-recursion": {"k": 1, "N": 0},
+    "first-return": {"N": 0},
+    "delannoy": {"N": 1},
+    "bridge": {"N": 1},
+    "gould": {"k": 0},
+    "theorem-schroeder": {"k": 2, "N": 0},
 }
 
 
 def _verify_selected(args):
     """Yield (name, CheckResult, extra_output_lines) for the selected suite."""
     which = args.which
+    suites = list(_VERIFY_FLAGS) if which == "all" else [which]
     for flag in ("max", "k", "N"):
-        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[which]:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        readers = [suite for suite in suites if flag in _VERIFY_FLAGS[suite]]
+        if not readers:
             raise UsageError(f"verify {which} does not read --{flag}")
-    bound = 12 if args.max is None else args.max
-    if bound < 1:
-        raise UsageError("--max must be positive")
+        for suite in readers:
+            least = _VERIFY_FLAGS[suite][flag]
+            if value < least:
+                raise UsageError(f"verify {suite} requires --{flag} >= {least}")
 
-    def banded_bounds():
-        kmax = args.k if args.k else 6
-        horizon = args.N if args.N else 30
-        return kmax, horizon
+    def given(flag, default):
+        value = getattr(args, flag)
+        return default if value is None else value
 
+    bound = given("max", 12)
     if which in ("lemma", "all"):
         yield f"lemma (i, j <= {bound})", motzkin.verify_lemma(bound), []
     if which in ("orthogonality", "all"):
         yield f"orthogonality (j <= {bound})", motzkin.verify_orthogonality(bound), []
     if which in ("banded-recursion", "all"):
-        kmax, horizon = banded_bounds()
+        kmax, horizon = given("k", 6), given("N", 30)
         for k in range(1, kmax + 1):
             yield (
                 f"banded-recursion (k={k}, n <= {horizon})",
@@ -220,34 +247,28 @@ def _verify_selected(args):
                 [],
             )
     if which in ("first-return", "all"):
-        horizon = args.N if args.N else 30
+        horizon = given("N", 30)
         yield f"first-return (n <= {horizon})", motzkin.first_return_check(horizon), []
     if which in ("delannoy", "all"):
-        horizon = args.N if args.N else 15
+        horizon = given("N", 15)
         yield f"delannoy-recursion (n, j <= {horizon})", schroder.delannoy_recursion_check(horizon), []
     if which in ("bridge", "all"):
-        top = args.N if args.N else 20
+        top = given("N", 20)
         result = _first_failure(schroder.delannoy_s_bridge_check(n) for n in range(1, top + 1))
         yield f"delannoy-s-bridge (n <= {top})", result, []
     if which in ("gould", "all"):
-        kmax = args.k if args.k else 20
+        kmax = given("k", 20)
         result = _first_failure(
             schroder.gould_identity_check(k, m) for k in range(kmax + 1) for m in range(k // 2 + 1)
         )
         yield f"gould-carlitz (k <= {kmax})", result, []
     if which in ("theorem-schroeder", "all"):
-        k = args.k if args.k else 4
-        order = args.N if args.N else 12
-        if k < 2:
-            raise UsageError("theorem-schroeder requires --k >= 2")
+        k, order = given("k", 4), given("N", 12)
         result = schroder.theorem_schroeder_check(k, order)
         extra = []
         if result:
-            s1 = schroder.inverse_schroder_poly(k - 1).poly.eval_omega(1)
-            s2 = schroder.inverse_schroder_poly(k - 2).poly.eval_omega(1)
-            coeffs = schroder.banded_schroder_gf(k).expand(order + k) * s1 - s2
-            regular = [str(coeffs.coeff(m)) for m in range(k, order + k + 1)]
-            extra.append("regular coefficients: " + " ".join(regular))
+            regular = schroder.band_times_s(k, order).coeffs[k:]
+            extra.append("regular coefficients: " + " ".join(str(c) for c in regular))
         yield f"theorem-schroeder (k={k}, order {order})", result, extra
 
 
@@ -311,12 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("motzkin", "grand-motzkin", "w-path", "schroder-compressed", "delannoy", "banded"),
     )
     p_seq.add_argument("--N", type=int, required=True, help="highest index (inclusive)")
-    p_seq.add_argument("--k", type=int, default=0, help="band height (banded family)")
-    p_seq.add_argument("--w", type=int, default=1, help="horizontal step length (w-path)")
-    p_seq.add_argument("--j", type=int, default=0, help="ending height (column sequences)")
+    p_seq.add_argument("--k", type=int, help="band height (banded family)")
+    p_seq.add_argument("--w", type=int, help="horizontal step length (w-path; default 1)")
+    p_seq.add_argument("--j", type=int, help="ending height (column sequences; default 0)")
     p_seq.add_argument(
         "--family", dest="band_family", choices=("motzkin", "schroder", "w-path"),
-        default="motzkin", help="path family for banded sequences",
+        help="path family for banded sequences (default motzkin)",
     )
     add_common(p_seq)
     p_seq.set_defaults(func=_cmd_seq)

@@ -102,10 +102,6 @@ class TriMatrix:
             out.append(r)
         return out
 
-    @classmethod
-    def identity(cls, n: int) -> "TriMatrix":
-        return cls([[OP_ONE if i == j else OP_ZERO for j in range(i + 1)] for i in range(n)])
-
 
 class SquareMatrix:
     """Dense square matrix of OmegaPoly entries."""

@@ -14,8 +14,8 @@ polynomials
 with constant term 1; the counts confined to 0 <= y < k have generating
 function P_(k-1)/P_k.  The compressed triangle, its inverse (via Lagrange
 inversion in closed form), Delannoy numbers and polynomials, and the
-Laurent-series identity linking the band generating function to the
-top-of-band column also live here.
+band theorem linking the band generating function to the top-of-band
+column (the Laurent split of t^(-k) S s_(k-1)) also live here.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all.
@@ -24,7 +24,6 @@ hold for symbolic weight; they take no weight argument at all.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -32,7 +31,6 @@ from .algebra import (
     OP_ZERO,
     TP_ONE,
     InexactDivision,
-    LaurentSeries,
     OmegaPoly,
     RationalGF,
     TPoly,
@@ -46,31 +44,6 @@ from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 
 ONE_MINUS_T = TPoly([1, -1])
-
-
-@dataclass(frozen=True)
-class PPoly:
-    """Normalized band polynomial t^n p_n(t) for step length w; constant term 1."""
-
-    n: int
-    w: int
-    poly: TPoly
-
-
-@dataclass(frozen=True)
-class SPoly:
-    """Inverse-triangle row polynomial s_n(t); coefficient of t^(n-k) is s[n,k]."""
-
-    n: int
-    poly: TPoly
-
-
-@dataclass(frozen=True)
-class DPoly:
-    """Delannoy polynomial d_k(t) = sum_j D(k-j, j) t^j; d_k(0) = 1, degree k."""
-
-    k: int
-    poly: TPoly
 
 
 def _fixed_point(a: int, b: int, order: int) -> TSeries:
@@ -135,18 +108,18 @@ def schroder_series(order: int) -> TSeries:
     return _fixed_point(1, 1, order)
 
 
-def w_p_poly(n: int, w: int) -> PPoly:
+def w_p_poly(n: int, w: int) -> TPoly:
     """Normalized t^n p_n(t) = sum_j C(n-j,j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return PPoly(n, w, _band_poly(w, 2, n))
+    return _band_poly(w, 2, n)
 
 
-def compressed_p_poly(n: int) -> PPoly:
+def compressed_p_poly(n: int) -> TPoly:
     """w=2 band polynomial after t^2 -> t: sum_j C(n-j,j)(-1)^j t^j (1-omega t)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return PPoly(n, 2, _band_poly(1, 1, n))
+    return _band_poly(1, 1, n)
 
 
 def w_column_gf(j: int, w: int, order: int) -> TSeries:
@@ -212,8 +185,10 @@ def inverse_schroder_entry(k: int, j: int) -> OmegaPoly:
     return OmegaPoly(coeffs)
 
 
-def inverse_schroder_poly(n: int) -> SPoly:
+def inverse_schroder_poly(n: int) -> TPoly:
     """Row polynomial s_n(t) = sum_k s[n,k] t^(n-k) by its explicit m-sum.
+
+    The coefficient of t^(n-k) is the inverse-triangle entry s[n,k].
 
     The rational prefactors are accumulated exactly and must cancel in the
     total; a non-integral final coefficient raises InexactDivision.  The
@@ -249,7 +224,7 @@ def inverse_schroder_poly(n: int) -> SPoly:
                 raise InexactDivision(f"s_{n}: non-integral coefficient at t^{p} w^{wp}: {c}")
             vec[wp] = c.numerator
         cols.append(OmegaPoly(vec))
-    return SPoly(n, TPoly(cols))
+    return TPoly(cols)
 
 
 def inverse_schroder_matrix(n: int) -> TriMatrix:
@@ -282,8 +257,11 @@ def delannoy_number(n: int, k: int) -> OmegaPoly:
     return OmegaPoly(coeffs)
 
 
-def delannoy_poly(k: int) -> DPoly:
-    """Delannoy polynomial d_k(t) = sum_l C(k-l,l) omega^l t^l (1+t)^(k-2l)."""
+def delannoy_poly(k: int) -> TPoly:
+    """Delannoy polynomial d_k(t) = sum_l C(k-l,l) omega^l t^l (1+t)^(k-2l).
+
+    The coefficient of t^j is D(k-j, j); d_k(0) = 1 and the degree is k.
+    """
     if k < 0:
         raise ValueError("index must be nonnegative")
     cols = [[0] * (k // 2 + 1) for _ in range(k + 1)]  # [t power][omega power]
@@ -291,21 +269,21 @@ def delannoy_poly(k: int) -> DPoly:
         c = binom(k - l, l)
         for a in range(k - 2 * l + 1):
             cols[l + a][l] += c * binom(k - 2 * l, a)
-    return DPoly(k, TPoly([OmegaPoly(v) for v in cols]))
+    return TPoly([OmegaPoly(v) for v in cols])
 
 
 def _d_neg_at1(k: int) -> TPoly:
     """d_k(-t) specialized to weight 1; zero polynomial for k < 0."""
     if k < 0:
         return TPoly(())
-    return delannoy_poly(k).poly.eval_omega(1).at_neg_t()
+    return delannoy_poly(k).eval_omega(1).at_neg_t()
 
 
 def _s_at1(n: int) -> TPoly:
     """s_n(t) at weight 1; zero polynomial for n < 0."""
     if n < 0:
         return TPoly(())
-    return inverse_schroder_poly(n).poly.eval_omega(1)
+    return inverse_schroder_poly(n).eval_omega(1)
 
 
 def banded_schroder_gf(k: int) -> RationalGF:
@@ -378,7 +356,7 @@ def delannoy_s_bridge_check(n: int) -> CheckResult:
     rhs2 = _d_neg_at1(n) - _d_neg_at1(n - 1).shift(1)
     if sn != rhs2:
         return fail(f"difference identity at n={n}", sn, rhs2)
-    pn = compressed_p_poly(n).poly.eval_omega(1)
+    pn = compressed_p_poly(n).eval_omega(1)
     if pn != _d_neg_at1(n):
         return fail(f"band-polynomial bridge at n={n}", pn, _d_neg_at1(n))
     lhs4 = _d_neg_at1(n - 1)
@@ -388,33 +366,34 @@ def delannoy_s_bridge_check(n: int) -> CheckResult:
     return PASS
 
 
+def band_times_s(k: int, order: int) -> TSeries:
+    """S s_(k-1) through t^(order+k), S the weight-1 compressed banded series of band k."""
+    return banded_schroder_gf(k).expand(order + k) * _s_at1(k - 1)
+
+
 def theorem_schroeder_check(k: int, order: int) -> CheckResult:
-    """Band series times s_(k-1), viewed in t^(-k)-shifted Laurent form.
+    """The Laurent split of t^(-k) S s_(k-1), on the coefficients c of S s_(k-1).
 
     At weight 1 and band k >= 2, with S the compressed banded series:
-      principal part of t^(-k) S s_(k-1)  =  t^(-k) s_(k-2)
-      regular coefficient of t^n          =  compressed banded count of
-                                             paths of length n+k-1 ending at
-                                             height k-1 (oracle-checked).
+      principal part c[:k]   =  s_(k-2), padded with zeros to length k;
+      regular part c[k + n]  =  compressed banded count of paths of length
+                                n+k-1 ending at height k-1 (oracle-checked).
     Equivalently S*s_(k-1) - s_(k-2) = sum_n count(n, k-1) t^(n+1); the
     alignment is calibrated on the oracle.
     """
     if k < 2:
         raise ValueError("band height must be >= 2 (no s polynomial of index -1)")
     top = order + k
-    series = banded_schroder_gf(k).expand(top)
-    product = series * _s_at1(k - 1)
+    product = band_times_s(k, order)
+    coeffs = product.coeffs
     skm2 = _s_at1(k - 2)
-
-    laurent = LaurentSeries.from_series(product, -k)
-    principal, regular = laurent.split()
-    want_principal = LaurentSeries(-k, skm2.coeffs)
-    if principal != want_principal:
-        return fail(f"principal part (k={k})", principal, want_principal)
+    for m in range(k):
+        if coeffs[m] != skm2.coeff(m):
+            return fail(f"principal coefficient t^{m - k} (k={k})", coeffs[m], skm2.coeff(m))
 
     col = compressed_series(k - 1, top - 1, band=k).eval_omega(1)
     for n in range(order + 1):
-        got = regular.coeff(n)
+        got = coeffs[k + n]
         want = col.coeff(n + k - 1)
         if got != want:
             return fail(f"regular coefficient t^{n} (k={k})", got, want)

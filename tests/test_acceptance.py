@@ -7,7 +7,7 @@ are no tolerances anywhere.
 
 import random
 
-from pathenum.algebra import OP_ONE, LaurentSeries, OmegaPoly, TPoly, W, laurent_split
+from pathenum.algebra import OP_ONE, OmegaPoly, TPoly, W
 from pathenum import discrepancies
 from pathenum.hankel import (
     HankelSpec,
@@ -141,7 +141,7 @@ def test_criterion_05_compressed_schroder():
     for k in range(30):
         for j in range(k + 1):
             assert inverse_schroder_entry(k, j) == inv.rows[k][j], (k, j)
-    assert inverse_schroder_poly(4).poly.eval_omega(1) == TPoly([1, -8, 18, -12, 2])
+    assert inverse_schroder_poly(4).eval_omega(1) == TPoly([1, -8, 18, -12, 2])
     report(5, "compressed triangle and inverse displays; closed form to k=30; s_4")
 
 
@@ -168,24 +168,23 @@ def test_criterion_06_banded_schroder():
 
 
 def test_criterion_07_theorem_schroeder():
-    s3 = inverse_schroder_poly(3).poly.eval_omega(1)
-    product = banded_schroder_gf(4).expand(16) * s3
-    principal, regular = laurent_split(LaurentSeries.from_series(product, -4))
-    assert principal == LaurentSeries(-4, [1, -4, 2])
-    assert regular.int_coeffs() == [
+    s3 = inverse_schroder_poly(3).eval_omega(1)
+    coeffs = (banded_schroder_gf(4).expand(16) * s3).int_coeffs()
+    assert coeffs[:4] == [1, -4, 2, 0]  # principal part: s_2 padded to length 4
+    assert coeffs[4:] == [
         1, 7, 36, 168, 756, 3353, 14783, 65016, 285648, 1254456,
         5508097, 24183271, 106173180,
     ]
     for k in range(2, 7):
         assert theorem_schroeder_check(k, 40), k
-    report(7, "Laurent split at k=4; calibrated band-column identity k=2..6, order 40")
+    report(7, "principal/regular split at k=4; calibrated band-column identity k=2..6, order 40")
 
 
 def test_criterion_08_delannoy():
     assert delannoy_recursion_check(15)
     assert delannoy_number(3, 3).evaluate(1) == 63
     assert delannoy_number(2, 2).evaluate(1) == 13
-    d = [delannoy_poly(k).poly for k in range(13)]
+    d = [delannoy_poly(k) for k in range(13)]
     t = TPoly([0, 1])
     for m in range(13):
         acc = d[m]
@@ -197,7 +196,7 @@ def test_criterion_08_delannoy():
     for n in range(1, 21):
         assert delannoy_s_bridge_check(n), n
     for k in range(26):
-        assert compressed_p_poly(k).poly.eval_omega(1) == delannoy_poly(k).poly.eval_omega(1).at_neg_t(), k
+        assert compressed_p_poly(k).eval_omega(1) == delannoy_poly(k).eval_omega(1).at_neg_t(), k
     for k in range(21):
         for m in range(k // 2 + 1):
             assert gould_identity_check(k, m), (k, m)

@@ -1,4 +1,4 @@
-"""Exact algebra layer: scalars, series, Laurent split, rational expansion."""
+"""Exact algebra layer: scalars, series, rational expansion."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pathenum.algebra import (
     OP_ONE,
     InexactDivision,
-    LaurentSeries,
     NonUnitConstant,
     OmegaPoly,
     RationalGF,
@@ -20,11 +19,6 @@ from pathenum.algebra import (
     TSeries,
     W,
     binom_general,
-    laurent_split,
-    series_from_rational,
-    series_inv,
-    series_mul,
-    substitute_neg_t,
 )
 from conftest import random_opoly
 
@@ -108,13 +102,13 @@ class TestTSeries:
         for _ in range(20):
             a = TSeries([random_opoly(rng) for _ in range(6)], 5)
             one = TSeries([OP_ONE], 5)
-            assert series_mul(a, one) == a
+            assert (a * one) == a
 
     def test_motzkin_square_low_coefficients(self):
         # (1 + t + 2t^2 + 4t^3)^2 by hand convolution; the t^3 coefficient
         # 12 is also the weight-1 count of quadrant paths to (4, 1)
         mu1 = TSeries([1, 1, 2, 4], 3)
-        assert series_mul(mu1, mu1).eval_omega(0).int_coeffs() == [1, 2, 5, 12]
+        assert (mu1 * mu1).eval_omega(0).int_coeffs() == [1, 2, 5, 12]
 
     def test_one_plus_t_times_one_minus_t(self):
         a = TSeries([1, 1, 0], 2)
@@ -135,7 +129,7 @@ class TestTSeries:
 
     def test_inverse_of_chebyshev_denominator(self):
         phi = TSeries([OP_ONE, W, OP_ONE], 5)  # 1 + w t + t^2
-        inv = series_inv(phi)
+        inv = phi.inverse()
         # long division: 1, -w, w^2 - 1, -w^3 + 2w, ...
         assert inv.coeff(0) == OP_ONE
         assert inv.coeff(1) == -W
@@ -144,14 +138,14 @@ class TestTSeries:
         assert inv.eval_omega(1).int_coeffs() == [1, -1, 0, 1, -1, 0]
 
     def test_inverse_of_one_minus_t(self):
-        inv = series_inv(TSeries([1, -1] + [0] * 6, 7))
+        inv = TSeries([1, -1] + [0] * 6, 7).inverse()
         assert inv.eval_omega(0).int_coeffs() == [1] * 8
 
     def test_inverse_requires_unit_constant(self):
         with pytest.raises(NonUnitConstant):
-            series_inv(TSeries([2, 1], 3))
+            TSeries([2, 1], 3).inverse()
         with pytest.raises(NonUnitConstant):
-            series_inv(TSeries([W, 1], 3))
+            TSeries([W, 1], 3).inverse()
 
     def test_inverse_is_two_sided(self, rng):
         one = TSeries([OP_ONE], 6)
@@ -159,13 +153,13 @@ class TestTSeries:
             coeffs = [random_opoly(rng) for _ in range(7)]
             coeffs[0] = OP_ONE if rng.random() < 0.5 else -OP_ONE
             a = TSeries(coeffs, 6)
-            inv = series_inv(a)
+            inv = a.inverse()
             assert a * inv == one
             assert inv * a == one
 
     def test_negative_constant_inverse(self):
         a = TSeries([-1, 1, 1], 4)
-        assert (a * series_inv(a)) == TSeries([OP_ONE], 4)
+        assert (a * a.inverse()) == TSeries([OP_ONE], 4)
 
     def test_json_roundtrip(self):
         ts = TSeries([OmegaPoly([1]), W, OmegaPoly([1, 0, 1])], 2)
@@ -175,16 +169,16 @@ class TestTSeries:
 class TestRationalGF:
     def test_banded_schroder_two(self):
         r = RationalGF(TPoly([1, -1]), TPoly([1, -3, 1]))
-        assert series_from_rational(r, 4).eval_omega(0).int_coeffs() == [1, 2, 5, 13, 34]
+        assert r.expand(4).eval_omega(0).int_coeffs() == [1, 2, 5, 13, 34]
 
     def test_banded_motzkin_four(self):
         r = RationalGF(TPoly([1, -3, 1, 1]), TPoly([1, -4, 3, 2, -1]))
-        got = series_from_rational(r, 9).eval_omega(0).int_coeffs()
+        got = r.expand(9).eval_omega(0).int_coeffs()
         assert got == [1, 1, 2, 4, 9, 21, 51, 127, 322, 826]
 
     def test_p_over_p_is_one(self):
         p = TPoly([OP_ONE, W, OmegaPoly([3])])
-        assert series_from_rational(RationalGF(p, p), 6) == TSeries([OP_ONE], 6)
+        assert RationalGF(p, p).expand(6) == TSeries([OP_ONE], 6)
 
     def test_requires_unit_denominator_constant(self):
         with pytest.raises(NonUnitConstant):
@@ -210,49 +204,20 @@ class TestRationalGF:
         assert r.expand(hi).truncate(lo) == r.expand(lo)
 
 
-class TestLaurent:
-    def test_split_with_principal_and_regular(self):
-        x = LaurentSeries(-4, [1, -4, 2, 0, 1, 7])  # t^-4 - 4t^-3 + 2t^-2 + 1 + 7t
-        principal, regular = laurent_split(x)
-        assert principal == LaurentSeries(-4, [1, -4, 2])
-        assert regular == TSeries([1, 7], 1)
-
-    def test_split_pure_series(self):
-        ts = TSeries([3, 0, 5], 2)
-        principal, regular = laurent_split(LaurentSeries.from_series(ts))
-        assert principal.is_zero()
-        assert regular == ts
-
-    def test_cancellation(self):
-        # t^-1 (t + t^2) = 1 + t
-        x = LaurentSeries(-1, [0, 1, 1])
-        principal, regular = laurent_split(x)
-        assert principal.is_zero()
-        assert regular == TSeries([1, 1], 1)
-
-    @given(st.integers(-5, 0), st.lists(st.integers(-9, 9), min_size=1, max_size=9))
-    @settings(max_examples=150, deadline=None)
-    def test_split_parts_sum_to_input(self, min_exp, coeffs):
-        x = LaurentSeries(min_exp, coeffs)
-        principal, regular = laurent_split(x)
-        back = principal + LaurentSeries.from_series(regular)
-        assert back == x
-
-
 class TestSubstituteNegT:
     def test_delannoy_polynomial_example(self):
         d3 = TPoly([1, 5, 5, 1])
-        assert substitute_neg_t(d3) == TPoly([1, -5, 5, -1])
+        assert d3.at_neg_t() == TPoly([1, -5, 5, -1])
 
     def test_even_polynomial_unchanged(self):
         p = TPoly([2, 0, 3, 0, 1])
-        assert substitute_neg_t(p) == p
+        assert p.at_neg_t() == p
 
     @given(st.lists(st.integers(-9, 9), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_involution(self, coeffs):
         p = TPoly(coeffs)
-        assert substitute_neg_t(substitute_neg_t(p)) == p
+        assert p.at_neg_t().at_neg_t() == p
 
 
 class TestBinomGeneral:

@@ -88,6 +88,24 @@ class TestSeq:
         assert run("seq", "motzkin", "--N", "3", "--omega", "pi", capsys=capsys)[0] == 2
         assert run("seq", "delannoy", "--N", "3", "--j", "2", capsys=capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["motzkin", "--N", "5", "--k", "3"], "--k"),
+            (["motzkin", "--N", "5", "--w", "3"], "--w"),
+            (["motzkin", "--N", "5", "--family", "schroder"], "--family"),
+            (["w-path", "--w", "2", "--N", "5", "--k", "2"], "--k"),
+            (["delannoy", "--N", "5", "--family", "motzkin"], "--family"),
+            (["banded", "--family", "schroder", "--k", "2", "--N", "5", "--w", "2"], "--w"),
+            (["banded", "--k", "2", "--N", "5", "--w", "1"], "--w"),
+        ],
+    )
+    def test_unread_flag_rejected(self, argv, flag, capsys):
+        code, out, err = run("seq", *argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"does not read {flag}" in err
+
 
 class TestMatrix:
     def test_motzkin_inverse_display(self, capsys):
@@ -225,6 +243,16 @@ class TestVerify:
             (["gould", "--k", "4", "--max", "99"], "--max"),
             (["banded-recursion", "--max", "12"], "--max"),
             (["theorem-schroeder", "--k", "4", "--max", "3"], "--max"),
+            # values below a suite's domain
+            (["lemma", "--max", "0"], "--max"),
+            (["theorem-schroeder", "--k", "0", "--N", "3"], "--k"),
+            (["theorem-schroeder", "--k", "4", "--N", "-1"], "--N"),
+            (["banded-recursion", "--k", "0"], "--k"),
+            (["first-return", "--N", "-3"], "--N"),
+            (["delannoy", "--N", "-2"], "--N"),
+            (["delannoy", "--N", "0"], "--N"),
+            (["bridge", "--N", "0"], "--N"),
+            (["gould", "--k", "-1"], "--k"),
         ],
     )
     def test_unread_flag_rejected(self, argv, flag, capsys):
@@ -232,6 +260,30 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    def test_bad_bound_rejected_before_any_suite(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("a suite ran before the flags were checked")
+
+        monkeypatch.setattr(cli.motzkin, "verify_lemma", never)
+        code, out, err = run("verify", "all", "--k", "1", "--max", "30", "--N", "40", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "theorem-schroeder requires --k >= 2" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["first-return", "--N", "0"], "first-return (n <= 0)"),
+            (["banded-recursion", "--k", "1", "--N", "0"], "banded-recursion (k=1, n <= 0)"),
+            (["gould", "--k", "0"], "gould-carlitz (k <= 0)"),
+            (["theorem-schroeder", "--k", "2", "--N", "0"], "theorem-schroeder (k=2, order 0)"),
+        ],
+    )
+    def test_explicit_zero_is_kept(self, argv, name, capsys):
+        code, out, _ = run("verify", *argv, capsys=capsys)
+        assert code == 0
+        assert out.startswith(f"PASS {name}\n")
 
 
 class TestLedgerAndMisc:

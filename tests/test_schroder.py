@@ -2,14 +2,8 @@
 
 import pytest
 
-from pathenum.algebra import (
-    OP_ONE,
-    LaurentSeries,
-    OmegaPoly,
-    TPoly,
-    W,
-    laurent_split,
-)
+from pathenum import schroder
+from pathenum.algebra import OP_ONE, OmegaPoly, TPoly, TSeries, W
 from pathenum.motzkin import banded_motzkin_gf, inverse_motzkin_poly, motzkin_series
 from pathenum.oracle import (
     CountTable,
@@ -20,6 +14,7 @@ from pathenum.oracle import (
     oracle_series,
 )
 from pathenum.schroder import (
+    band_times_s,
     banded_schroder_gf,
     banded_schroder_gf_via_s,
     banded_schroder_series,
@@ -67,34 +62,34 @@ class TestWSeries:
 
 class TestPPolynomials:
     def test_index_zero(self):
-        assert w_p_poly(0, 3).poly == TPoly([1])
-        assert compressed_p_poly(0).poly == TPoly([1])
+        assert w_p_poly(0, 3) == TPoly([1])
+        assert compressed_p_poly(0) == TPoly([1])
 
     def test_compressed_two_at_weight_one(self):
-        assert compressed_p_poly(2).poly.eval_omega(1) == TPoly([1, -3, 1])
+        assert compressed_p_poly(2).eval_omega(1) == TPoly([1, -3, 1])
 
     def test_compressed_three_at_weight_one(self):
-        assert compressed_p_poly(3).poly.eval_omega(1) == TPoly([1, -5, 5, -1])
+        assert compressed_p_poly(3).eval_omega(1) == TPoly([1, -5, 5, -1])
 
     def test_constant_term_one_and_degree_bound(self):
         for w in (1, 2, 3):
             for n in range(10):
                 p = w_p_poly(n, w)
-                assert p.poly.constant() == OP_ONE
-                assert p.poly.degree <= n * w
+                assert p.constant() == OP_ONE
+                assert p.degree <= n * w
         for n in range(12):
             cp = compressed_p_poly(n)
-            assert cp.poly.constant() == OP_ONE
-            assert cp.poly.degree <= n
+            assert cp.constant() == OP_ONE
+            assert cp.degree <= n
 
     def test_w1_equals_inverse_motzkin_poly(self):
         for n in range(12):
-            assert w_p_poly(n, 1).poly == inverse_motzkin_poly(n)
+            assert w_p_poly(n, 1) == inverse_motzkin_poly(n)
 
     def test_compressed_is_even_part_of_w2(self):
         for n in range(10):
-            full = w_p_poly(n, 2).poly
-            comp = compressed_p_poly(n).poly
+            full = w_p_poly(n, 2)
+            comp = compressed_p_poly(n)
             for a in range(full.degree + 1):
                 if a % 2:
                     assert full.coeff(a).is_zero()
@@ -234,17 +229,17 @@ class TestInverseSchroder:
 
 class TestInverseSchroderPoly:
     def test_four_at_weight_one(self):
-        assert inverse_schroder_poly(4).poly.eval_omega(1) == TPoly([1, -8, 18, -12, 2])
+        assert inverse_schroder_poly(4).eval_omega(1) == TPoly([1, -8, 18, -12, 2])
 
     def test_zero(self):
-        assert inverse_schroder_poly(0).poly == TPoly([1])
+        assert inverse_schroder_poly(0) == TPoly([1])
 
     def test_three_at_weight_one(self):
-        assert inverse_schroder_poly(3).poly.eval_omega(1) == TPoly([1, -6, 8, -2])
+        assert inverse_schroder_poly(3).eval_omega(1) == TPoly([1, -6, 8, -2])
 
     def test_coefficients_are_entries_symbolically(self):
         for n in range(14):
-            p = inverse_schroder_poly(n).poly
+            p = inverse_schroder_poly(n)
             assert p.constant() == OP_ONE
             for k in range(n + 1):
                 assert p.coeff(n - k) == inverse_schroder_entry(n, k), (n, k)
@@ -299,25 +294,25 @@ class TestDelannoy:
                 assert delannoy_number(n, n + j) == table.value(2 * n + j, j), (n, j)
 
     def test_polynomial_examples(self):
-        assert delannoy_poly(3).poly.eval_omega(1) == TPoly([1, 5, 5, 1])
-        assert delannoy_poly(0).poly == TPoly([1])
-        assert delannoy_poly(4).poly.eval_omega(1) == TPoly([1, 7, 13, 7, 1])
+        assert delannoy_poly(3).eval_omega(1) == TPoly([1, 5, 5, 1])
+        assert delannoy_poly(0) == TPoly([1])
+        assert delannoy_poly(4).eval_omega(1) == TPoly([1, 7, 13, 7, 1])
 
     def test_polynomial_diagonal_of_numbers(self):
         for k in range(9):
-            p = delannoy_poly(k).poly
+            p = delannoy_poly(k)
             for j in range(k + 1):
                 assert p.coeff(j) == delannoy_number(k - j, j), (k, j)
 
     def test_degree_and_constant(self):
         for k in range(1, 31):
-            p = delannoy_poly(k).poly
+            p = delannoy_poly(k)
             assert p.degree == k
             assert p.constant() == OP_ONE
 
     def test_bivariate_generating_function(self):
         # sum_k d_k x^k (1 - x - t(x + w x^2)) = 1, checked to total degree 12
-        d = [delannoy_poly(k).poly for k in range(13)]
+        d = [delannoy_poly(k) for k in range(13)]
         t = TPoly([0, 1])
         for m in range(13):
             acc = d[m]
@@ -364,32 +359,33 @@ class TestBridges:
 
     def test_hand_s1(self):
         # s_1 = d_1(-t) - t d_0(-t) = (1 - t) - t
-        s1 = inverse_schroder_poly(1).poly.eval_omega(1)
+        s1 = inverse_schroder_poly(1).eval_omega(1)
         assert s1 == TPoly([1, -2])
 
     def test_hand_s3_from_d(self):
-        d2 = delannoy_poly(2).poly.eval_omega(1).at_neg_t()
-        d4 = delannoy_poly(4).poly.eval_omega(1).at_neg_t()
+        d2 = delannoy_poly(2).eval_omega(1).at_neg_t()
+        d4 = delannoy_poly(4).eval_omega(1).at_neg_t()
         num = d2.shift(2) + d4
         s3 = num.exact_div(TPoly([1, -1]))
-        assert s3 == inverse_schroder_poly(3).poly.eval_omega(1)
+        assert s3 == inverse_schroder_poly(3).eval_omega(1)
 
     def test_p_to_delannoy_bridge(self):
         for k in range(26):
-            lhs = compressed_p_poly(k).poly.eval_omega(1)
-            rhs = delannoy_poly(k).poly.eval_omega(1).at_neg_t()
+            lhs = compressed_p_poly(k).eval_omega(1)
+            rhs = delannoy_poly(k).eval_omega(1).at_neg_t()
             assert lhs == rhs, k
 
 
 class TestTheorem:
     def test_k4_regular_and_principal(self):
         assert theorem_schroeder_check(4, 12)
-        s3 = inverse_schroder_poly(3).poly.eval_omega(1)
-        s2 = inverse_schroder_poly(2).poly.eval_omega(1)
+        s3 = inverse_schroder_poly(3).eval_omega(1)
+        s2 = inverse_schroder_poly(2).eval_omega(1)
         product = banded_schroder_gf(4).expand(16) * s3
-        principal, regular = laurent_split(LaurentSeries.from_series(product, -4))
-        assert principal == LaurentSeries(-4, [1, -4, 2])
-        assert regular.int_coeffs() == [
+        assert band_times_s(4, 12) == product
+        coeffs = product.int_coeffs()
+        assert coeffs[:4] == [1, -4, 2, 0]  # principal part: s_2 padded to length 4
+        assert coeffs[4:] == [
             1, 7, 36, 168, 756, 3353, 14783, 65016, 285648, 1254456,
             5508097, 24183271, 106173180,
         ]
@@ -407,6 +403,33 @@ class TestTheorem:
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
             theorem_schroeder_check(1, 5)
+
+    def test_principal_mismatch_is_named(self, monkeypatch):
+        real = schroder._s_at1
+
+        def perturbed(n):  # s_2 = 1 - 4t + 2t^2 becomes 1 - 3t + 2t^2
+            return real(n) + TPoly([0, 1]) if n == 2 else real(n)
+
+        monkeypatch.setattr(schroder, "_s_at1", perturbed)
+        result = theorem_schroeder_check(4, 12)
+        assert not result
+        assert "principal coefficient t^-3 (k=4)" in result.detail
+        assert "lhs=-4, rhs=-3" in result.detail
+
+    def test_regular_mismatch_is_named(self, monkeypatch):
+        real = schroder.compressed_series
+
+        def changed(j, order, band=0):  # entry 5 of the column is regular t^2 at k=4
+            col = real(j, order, band)
+            coeffs = list(col.coeffs)
+            coeffs[5] = coeffs[5] + 1
+            return TSeries(coeffs, col.order)
+
+        monkeypatch.setattr(schroder, "compressed_series", changed)
+        result = theorem_schroeder_check(4, 12)
+        assert not result
+        assert "regular coefficient t^2 (k=4)" in result.detail
+        assert "lhs=36, rhs=37" in result.detail
 
 
 class TestGould:
