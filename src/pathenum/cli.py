@@ -85,8 +85,8 @@ _SEQ_FLAGS = {
     "grand-motzkin": ("j",),
     "w-path": ("j", "w"),
     "schroder-compressed": ("j",),
-    "delannoy": ("j",),
-    "banded": ("k", "j", "family"),
+    "delannoy": (),
+    "banded": ("k", "family"),
 }
 
 
@@ -117,14 +117,10 @@ def _seq_series(args) -> TSeries:
             schroder.compressed_column_gf(j, order) if j else schroder.schroder_series(order)
         )
     if family == "delannoy":
-        if j:
-            raise UsageError("--j is not defined for the delannoy family")
         return TSeries([schroder.delannoy_number(n, n) for n in range(order + 1)], order)
     # banded
     if args.k is None or args.k < 1:
         raise UsageError("banded sequences require a band height --k >= 1")
-    if j:
-        raise UsageError("--j is not defined for banded sequences; see verify theorem-schroeder")
     if args.band_family in (None, "motzkin"):
         return motzkin.banded_motzkin_gf(args.k).expand(order)
     if args.band_family == "schroder":
@@ -254,8 +250,7 @@ def _verify_selected(args):
         yield f"delannoy-recursion (n, j <= {horizon})", schroder.delannoy_recursion_check(horizon), []
     if which in ("bridge", "all"):
         top = given("N", 20)
-        result = _first_failure(schroder.delannoy_s_bridge_check(n) for n in range(1, top + 1))
-        yield f"delannoy-s-bridge (n <= {top})", result, []
+        yield f"delannoy-s-bridge (n <= {top})", schroder.delannoy_s_bridge_check(top), []
     if which in ("gould", "all"):
         kmax = given("k", 20)
         result = _first_failure(
@@ -264,10 +259,11 @@ def _verify_selected(args):
         yield f"gould-carlitz (k <= {kmax})", result, []
     if which in ("theorem-schroeder", "all"):
         k, order = given("k", 4), given("N", 12)
-        result = schroder.theorem_schroeder_check(k, order)
+        product = schroder.band_times_s(k, order)
+        result = schroder.theorem_schroeder_check(k, order, product)
         extra = []
         if result:
-            regular = schroder.band_times_s(k, order).coeffs[k:]
+            regular = product.coeffs[k:]
             extra.append("regular coefficients: " + " ".join(str(c) for c in regular))
         yield f"theorem-schroeder (k={k}, order {order})", result, extra
 

@@ -29,7 +29,7 @@ from .algebra import (
 from .checks import PASS, CheckResult, fail
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
-from .schroder import _band_poly, _banded, _column, _count_triangle, _fixed_point
+from .schroder import _band_polys, _banded, _column, _count_triangle, _fixed_point
 
 
 def motzkin_series(order: int) -> TSeries:
@@ -139,7 +139,7 @@ def inverse_motzkin_poly(k: int) -> TPoly:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return _band_poly(1, 2, k)
+    return _band_polys(1, 2, k)[k]
 
 
 def banded_motzkin_gf(k: int) -> RationalGF:

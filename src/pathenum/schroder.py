@@ -5,17 +5,17 @@ steps.  One engine, parametrized by the step exponents (a, b) of the fixed
 point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
 step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
 and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
-t^2 -> t.  The column generating functions come from a Fibonacci-like
-linear recursion whose solution is expressed through the normalized
-polynomials
+t^2 -> t.  The column generating functions are expressed through the
+normalized band polynomials, built by their three-term recursion
 
-    P_n(t) = sum_j C(n-j, j) (-1)^j t^(b j) (1 - omega t^a)^(n-2j)
+    P_n = (1 - omega t^a) P_(n-1) - t^b P_(n-2),  P_0 = 1, P_(-1) = 0
 
-with constant term 1; the counts confined to 0 <= y < k have generating
-function P_(k-1)/P_k.  The compressed triangle, its inverse (via Lagrange
-inversion in closed form), Delannoy numbers and polynomials, and the
-band theorem linking the band generating function to the top-of-band
-column (the Laurent split of t^(-k) S s_(k-1)) also live here.
+(the continuants of the band's continued fraction, constant term 1); the
+counts confined to 0 <= y < k have generating function P_(k-1)/P_k.  The
+compressed triangle, its inverse (via Lagrange inversion in closed form),
+Delannoy numbers and polynomials, and the band theorem linking the band
+generating function to the top-of-band column (the Laurent split of
+t^(-k) S s_(k-1)) also live here.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all.
@@ -23,7 +23,6 @@ hold for symbolic weight; they take no weight argument at all.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import (
@@ -57,13 +56,13 @@ def _fixed_point(a: int, b: int, order: int) -> TSeries:
     return TSeries(m, order)
 
 
-def _band_poly(a: int, b: int, n: int) -> TPoly:
-    """P_n = sum_j C(n-j, j) (-1)^j t^(b j) (1 - omega t^a)^(n-2j); zero for n < 0."""
-    base = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-W])  # 1 - omega t^a
-    acc = TPoly(())
-    for j in range(n // 2 + 1):
-        acc = acc + (base ** (n - 2 * j)).shift(b * j) * ((-1) ** j * binom(n - j, j))
-    return acc
+def _band_polys(a: int, b: int, n: int) -> list:
+    """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
+    step = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-W])  # 1 - omega t^a
+    family = [TPoly(()), TP_ONE]  # P_(-1), P_0
+    for _ in range(n):
+        family.append(step * family[-1] - family[-2].shift(b))
+    return family[1:]
 
 
 def _column(a: int, b: int, j: int, order: int) -> TSeries:
@@ -74,12 +73,15 @@ def _column(a: int, b: int, j: int, order: int) -> TSeries:
     against the oracle.
     """
     mu = _fixed_point(a, b, order + j)
-    return (mu * _band_poly(a, b, j) - _band_poly(a, b, j - 1)).shift_down(j)
+    family = _band_polys(a, b, j)
+    below = family[j - 1] if j else TPoly(())
+    return (mu * family[j] - below).shift_down(j)
 
 
 def _banded(a: int, b: int, k: int) -> RationalGF:
     """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
-    return RationalGF(_band_poly(a, b, k - 1), _band_poly(a, b, k))
+    family = _band_polys(a, b, k)
+    return RationalGF(family[k - 1], family[k])
 
 
 def _count_triangle(spec: PathSpec, n: int) -> TriMatrix:
@@ -112,14 +114,14 @@ def w_p_poly(n: int, w: int) -> TPoly:
     """Normalized t^n p_n(t) = sum_j C(n-j,j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _band_poly(w, 2, n)
+    return _band_polys(w, 2, n)[n]
 
 
 def compressed_p_poly(n: int) -> TPoly:
     """w=2 band polynomial after t^2 -> t: sum_j C(n-j,j)(-1)^j t^j (1-omega t)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _band_poly(1, 1, n)
+    return _band_polys(1, 1, n)[n]
 
 
 def w_column_gf(j: int, w: int, order: int) -> TSeries:
@@ -186,45 +188,10 @@ def inverse_schroder_entry(k: int, j: int) -> OmegaPoly:
 
 
 def inverse_schroder_poly(n: int) -> TPoly:
-    """Row polynomial s_n(t) = sum_k s[n,k] t^(n-k) by its explicit m-sum.
-
-    The coefficient of t^(n-k) is the inverse-triangle entry s[n,k].
-
-    The rational prefactors are accumulated exactly and must cancel in the
-    total; a non-integral final coefficient raises InexactDivision.  The
-    m = (n+1)/2 term of odd n, whose printed form carries (1 - omega t)^(-1),
-    reduces algebraically to (-1)^m t^m and is added in that form.
-    """
+    """Row polynomial s_n(t) = sum_k s[n,k] t^(n-k), read from the closed-form entries."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    acc = defaultdict(Fraction)  # (t power, omega power) -> coefficient
-    for m in range(n + 1):
-        if 2 * m == n + 1:
-            acc[(m, 0)] += (-1) ** m
-            continue
-        if 2 * m > n + 1:
-            continue  # C(n-m+1, m) vanishes
-        r = Fraction(binom(n - m + 1, m), n - m + 1) * (-1) ** (m + 1)
-        if not r:
-            continue
-        for a in range(n - 2 * m + 1):
-            base = r * binom(n - 2 * m, a) * (-1) ** a
-            # base * omega^a t^(m+a) * (m omega t + (m - n - 1))
-            if m:
-                acc[(m + a + 1, a + 1)] += base * m
-            acc[(m + a, a)] += base * (m - n - 1)
-    tmax = max(p for p, _ in acc) if acc else 0
-    cols = []
-    for p in range(tmax + 1):
-        wmax = max((wp for (tp, wp) in acc if tp == p), default=-1)
-        vec = [0] * (wmax + 1)
-        for wp in range(wmax + 1):
-            c = acc.get((p, wp), Fraction(0))
-            if c.denominator != 1:
-                raise InexactDivision(f"s_{n}: non-integral coefficient at t^{p} w^{wp}: {c}")
-            vec[wp] = c.numerator
-        cols.append(OmegaPoly(vec))
-    return TPoly(cols)
+    return TPoly([inverse_schroder_entry(n, n - p) for p in range(n + 1)])
 
 
 def inverse_schroder_matrix(n: int) -> TriMatrix:
@@ -338,31 +305,35 @@ def delannoy_recursion_check(horizon: int) -> CheckResult:
     return PASS
 
 
-def delannoy_s_bridge_check(n: int) -> CheckResult:
-    """The four weight-1 identities tying s, d and the band polynomials at index n.
+def delannoy_s_bridge_check(bound: int) -> CheckResult:
+    """The four weight-1 identities tying s, d and the band polynomials, n = 1..bound.
 
+    d_(-1..bound+1)(-t), the compressed band polynomials P_0..P_bound and
+    s_1..s_bound are each built once; at every n, in this order:
     1. (1-t) s_n = t^2 d_(n-1)(-t) + d_(n+1)(-t), with the division by (1-t)
        performed exactly (InexactDivision on remainder);
     2. s_n = d_n(-t) - t d_(n-1)(-t);
-    3. the normalized compressed band polynomial of index n equals d_n(-t);
+    3. the normalized compressed band polynomial P_n equals d_n(-t);
     4. d_(n-1)(-t) = t d_(n-1)(-t) + t d_(n-2)(-t) + d_n(-t).
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    sn = _s_at1(n)
-    rhs1 = _d_neg_at1(n - 1).shift(2) + _d_neg_at1(n + 1)
-    if rhs1.exact_div(ONE_MINUS_T) != sn:
-        return fail(f"quotient identity at n={n}", rhs1.exact_div(ONE_MINUS_T), sn)
-    rhs2 = _d_neg_at1(n) - _d_neg_at1(n - 1).shift(1)
-    if sn != rhs2:
-        return fail(f"difference identity at n={n}", sn, rhs2)
-    pn = compressed_p_poly(n).eval_omega(1)
-    if pn != _d_neg_at1(n):
-        return fail(f"band-polynomial bridge at n={n}", pn, _d_neg_at1(n))
-    lhs4 = _d_neg_at1(n - 1)
-    rhs4 = _d_neg_at1(n - 1).shift(1) + _d_neg_at1(n - 2).shift(1) + _d_neg_at1(n)
-    if lhs4 != rhs4:
-        return fail(f"three-term recursion at n={n}", lhs4, rhs4)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    d = {k: _d_neg_at1(k) for k in range(-1, bound + 2)}
+    p = _band_polys(1, 1, bound)
+    for n in range(1, bound + 1):
+        sn = _s_at1(n)
+        quotient = (d[n - 1].shift(2) + d[n + 1]).exact_div(ONE_MINUS_T)
+        if quotient != sn:
+            return fail(f"quotient identity at n={n}", quotient, sn)
+        rhs2 = d[n] - d[n - 1].shift(1)
+        if sn != rhs2:
+            return fail(f"difference identity at n={n}", sn, rhs2)
+        pn = p[n].eval_omega(1)
+        if pn != d[n]:
+            return fail(f"band-polynomial bridge at n={n}", pn, d[n])
+        rhs4 = d[n - 1].shift(1) + d[n - 2].shift(1) + d[n]
+        if d[n - 1] != rhs4:
+            return fail(f"three-term recursion at n={n}", d[n - 1], rhs4)
     return PASS
 
 
@@ -371,7 +342,7 @@ def band_times_s(k: int, order: int) -> TSeries:
     return banded_schroder_gf(k).expand(order + k) * _s_at1(k - 1)
 
 
-def theorem_schroeder_check(k: int, order: int) -> CheckResult:
+def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) -> CheckResult:
     """The Laurent split of t^(-k) S s_(k-1), on the coefficients c of S s_(k-1).
 
     At weight 1 and band k >= 2, with S the compressed banded series:
@@ -379,12 +350,14 @@ def theorem_schroeder_check(k: int, order: int) -> CheckResult:
       regular part c[k + n]  =  compressed banded count of paths of length
                                 n+k-1 ending at height k-1 (oracle-checked).
     Equivalently S*s_(k-1) - s_(k-2) = sum_n count(n, k-1) t^(n+1); the
-    alignment is calibrated on the oracle.
+    alignment is calibrated on the oracle.  A caller that already holds
+    band_times_s(k, order) passes it as product.
     """
     if k < 2:
         raise ValueError("band height must be >= 2 (no s polynomial of index -1)")
     top = order + k
-    product = band_times_s(k, order)
+    if product is None:
+        product = band_times_s(k, order)
     coeffs = product.coeffs
     skm2 = _s_at1(k - 2)
     for m in range(k):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pathenum import cli
+from pathenum.algebra import RationalGF
 from pathenum.checks import fail
 
 PLANTED = fail("a planted failure", 0, 1)
@@ -14,6 +15,19 @@ def run(*argv, capsys=None):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that every call is counted; returns the live counter."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestSeq:
@@ -98,6 +112,8 @@ class TestSeq:
             (["delannoy", "--N", "5", "--family", "motzkin"], "--family"),
             (["banded", "--family", "schroder", "--k", "2", "--N", "5", "--w", "2"], "--w"),
             (["banded", "--k", "2", "--N", "5", "--w", "1"], "--w"),
+            (["banded", "--k", "3", "--N", "4", "--j", "0"], "--j"),
+            (["delannoy", "--N", "3", "--j", "0"], "--j"),
         ],
     )
     def test_unread_flag_rejected(self, argv, flag, capsys):
@@ -179,6 +195,23 @@ class TestVerify:
         assert out.startswith("PASS theorem-schroeder")
         assert "1 7 36 168 756 3353 14783 65016 285648 1254456 5508097 24183271 106173180" in out
 
+    def test_theorem_schroeder_builds_product_once(self, monkeypatch, capsys):
+        products = count_calls(monkeypatch, cli.schroder, "band_times_s")
+        expansions = count_calls(monkeypatch, RationalGF, "expand")
+        code, out, _ = run("verify", "theorem-schroeder", "--k", "4", "--N", "12", capsys=capsys)
+        assert code == 0
+        assert "regular coefficients: 1 7 36" in out
+        assert products == [1]
+        assert expansions == [1]
+
+    def test_bridge_builds_each_family_once(self, monkeypatch, capsys):
+        families = count_calls(monkeypatch, cli.schroder, "_band_polys")
+        delannoy = count_calls(monkeypatch, cli.schroder, "delannoy_poly")
+        code, out, _ = run("verify", "bridge", "--N", "20", capsys=capsys)
+        assert (code, out) == (0, "PASS delannoy-s-bridge (n <= 20)\n")
+        assert families == [1]
+        assert delannoy[0] <= 23
+
     def test_gould(self, capsys):
         code, out, _ = run("verify", "gould", "--k", "20", capsys=capsys)
         assert code == 0
@@ -210,8 +243,7 @@ class TestVerify:
         [
             (["lemma", "--max", "6"], "motzkin", "inverse_motzkin_entry", (3, 1),
              lambda v: v + 1),
-            (["bridge", "--N", "6"], "schroder", "delannoy_s_bridge_check", (4,),
-             lambda v: PLANTED),
+            (["bridge", "--N", "6"], "schroder", "_s_at1", (4,), lambda v: v + 1),
             (["gould", "--k", "8"], "schroder", "gould_identity_check", (5, 2),
              lambda v: PLANTED),
         ],
@@ -230,6 +262,8 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL ")
         assert "first mismatch" in out
+        if argv[0] == "bridge":  # the suite checks n = 1..6 in one call and names n
+            assert "at n=4:" in out
 
     @pytest.mark.parametrize(
         "argv, flag",

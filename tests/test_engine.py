@@ -1,19 +1,20 @@
 """Differential tests of the step-family engine against the path-count oracle.
 
-The engine (schroder._fixed_point, _band_poly, _column, _banded) builds the
+The engine (schroder._fixed_point, _band_polys, _column, _banded) builds the
 series, band polynomials, column and banded generating functions of every
 step family from its exponents (a, b).  Here random family members are
 checked against the dynamic-programming CountTable, which shares no code
-with the engine, and the Motzkin column against the Riordan power mu^(j+1).
+with the engine, the Motzkin column against the Riordan power mu^(j+1), and
+the band polynomials of the three-term recursion against their closed sum.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathenum.algebra import OP_ONE, TPoly, W
+from pathenum.algebra import OP_ONE, TPoly, W, binom
 from pathenum.motzkin import motzkin_column_gf, motzkin_series
 from pathenum.oracle import CountTable, PathSpec, compressed_series
-from pathenum.schroder import _band_poly, _banded, _column, _fixed_point
+from pathenum.schroder import _band_polys, _banded, _column, _fixed_point
 
 steps = st.integers(1, 4)
 heights = st.integers(0, 4)
@@ -61,11 +62,14 @@ def test_motzkin_column_is_riordan_power(j, order):
 
 
 @fuzz
-@given(a=steps, b=st.integers(1, 2), n=st.integers(1, 10))
-def test_band_polynomials_satisfy_three_term_recursion(a, b, n):
-    # P_n = (1 - omega t^a) P_(n-1) - t^b P_(n-2), P_0 = 1, P_(-1) = 0
-    step = TPoly([OP_ONE] + [0] * (a - 1) + [-W])
-    want = step * _band_poly(a, b, n - 1) - _band_poly(a, b, n - 2).shift(b)
-    assert _band_poly(a, b, n) == want
-    assert _band_poly(a, b, 0) == TPoly([OP_ONE])
-    assert _band_poly(a, b, -1) == TPoly(())
+@given(a=steps, b=st.integers(1, 2), n=st.integers(0, 10))
+def test_band_polynomials_match_closed_sum(a, b, n):
+    # P_m = sum_j C(m-j, j) (-1)^j t^(b j) (1 - omega t^a)^(m-2j)
+    base = TPoly([OP_ONE] + [0] * (a - 1) + [-W])
+    family = _band_polys(a, b, n)
+    assert len(family) == n + 1
+    for m, got in enumerate(family):
+        want = TPoly(())
+        for j in range(m // 2 + 1):
+            want = want + (base ** (m - 2 * j)).shift(b * j) * ((-1) ** j * binom(m - j, j))
+        assert got == want, m

@@ -109,6 +109,15 @@ ARGV = (
         ["--typo-ledger"],
         [],
     ]
+    # the band-polynomial family, the inverse Schroeder rows and the bridge suite
+    + [
+        ["verify", "bridge", "--N", "30"],
+        ["verify", "bridge", "--N", "12", "--format", "csv"],
+        ["verify", "theorem-schroeder", "--k", "7", "--N", "20", "--format", "json"],
+        ["seq", "banded", "--family", "w-path", "--w", "4", "--k", "8", "--N", "30"],
+        ["seq", "w-path", "--w", "4", "--j", "4", "--N", "20"],
+        ["seq", "schroder-compressed", "--j", "3", "--N", "15", "--omega", "2"],
+    ]
 )
 
 

@@ -237,12 +237,17 @@ class TestInverseSchroderPoly:
     def test_three_at_weight_one(self):
         assert inverse_schroder_poly(3).eval_omega(1) == TPoly([1, -6, 8, -2])
 
-    def test_coefficients_are_entries_symbolically(self):
-        for n in range(14):
+    def test_rows_are_band_differences_and_inverse_rows(self):
+        # s_n = P_n - t P_(n-1) and the rows of the inverted triangle, symbolically
+        inv = inverse_schroder_matrix(22)
+        t = TPoly([0, 1])
+        for n in range(22):
             p = inverse_schroder_poly(n)
             assert p.constant() == OP_ONE
+            below = compressed_p_poly(n - 1) if n else TPoly(())
+            assert p == compressed_p_poly(n) - t * below, n
             for k in range(n + 1):
-                assert p.coeff(n - k) == inverse_schroder_entry(n, k), (n, k)
+                assert p.coeff(n - k) == inv.rows[n][k], (n, k)
 
 
 class TestInverseColumnGF:
@@ -354,8 +359,10 @@ class TestBandedSchroder:
 
 class TestBridges:
     def test_small_indices(self):
-        for n in range(1, 21):
-            assert delannoy_s_bridge_check(n), n
+        assert delannoy_s_bridge_check(20)
+        with pytest.raises(ValueError):
+            delannoy_s_bridge_check(0)
+
 
     def test_hand_s1(self):
         # s_1 = d_1(-t) - t d_0(-t) = (1 - t) - t
