@@ -15,9 +15,14 @@ binom_general (half-integer binomial coefficients), backed by
 fractions.Fraction.
 
 OmegaPoly arithmetic runs on the integer coefficient-vector kernels of
-pathenum.kernels.  TPoly and TSeries products share one convolution loop,
-and TSeries.inverse (1/den) and RationalGF.expand (num/den) share one
-series-quotient recursion.
+pathenum.kernels.  Each ring algorithm has one implementation shared by the
+classes that need it: one square-and-multiply loop (_power) behind every
+__pow__, one convolution loop behind the TPoly and TSeries products, one
+series-quotient recursion (_quotient, which also owns the check that the
+denominator's constant term is a unit) behind TSeries.inverse (1/den) and
+RationalGF.expand (num/den), and one read-out of w-free values as ints
+(_ints).  TPoly has no division; the package's one polynomial long division
+is kernels.vdivexact.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -129,16 +134,7 @@ class OmegaPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = OP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, OP_ONE)
 
     def __eq__(self, other):
         other = as_opoly(other)
@@ -220,6 +216,30 @@ OP_ONE = _raw((1,))
 W = _raw((0, 1))
 
 
+def _power(base, n: int, one):
+    """base**n by square-and-multiply from `one`; never squares after the top bit."""
+    if n < 0:
+        raise ValueError("negative power (a series reciprocal is inverse())")
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def _ints(values) -> list:
+    """OmegaPolys constant in w, as plain ints; ValueError for one that is not."""
+    out = []
+    for c in values:
+        if c.degree > 0:
+            raise ValueError(f"{c} still depends on w")
+        out.append(c.coeffs[0] if c.coeffs else 0)
+    return out
+
+
 def _convolve(a, b, length: int) -> list:
     """The first `length` coefficients of the product of coefficient tuples a and b.
 
@@ -240,11 +260,15 @@ def _convolve(a, b, length: int) -> list:
 def _quotient(num, den, order: int) -> list:
     """The first order+1 coefficients of num/den, for coefficient tuples.
 
-    den[0] must be +1 or -1 (the callers check it), so it is its own inverse
-    and every coefficient stays in Z[w]:
+    den[0] must be +1 or -1, so it is its own inverse and every coefficient
+    stays in Z[w]:
     q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
+    Any other constant term, a zero denominator's included, raises
+    NonUnitConstant.
     """
-    d0 = den[0]
+    d0 = den[0] if den else OP_ZERO
+    if d0 != OP_ONE and d0 != -OP_ONE:
+        raise NonUnitConstant(f"constant term {d0} of the denominator is not +1 or -1")
     out = [OP_ZERO] * (order + 1)
     for n in range(order + 1):
         acc = num[n] if n < len(num) else OP_ZERO
@@ -257,7 +281,11 @@ def _quotient(num, den, order: int) -> list:
 
 
 class TPoly:
-    """Polynomial in t with OmegaPoly coefficients, dense ascending order."""
+    """Polynomial in t with OmegaPoly coefficients, dense ascending order.
+
+    There is no division: an exact quotient of integer coefficient vectors
+    is kernels.vdivexact.
+    """
 
     __slots__ = ("_c",)
 
@@ -323,16 +351,7 @@ class TPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = TP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TP_ONE)
 
     def __eq__(self, other):
         other = _as_tpoly(other)
@@ -349,31 +368,6 @@ class TPoly:
             return self
         return TPoly((OP_ZERO,) * k + self._c)
 
-    def exact_div(self, other: "TPoly") -> "TPoly":
-        """Exact quotient self / other in Z[w][t]; raises InexactDivision."""
-        other = _as_tpoly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return TP_ZERO
-        if self.degree < other.degree:
-            raise InexactDivision(f"degree {self.degree} < divisor degree {other.degree}")
-        rem = list(self._c)
-        nb = len(other._c)
-        lead = other._c[-1]
-        q = [OP_ZERO] * (len(rem) - nb + 1)
-        for k in range(len(q) - 1, -1, -1):
-            top = rem[k + nb - 1]
-            if top.is_zero():
-                continue
-            qk = top.exact_div(lead)
-            q[k] = qk
-            for i in range(nb):
-                rem[k + i] = rem[k + i] - qk * other._c[i]
-        if any(not r.is_zero() for r in rem):
-            raise InexactDivision(f"({self}) not divisible by ({other})")
-        return TPoly(q)
-
     def at_neg_t(self) -> "TPoly":
         """Substitute t -> -t: negate coefficients of odd powers."""
         return TPoly([-c if i % 2 else c for i, c in enumerate(self._c)])
@@ -387,12 +381,7 @@ class TPoly:
 
     def int_coeffs(self) -> list:
         """Coefficients as plain ints; requires every coefficient constant in w."""
-        out = []
-        for c in self._c:
-            if c.degree > 0:
-                raise ValueError("coefficient still depends on w")
-            out.append(c.coeffs[0] if c.coeffs else 0)
-        return out
+        return _ints(self._c)
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self._c) + "]"
@@ -409,10 +398,8 @@ def _as_tpoly(x):
     return NotImplemented
 
 
-TP_ZERO = TPoly(())
 TP_ONE = TPoly((OP_ONE,))
 T = TPoly((OP_ZERO, OP_ONE))
-
 
 
 class TSeries:
@@ -486,16 +473,7 @@ class TSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use inverse() for reciprocals")
-        result = TSeries([OP_ONE], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TSeries([OP_ONE], self.order))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse up to the truncation order.
@@ -503,9 +481,6 @@ class TSeries:
         The constant term must be +1 or -1 so that the inverse stays in Z[w];
         anything else raises NonUnitConstant.
         """
-        c0 = self._c[0]
-        if c0 != OP_ONE and c0 != -OP_ONE:
-            raise NonUnitConstant(f"constant term {c0} is not +1 or -1")
         return TSeries(_quotient((OP_ONE,), self._c, self.order), self.order)
 
     def shift_down(self, k: int) -> "TSeries":
@@ -519,12 +494,8 @@ class TSeries:
         return TSeries([OmegaPoly((c.evaluate(x),)) for c in self._c], self.order)
 
     def int_coeffs(self) -> list:
-        out = []
-        for c in self._c:
-            if c.degree > 0:
-                raise ValueError("coefficient still depends on w")
-            out.append(c.coeffs[0] if c.coeffs else 0)
-        return out
+        """Coefficients as plain ints; requires every coefficient constant in w."""
+        return _ints(self._c)
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
@@ -563,7 +534,7 @@ class RationalGF:
     """Rational generating function num/den over Z[w][t].
 
     The denominator must have constant term +1 or -1 so the expansion stays
-    in Z[w]; expand() enforces this.
+    in Z[w]; expand() raises NonUnitConstant otherwise.
     """
 
     num: TPoly
@@ -571,7 +542,4 @@ class RationalGF:
 
     def expand(self, order: int) -> TSeries:
         """Expand num/den to a truncated series; den*result reproduces num."""
-        d0 = self.den.constant()
-        if d0 != OP_ONE and d0 != -OP_ONE:
-            raise NonUnitConstant(f"denominator constant term {d0} is not +1 or -1")
         return TSeries(_quotient(self.num.coeffs, self.den.coeffs, order), order)

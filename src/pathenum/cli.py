@@ -105,17 +105,15 @@ def _seq_series(args) -> TSeries:
     if j < 0:
         raise UsageError("--j must be nonnegative")
     if family == "motzkin":
-        return motzkin.motzkin_column_gf(j, order) if j else motzkin.motzkin_series(order)
+        return motzkin.motzkin_column_gf(j, order)
     if family == "grand-motzkin":
-        return motzkin.grand_column_gf(j, order) if j else motzkin.grand_motzkin_series(order)
+        return motzkin.grand_column_gf(j, order)
     if family == "w-path":
         if w < 1:
             raise UsageError("--w must be a positive step length")
         return schroder.w_column_gf(j, w, order)
     if family == "schroder-compressed":
-        return (
-            schroder.compressed_column_gf(j, order) if j else schroder.schroder_series(order)
-        )
+        return schroder.compressed_column_gf(j, order)
     if family == "delannoy":
         return TSeries([schroder.delannoy_number(n, n) for n in range(order + 1)], order)
     # banded
@@ -195,17 +193,17 @@ def _first_failure(results):
     return next((r for r in results if not r), PASS)
 
 
-# The flags each verify suite reads, with the least value each accepts;
-# any other flag given is an error.
+# The flags each verify suite reads, as flag: (least accepted value, default),
+# in the order `verify all` runs the suites; any other flag given is an error.
 _VERIFY_FLAGS = {
-    "lemma": {"max": 1},
-    "orthogonality": {"max": 1},
-    "banded-recursion": {"k": 1, "N": 0},
-    "first-return": {"N": 0},
-    "delannoy": {"N": 1},
-    "bridge": {"N": 1},
-    "gould": {"k": 0},
-    "theorem-schroeder": {"k": 2, "N": 0},
+    "lemma": {"max": (1, 12)},
+    "orthogonality": {"max": (1, 12)},
+    "banded-recursion": {"k": (1, 6), "N": (0, 30)},
+    "first-return": {"N": (0, 30)},
+    "delannoy": {"N": (1, 15)},
+    "bridge": {"N": (1, 20)},
+    "gould": {"k": (0, 20)},
+    "theorem-schroeder": {"k": (2, 4), "N": (0, 12)},
 }
 
 
@@ -221,51 +219,44 @@ def _verify_selected(args):
         if not readers:
             raise UsageError(f"verify {which} does not read --{flag}")
         for suite in readers:
-            least = _VERIFY_FLAGS[suite][flag]
+            least = _VERIFY_FLAGS[suite][flag][0]
             if value < least:
                 raise UsageError(f"verify {suite} requires --{flag} >= {least}")
-
-    def given(flag, default):
-        value = getattr(args, flag)
-        return default if value is None else value
-
-    bound = given("max", 12)
-    if which in ("lemma", "all"):
-        yield f"lemma (i, j <= {bound})", motzkin.verify_lemma(bound), []
-    if which in ("orthogonality", "all"):
-        yield f"orthogonality (j <= {bound})", motzkin.verify_orthogonality(bound), []
-    if which in ("banded-recursion", "all"):
-        kmax, horizon = given("k", 6), given("N", 30)
-        for k in range(1, kmax + 1):
-            yield (
-                f"banded-recursion (k={k}, n <= {horizon})",
-                motzkin.banded_motzkin_recursion_check(k, horizon),
-                [],
-            )
-    if which in ("first-return", "all"):
-        horizon = given("N", 30)
-        yield f"first-return (n <= {horizon})", motzkin.first_return_check(horizon), []
-    if which in ("delannoy", "all"):
-        horizon = given("N", 15)
-        yield f"delannoy-recursion (n, j <= {horizon})", schroder.delannoy_recursion_check(horizon), []
-    if which in ("bridge", "all"):
-        top = given("N", 20)
-        yield f"delannoy-s-bridge (n <= {top})", schroder.delannoy_s_bridge_check(top), []
-    if which in ("gould", "all"):
-        kmax = given("k", 20)
-        result = _first_failure(
-            schroder.gould_identity_check(k, m) for k in range(kmax + 1) for m in range(k // 2 + 1)
-        )
-        yield f"gould-carlitz (k <= {kmax})", result, []
-    if which in ("theorem-schroeder", "all"):
-        k, order = given("k", 4), given("N", 12)
-        product = schroder.band_times_s(k, order)
-        result = schroder.theorem_schroeder_check(k, order, product)
-        extra = []
-        if result:
-            regular = product.coeffs[k:]
-            extra.append("regular coefficients: " + " ".join(str(c) for c in regular))
-        yield f"theorem-schroeder (k={k}, order {order})", result, extra
+    for suite in suites:
+        bound = {
+            flag: default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, (_, default) in _VERIFY_FLAGS[suite].items()
+        }
+        k, n = bound.get("k"), bound.get("N", bound.get("max"))  # no suite reads both
+        if suite == "lemma":
+            yield f"lemma (i, j <= {n})", motzkin.verify_lemma(n), []
+        elif suite == "orthogonality":
+            yield f"orthogonality (j <= {n})", motzkin.verify_orthogonality(n), []
+        elif suite == "banded-recursion":
+            for band in range(1, k + 1):
+                yield (
+                    f"banded-recursion (k={band}, n <= {n})",
+                    motzkin.banded_motzkin_recursion_check(band, n),
+                    [],
+                )
+        elif suite == "first-return":
+            yield f"first-return (n <= {n})", motzkin.first_return_check(n), []
+        elif suite == "delannoy":
+            yield f"delannoy-recursion (n, j <= {n})", schroder.delannoy_recursion_check(n), []
+        elif suite == "bridge":
+            yield f"delannoy-s-bridge (n <= {n})", schroder.delannoy_s_bridge_check(n), []
+        elif suite == "gould":
+            checks = (schroder.gould_identity_check(top, m)
+                      for top in range(k + 1) for m in range(top // 2 + 1))
+            yield f"gould-carlitz (k <= {k})", _first_failure(checks), []
+        else:  # theorem-schroeder
+            product = schroder.band_times_s(k, n)
+            result = schroder.theorem_schroeder_check(k, n, product)
+            extra = []
+            if result:
+                regular = product.coeffs[k:]
+                extra.append("regular coefficients: " + " ".join(str(c) for c in regular))
+            yield f"theorem-schroeder (k={k}, order {n})", result, extra
 
 
 def _cmd_verify(args) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly, as_opoly
+from .algebra import OP_ONE, OP_ZERO, OmegaPoly, _ints, as_opoly
 
 
 class TriMatrix:
@@ -92,15 +92,7 @@ class TriMatrix:
 
     def int_rows(self) -> list:
         """Rows as plain ints; requires every entry constant in w."""
-        out = []
-        for row in self.rows:
-            r = []
-            for e in row:
-                if e.degree > 0:
-                    raise ValueError("entry still depends on w")
-                r.append(e.coeffs[0] if e.coeffs else 0)
-            out.append(r)
-        return out
+        return [_ints(row) for row in self.rows]
 
 
 class SquareMatrix:

@@ -39,6 +39,7 @@ from .algebra import (
     binom_general,
 )
 from .checks import PASS, CheckResult, fail
+from .kernels import vdivexact
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 
@@ -311,7 +312,8 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
     d_(-1..bound+1)(-t), the compressed band polynomials P_0..P_bound and
     s_1..s_bound are each built once; at every n, in this order:
     1. (1-t) s_n = t^2 d_(n-1)(-t) + d_(n+1)(-t), with the division by (1-t)
-       performed exactly (InexactDivision on remainder);
+       performed exactly by kernels.vdivexact on the integer coefficients
+       (InexactDivision on remainder);
     2. s_n = d_n(-t) - t d_(n-1)(-t);
     3. the normalized compressed band polynomial P_n equals d_n(-t);
     4. d_(n-1)(-t) = t d_(n-1)(-t) + t d_(n-2)(-t) + d_n(-t).
@@ -322,7 +324,10 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
     p = _band_polys(1, 1, bound)
     for n in range(1, bound + 1):
         sn = _s_at1(n)
-        quotient = (d[n - 1].shift(2) + d[n + 1]).exact_div(ONE_MINUS_T)
+        q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
+        if q is None:
+            raise InexactDivision(f"t^2 d_{n - 1}(-t) + d_{n + 1}(-t) not divisible by 1 - t")
+        quotient = TPoly(q)
         if quotient != sn:
             return fail(f"quotient identity at n={n}", quotient, sn)
         rhs2 = d[n] - d[n - 1].shift(1)

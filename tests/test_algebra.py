@@ -235,11 +235,35 @@ class TestBinomGeneral:
         assert binom_general(Fraction(-7, 3), 0) == 1
 
 
-class TestTPolyDivision:
-    def test_exact_quotient(self):
-        num = TPoly([1, -1]) * TPoly([OP_ONE, W, OmegaPoly([2])])
-        assert num.exact_div(TPoly([1, -1])) == TPoly([OP_ONE, W, OmegaPoly([2])])
+class TestPowers:
+    def test_series_power_makes_no_extra_products(self, monkeypatch):
+        # square-and-multiply stops at the top bit: s**1 is one product
+        # (1 * s) and s**2 is two (s * s, then 1 * s^2)
+        calls = [0]
+        real = TSeries.__mul__
 
-    def test_remainder_raises(self):
-        with pytest.raises(InexactDivision):
-            TPoly([1, 1, 1]).exact_div(TPoly([1, 1]))
+        def counted(self, other):
+            calls[0] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(TSeries, "__mul__", counted)
+        s = TSeries([OP_ONE, W, OmegaPoly([2])], 6)
+        for n, products in ((1, 1), (2, 2)):
+            calls[0] = 0
+            s**n
+            assert calls[0] == products, n
+
+    def test_power_is_repeated_product(self, rng):
+        for _ in range(5):
+            pairs = (
+                (random_opoly(rng), OP_ONE),
+                (TPoly([random_opoly(rng) for _ in range(3)]), TPoly([1])),
+                (TSeries([random_opoly(rng) for _ in range(5)], 4), TSeries([1], 4)),
+            )
+            for x, one in pairs:
+                product = one
+                for n in range(7):
+                    assert x**n == product, (x, n)
+                    product = product * x
+                with pytest.raises(ValueError):
+                    x**-1

@@ -118,6 +118,15 @@ ARGV = (
         ["seq", "w-path", "--w", "4", "--j", "4", "--N", "20"],
         ["seq", "schroder-compressed", "--j", "3", "--N", "15", "--omega", "2"],
     ]
+    # column builders at every j, the power loop, the exact division by 1 - t
+    + [
+        ["seq", "grand-motzkin", "--N", "12", "--j", "3"],
+        ["seq", "grand-motzkin", "--N", "10", "--j", "1", "--omega", "3", "--format", "json"],
+        ["verify", "first-return", "--N", "25", "--format", "csv"],
+        ["verify", "bridge", "--N", "18", "--format", "json"],
+        ["seq", "schroder-compressed", "--N", "9", "--format", "json"],
+        ["seq", "motzkin", "--N", "9", "--omega", "2", "--format", "csv"],
+    ]
 )
 
 

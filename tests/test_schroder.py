@@ -3,7 +3,7 @@
 import pytest
 
 from pathenum import schroder
-from pathenum.algebra import OP_ONE, OmegaPoly, TPoly, TSeries, W
+from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, TPoly, TSeries, W
 from pathenum.motzkin import banded_motzkin_gf, inverse_motzkin_poly, motzkin_series
 from pathenum.oracle import (
     CountTable,
@@ -373,8 +373,20 @@ class TestBridges:
         d2 = delannoy_poly(2).eval_omega(1).at_neg_t()
         d4 = delannoy_poly(4).eval_omega(1).at_neg_t()
         num = d2.shift(2) + d4
-        s3 = num.exact_div(TPoly([1, -1]))
-        assert s3 == inverse_schroder_poly(3).eval_omega(1)
+        assert TPoly([1, -1]) * inverse_schroder_poly(3).eval_omega(1) == num
+
+    def test_remainder_raises(self, monkeypatch):
+        # a planted error in d_4(-t) leaves t^2 d_2(-t) + d_4(-t) with a
+        # remainder mod 1 - t; the bridge must raise, not report a mismatch
+        real = schroder._d_neg_at1
+
+        def planted(k):
+            d = real(k)
+            return d + 1 if k == 4 else d
+
+        monkeypatch.setattr(schroder, "_d_neg_at1", planted)
+        with pytest.raises(InexactDivision):
+            delannoy_s_bridge_check(6)
 
     def test_p_to_delannoy_bridge(self):
         for k in range(26):
