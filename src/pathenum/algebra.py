@@ -8,11 +8,12 @@ such scalars:
   * TSeries       truncated power series in t, explicit truncation order
   * RationalGF    num/den pair of TPolys, expandable to a TSeries
 
-There are no floating-point numbers and no square roots anywhere: generating
-functions are produced from their algebraic or recursive characterizations,
-so all coefficients stay in Z[w].  Rational numbers appear only in
-binom_general (half-integer binomial coefficients), backed by
-fractions.Fraction.
+There are no floating-point numbers and no numeric roots anywhere:
+generating functions are produced from their algebraic or recursive
+characterizations (the one square root, of the step family's discriminant,
+is an exact series built by its linear recurrence), so all coefficients
+stay in Z[w].  Rational numbers appear only in binom_general (half-integer
+binomial coefficients), backed by fractions.Fraction.
 
 OmegaPoly arithmetic runs on the integer coefficient-vector kernels of
 pathenum.kernels.  Each ring algorithm has one implementation shared by the
@@ -21,8 +22,9 @@ __pow__, one convolution loop behind the TPoly and TSeries products, one
 series-quotient recursion (_quotient, which also owns the check that the
 denominator's constant term is a unit) behind TSeries.inverse (1/den) and
 RationalGF.expand (num/den), and one read-out of w-free values as ints
-(_ints).  TPoly has no division; the package's one polynomial long division
-is kernels.vdivexact.
+(_ints).  A series times a polynomial convolves with the polynomial as the
+outer factor, so its cost is linear in the truncation order.  TPoly has no
+division; the package's one polynomial long division is kernels.vdivexact.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -464,6 +466,8 @@ class TSeries:
         if isinstance(other, (int, OmegaPoly)):
             k = as_opoly(other)
             return TSeries([c * k for c in self._c], self.order)
+        if isinstance(other, TPoly):  # the short factor outside: linear in the order
+            return TSeries(_convolve(other._c, self._c, self.order + 1), self.order)
         other = _as_tseries(other, self.order)
         if other is NotImplemented:
             return NotImplemented

@@ -1,11 +1,14 @@
 """Weighted Motzkin numbers: series, Riordan triangles, inverses, bands.
 
-The Motzkin series mu satisfies mu = 1 + w*t*mu + t^2*mu^2 and is computed by
-coefficient recursion, never through a square root, so everything stays in
-Z[w].  Series, row polynomials, columns and bands are the (1, 2) case of the
-step-family engine in the schroder module.  The grand (unrestricted-height)
-series is 1/(1 - w*t - 2*t^2*mu), using the fact that 1 - w*t - 2*t^2*mu
-equals the radical in the usual closed form.
+The Motzkin series mu satisfies mu = 1 + w*t*mu + t^2*mu^2.  Its
+coefficients come from the linear recurrence that the square root of the
+discriminant (1 - w*t)^2 - 4*t^2 satisfies: an exact series in Z[w], one
+exact integer division per term, never a numeric root.  Series, row
+polynomials, columns and bands are the (1, 2) case of the step-family
+engine in the schroder module.  The grand (unrestricted-height) series is
+1/(1 - w*t - 2*t^2*mu); since 1 - w*t - 2*t^2*mu is that square root, it
+equals (1 - w*t - 2*t^2*mu) / ((1 - w*t)^2 - 4*t^2), and every grand column
+reduces to the same form (c0 + c1*mu) / D with short polynomials c0, c1.
 
 The inverse of the Motzkin triangle is produced three independent ways: a
 Gegenbauer-type double-binomial sum, a three-term recurrence with exact
@@ -24,29 +27,26 @@ from .algebra import (
     TPoly,
     TSeries,
     W,
+    _quotient,
     binom,
 )
 from .checks import PASS, CheckResult, fail
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
-from .schroder import _band_polys, _banded, _column, _count_triangle, _fixed_point
+from .schroder import _band_polys, _banded, _column, _count_triangle, _series
+
+_STEP = TPoly([1, -W])  # A = 1 - w*t
+_GRAND_DEN = _STEP * _STEP - TPoly([0, 0, 4])  # D = A^2 - 4*t^2
 
 
 def motzkin_series(order: int) -> TSeries:
-    """Weighted Motzkin numbers M_n as a series, from the quadratic fixed point."""
-    return _fixed_point(1, 2, order)
+    """Weighted Motzkin numbers M_n as a series, by the discriminant recurrence."""
+    return _series(1, 2, order)
 
 
 def grand_motzkin_series(order: int) -> TSeries:
     """Weighted grand Motzkin numbers G_n as a series."""
-    return _grand_from(motzkin_series(order))
-
-
-def _grand_from(mu: TSeries) -> TSeries:
-    """The grand series 1/(1 - w*t - 2*t^2*mu) of the same order as mu."""
-    order = mu.order
-    dm = [OP_ONE, -W] + [-2 * mu.coeff(k - 2) for k in range(2, order + 1)]
-    return TSeries(dm[: order + 1], order).inverse()
+    return grand_column_gf(0, order)
 
 
 def catalan(n: int) -> int:
@@ -89,15 +89,28 @@ def motzkin_column_gf(j: int, order: int) -> TSeries:
 
 
 def grand_column_gf(j: int, order: int) -> TSeries:
-    """Column j of the grand triangle: g * (t*mu)^j; t^n holds the count to (n, j)."""
+    """Column j of the grand triangle: g * (t*mu)^j; t^n holds the count to (n, j).
+
+    With A = 1 - w*t and D = A^2 - 4*t^2, g = 1/(1 - w*t - 2*t^2*mu) equals
+    (A - 2*t^2*mu)/D (the radical in the closed form of mu is
+    A - 2*t^2*mu).  Writing (t*mu)^j through t^(2j-2) mu^j = mu P_(j-1) - P_(j-2)
+    and reducing with t^2 mu^2 = A mu - 1 and the recursion of the P gives
+
+        g * (t*mu)^j = t^(-j) (c1 mu + c0) / D,
+        c1 = t^2 (A P_(j-1) - 2 P_j),   c0 = A P_j - (D + 2 t^2) P_(j-1),
+
+    so the series is one product of mu with a short polynomial and one
+    quotient by a quadratic.  The j lowest coefficients of c1 mu + c0
+    vanish identically, which shift_down re-checks.
+    """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    mu = motzkin_series(order)
-    g = _grand_from(mu)
-    if j == 0:
-        return g
-    tmu = TSeries((OP_ZERO,) + mu.coeffs[:order], order)
-    return g * tmu**j
+    family = _band_polys(1, 2, j)
+    below = family[j - 1] if j else TPoly(())
+    c1 = (_STEP * below - 2 * family[j]).shift(2)
+    c0 = _STEP * family[j] - (_GRAND_DEN + TPoly([0, 0, 2])) * below
+    numerator = (motzkin_series(order + j) * c1 + c0).shift_down(j)
+    return TSeries(_quotient(numerator.coeffs, _GRAND_DEN.coeffs, order), order)
 
 
 def inverse_motzkin_entry(i: int, j: int) -> OmegaPoly:

@@ -5,17 +5,21 @@ steps.  One engine, parametrized by the step exponents (a, b) of the fixed
 point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
 step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
 and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
-t^2 -> t.  The column generating functions are expressed through the
-normalized band polynomials, built by their three-term recursion
+t^2 -> t.  The series mu is built in linear time by one recurrence for all
+(a, b), read off the differential equation of the square root of the
+discriminant (1 - omega t^a)^2 - 4 t^b (see _series).  The column
+generating functions are expressed through the normalized band
+polynomials, built by their three-term recursion
 
     P_n = (1 - omega t^a) P_(n-1) - t^b P_(n-2),  P_0 = 1, P_(-1) = 0
 
-(the continuants of the band's continued fraction, constant term 1); the
-counts confined to 0 <= y < k have generating function P_(k-1)/P_k.  The
-compressed triangle, its inverse (via Lagrange inversion in closed form),
-Delannoy numbers and polynomials, and the band theorem linking the band
-generating function to the top-of-band column (the Laurent split of
-t^(-k) S s_(k-1)) also live here.
+(the continuants of the band's continued fraction, constant term 1): the
+column ending at height j is (mu P_j - P_(j-1)) / t^j, one product of mu
+with a short polynomial, and the counts confined to 0 <= y < k have
+generating function P_(k-1)/P_k.  The compressed triangle, its inverse
+(via Lagrange inversion in closed form), Delannoy numbers and polynomials,
+and the band theorem linking the band generating function to the
+top-of-band column (the Laurent split of t^(-k) S s_(k-1)) also live here.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all.
@@ -46,15 +50,38 @@ from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 ONE_MINUS_T = TPoly([1, -1])
 
 
-def _fixed_point(a: int, b: int, order: int) -> TSeries:
-    """Coefficients of mu = 1 + omega t^a mu + t^b mu^2 by coefficient recursion."""
-    m = [OP_ONE]
-    for n in range(1, order + 1):
-        acc = W * m[n - a] if n >= a else OP_ZERO
-        for i in range(n - b + 1):
-            acc = acc + m[i] * m[n - b - i]
-        m.append(acc)
-    return TSeries(m, order)
+def _series(a: int, b: int, order: int) -> TSeries:
+    """Coefficients of mu = 1 + omega t^a mu + t^b mu^2, in linear time.
+
+    With A = 1 - omega t^a, the root s = A - 2 t^b mu of the discriminant
+    D = A^2 - 4 t^b satisfies 2 D s' = D' s.  Put u = t^b mu = (A - s)/2:
+
+        2 D u' - D' u = 2b t^(b-1) A - 4 t^b A',
+
+    and the coefficient of t^(n+b-1) is one step per coefficient of mu,
+
+        2(n+b) mu_n = R_n - sum_{i>=1} D_i (2(n+b) - 3i) mu_(n-i),
+        R = 2b + (4a - 2b) omega t^a,
+
+    where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms,
+    summed coefficient by coefficient in w.  The division by 2(n+b) is
+    exact in Z[w]; a remainder raises InexactDivision (a bug sentinel).
+    """
+    disc = ((a, 1, -2), (2 * a, 2, 1), (b, 0, -4))  # D - 1 as (t power, w power, integer)
+    mu = []
+    for n in range(order + 1):
+        m = n + b
+        shifted = [(0,) * e + mu[n - i].coeffs if i <= n else () for i, e, _ in disc]
+        width = max(2, *map(len, shifted))
+        x, y, z = (v + (0,) * (width - len(v)) for v in shifted)
+        fx, fy, fz = ((3 * i - 2 * m) * c for i, _, c in disc)
+        total = [fx * p + fy * q + fz * r for p, q, r in zip(x, y, z)]
+        if n == 0:
+            total[0] += 2 * b
+        if n == a:
+            total[1] += 4 * a - 2 * b
+        mu.append(OmegaPoly(total).exact_div_int(2 * m))
+    return TSeries(mu, order)
 
 
 def _band_polys(a: int, b: int, n: int) -> list:
@@ -73,10 +100,11 @@ def _column(a: int, b: int, j: int, order: int) -> TSeries:
     shift_down re-checks.  The index alignment (no offset) is calibrated
     against the oracle.
     """
-    mu = _fixed_point(a, b, order + j)
+    mu = _series(a, b, order + j)
+    if not j:
+        return mu  # P_0 = 1, P_(-1) = 0
     family = _band_polys(a, b, j)
-    below = family[j - 1] if j else TPoly(())
-    return (mu * family[j] - below).shift_down(j)
+    return (mu * family[j] - family[j - 1]).shift_down(j)
 
 
 def _banded(a: int, b: int, k: int) -> RationalGF:
@@ -103,12 +131,12 @@ def w_series(w: int, order: int) -> TSeries:
     """Quadrant path counts at height 0, from mu = 1 + omega t^w mu + t^2 mu^2."""
     if w < 1:
         raise ValueError("horizontal step length must be positive")
-    return _fixed_point(w, 2, order)
+    return _series(w, 2, order)
 
 
 def schroder_series(order: int) -> TSeries:
     """Compressed w=2 counts at height 0: mu = 1 + omega t mu + t mu^2."""
-    return _fixed_point(1, 1, order)
+    return _series(1, 1, order)
 
 
 def w_p_poly(n: int, w: int) -> TPoly:

@@ -1,10 +1,11 @@
 """Command-line behavior: pinned outputs, formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
-from pathenum import cli
+from pathenum import cli, schroder
 from pathenum.algebra import RationalGF
 from pathenum.checks import fail
 
@@ -121,6 +122,21 @@ class TestSeq:
         assert code == 2
         assert out == ""
         assert f"does not read {flag}" in err
+
+    def test_values_past_the_int_str_limit_print_in_full(self, capsys):
+        values = schroder.compressed_column_gf(0, 800).eval_omega(4).int_coeffs()
+        saved = sys.get_int_max_str_digits()
+        try:
+            want = " ".join(str(v) for v in values) + "\n"
+            sys.set_int_max_str_digits(640)
+            code, out, err = run("seq", "schroder-compressed", "--N", "800", "--omega", "4",
+                                 capsys=capsys)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, err) == (0, "")
+        assert len(str(values[-1])) > 640
+        assert out == want
 
 
 class TestMatrix:

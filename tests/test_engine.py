@@ -1,20 +1,41 @@
 """Differential tests of the step-family engine against the path-count oracle.
 
-The engine (schroder._fixed_point, _band_polys, _column, _banded) builds the
+The engine (schroder._series, _band_polys, _column, _banded) builds the
 series, band polynomials, column and banded generating functions of every
-step family from its exponents (a, b).  Here random family members are
-checked against the dynamic-programming CountTable, which shares no code
-with the engine, the Motzkin column against the Riordan power mu^(j+1), and
-the band polynomials of the three-term recursion against their closed sum.
+step family from its exponents (a, b); motzkin.grand_column_gf builds the
+grand columns as (c1 mu + c0) / D.  Here random family members are checked
+against the dynamic-programming CountTable, which shares no code with the
+engine, and against independent constructions: the quadratic fixed-point
+recursion below (the engine's series before the linear recurrence), the
+Riordan power mu^(j+1), the grand series as a series inverse times a power
+of t*mu, and the band polynomials of the three-term recursion against their
+closed sum.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathenum.algebra import OP_ONE, TPoly, W, binom
-from pathenum.motzkin import motzkin_column_gf, motzkin_series
+from pathenum.algebra import OP_ONE, OP_ZERO, InexactDivision, OmegaPoly, TPoly, TSeries, W, binom
+from pathenum.motzkin import grand_column_gf, motzkin_column_gf, motzkin_series
 from pathenum.oracle import CountTable, PathSpec, compressed_series
-from pathenum.schroder import _band_polys, _banded, _column, _fixed_point
+from pathenum.schroder import _band_polys, _banded, _column, _series
+
+
+def _fixed_point(a: int, b: int, order: int) -> TSeries:
+    """mu = 1 + omega t^a mu + t^b mu^2 by the quadratic coefficient recursion.
+
+    The engine's construction before the linear recurrence, kept as its
+    independent cross-check.
+    """
+    m = [OP_ONE]
+    for n in range(1, order + 1):
+        acc = W * m[n - a] if n >= a else OP_ZERO
+        for i in range(n - b + 1):
+            acc = acc + m[i] * m[n - b - i]
+        m.append(acc)
+    return TSeries(m, order)
+
 
 steps = st.integers(1, 4)
 heights = st.integers(0, 4)
@@ -28,7 +49,7 @@ fuzz = settings(max_examples=50, deadline=None)
 @given(w=steps, j=heights, order=orders)
 def test_w_series_and_columns_match_quadrant_oracle(w, j, order):
     table = CountTable(PathSpec.quadrant(w), order)
-    series = _fixed_point(w, 2, order)
+    series = _series(w, 2, order)
     column = _column(w, 2, j, order)
     assert list(series.coeffs) == [table.value(n, 0) for n in range(order + 1)]
     assert list(column.coeffs) == [table.value(n, j) for n in range(order + 1)]
@@ -45,7 +66,7 @@ def test_w_banded_matches_banded_oracle(w, k, order):
 @fuzz
 @given(j=heights, k=bands, order=orders)
 def test_compressed_engine_matches_compressed_oracle(j, k, order):
-    assert _fixed_point(1, 1, order) == compressed_series(0, order)
+    assert _series(1, 1, order) == compressed_series(0, order)
     column = _column(1, 1, j, order)
     oracle_column = compressed_series(j, order + j)
     assert list(column.coeffs) == [oracle_column.coeff(n + j) for n in range(order + 1)]
@@ -73,3 +94,61 @@ def test_band_polynomials_match_closed_sum(a, b, n):
         for j in range(m // 2 + 1):
             want = want + (base ** (m - 2 * j)).shift(b * j) * ((-1) ** j * binom(m - j, j))
         assert got == want, m
+
+
+families = st.sampled_from([(1, 1)] + [(w, 2) for w in range(1, 5)])
+
+
+def _oracle_columns(a, b, j, order):
+    """Oracle counts at height 0 and at height j, in the engine's indexing."""
+    if (a, b) == (1, 1):
+        column = compressed_series(j, order + j)
+        return compressed_series(0, order).coeffs, column.coeffs[j:]
+    table = CountTable(PathSpec.quadrant(a), order)
+    return (
+        tuple(table.value(n, 0) for n in range(order + 1)),
+        tuple(table.value(n, j) for n in range(order + 1)),
+    )
+
+
+@fuzz
+@given(family=families, j=heights, order=st.integers(0, 40))
+def test_recurrence_matches_fixed_point_and_oracle(family, j, order):
+    a, b = family
+    mu, reference = _series(a, b, order + j), _fixed_point(a, b, order + j)
+    assert mu == reference
+    family_polys = _band_polys(a, b, j)
+    below = family_polys[j - 1] if j else TPoly(())
+    by_fixed_point = (reference * family_polys[j] - below).shift_down(j)
+    column = _column(a, b, j, order)
+    assert column == by_fixed_point
+    heights_0, heights_j = _oracle_columns(a, b, j, order)
+    assert mu.truncate(order).coeffs == heights_0
+    assert column.coeffs == heights_j
+
+
+@fuzz
+@given(j=heights, order=st.integers(0, 40))
+def test_grand_columns_match_product_and_oracle(j, order):
+    mu = _fixed_point(1, 2, order)
+    g = TSeries([OP_ONE, -W] + [-2 * mu.coeff(n - 2) for n in range(2, order + 1)], order).inverse()
+    tmu = TSeries((OP_ZERO,) + mu.coeffs[:order], order)
+    column = grand_column_gf(j, order)
+    assert column == g * tmu**j
+    table = CountTable(PathSpec.grand(), order)
+    assert list(column.coeffs) == [table.value(n, j) for n in range(order + 1)]
+
+
+def test_planted_coefficient_raises_inexact_division(monkeypatch):
+    # 2(n+b) mu_n is divided by 2(n+b) = 24 at n = 10 of the Motzkin family;
+    # a +1 planted in that quotient must surface as a remainder downstream.
+    real = OmegaPoly.exact_div_int
+
+    def planted(self, k):
+        q = real(self, k)
+        return q + 1 if k == 24 else q
+
+    assert _series(1, 2, 20) == _fixed_point(1, 2, 20)
+    monkeypatch.setattr(OmegaPoly, "exact_div_int", planted)
+    with pytest.raises(InexactDivision):
+        _series(1, 2, 20)

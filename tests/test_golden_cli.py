@@ -127,6 +127,14 @@ ARGV = (
         ["seq", "schroder-compressed", "--N", "9", "--format", "json"],
         ["seq", "motzkin", "--N", "9", "--omega", "2", "--format", "csv"],
     ]
+    # sizes where the quadratic fixed point and series inverse were costly
+    + [
+        ["seq", "motzkin", "--N", "200", "--omega", "2"],
+        ["seq", "grand-motzkin", "--N", "150", "--j", "2", "--omega", "3"],
+        ["seq", "schroder-compressed", "--N", "150", "--j", "3", "--omega", "1"],
+        ["seq", "w-path", "--w", "2", "--j", "4", "--N", "150", "--omega", "4"],
+        ["seq", "grand-motzkin", "--N", "60", "--j", "5"],
+    ]
 )
 
 
