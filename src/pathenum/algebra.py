@@ -26,6 +26,11 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
+A builder's weight is a monomial c w^p: the symbolic W, or an integer,
+which the builder then carries as a constant OmegaPoly so that everything
+it builds is an integer in w-free form (_monomial).  _at_weight binds the
+weight in a polynomial given by its integer coefficients in the weight.
+
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 """
@@ -216,6 +221,28 @@ def as_opoly(x):
 OP_ZERO = _raw(())
 OP_ONE = _raw((1,))
 W = _raw((0, 1))
+
+
+def _monomial(omega) -> tuple:
+    """(p, c) with omega = c w^p: (1, 1) for W, (0, x) for an integer x.
+
+    Every builder's weight is one of these, so terms in omega stay
+    shift-and-scale; a weight of two or more terms raises ValueError.
+    """
+    cs = as_opoly(omega).coeffs
+    p = max(len(cs) - 1, 0)
+    if any(cs[:p]):
+        raise ValueError(f"weight {omega} is not a monomial c*w^p")
+    return p, cs[p] if cs else 0
+
+
+def _at_weight(coeffs, omega) -> OmegaPoly:
+    """sum_l coeffs[l] omega^l, for integer coeffs and a monomial weight omega."""
+    p, c = _monomial(omega)
+    out = [0] * (p * len(coeffs) + 1)
+    for l, x in enumerate(coeffs):
+        out[p * l] += x * c**l
+    return OmegaPoly(out)
 
 
 def _power(base, n: int, one):

@@ -2,9 +2,12 @@
 
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
-specialize (verify always checks symbolically).  seq and verify reject
-any flag the chosen family or suite does not read, and verify rejects a
-bound below its suite's domain.  Exit codes: 0 success,
+specialize (verify always checks symbolically).  An integer weight is bound
+before anything is built: every series, triangle and Hankel matrix is then
+computed over Z, not over Z[w], and only the Hankel closed form, which
+stays symbolic as the independent cross-check, is evaluated at it.  seq and
+verify reject any flag the chosen family or suite does not read, and verify
+rejects a bound below its suite's domain.  Exit codes: 0 success,
 1 a mathematical disagreement was detected, 2 usage error.  All output is
 deterministic and large integers are printed in full decimal.
 """
@@ -18,7 +21,7 @@ import json
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
-from .algebra import OmegaPoly, TSeries
+from .algebra import W, OmegaPoly, TSeries, _ints, as_opoly
 from .checks import PASS
 from .matrices import TriMatrix
 
@@ -38,6 +41,11 @@ def _omega_arg(text: str):
         )
 
 
+def _weight(args):
+    """The weight the builders take: W, or the integer --omega as a scalar."""
+    return W if args.omega is None else as_opoly(args.omega)
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -55,7 +63,7 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> str:
         if fmt == "csv":
             return _csv_line([str(c) for c in ts.coeffs])
         return _dump_json(ts.to_json())
-    values = ts.eval_omega(omega).int_coeffs()
+    values = ts.int_coeffs()  # raises if the weight was not bound in the builder
     if fmt == "plain":
         return " ".join(str(v) for v in values)
     if fmt == "csv":
@@ -65,7 +73,7 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> str:
 
 def _emit_matrix(m: TriMatrix, omega, fmt: str) -> str:
     if omega is not None:
-        rows = m.eval_omega(omega).int_rows()
+        rows = m.int_rows()  # raises if the weight was not bound in the builder
         if fmt == "plain":
             return "\n".join(" ".join(str(v) for v in row) for row in rows)
         if fmt == "csv":
@@ -100,32 +108,33 @@ def _seq_series(args) -> TSeries:
             raise UsageError(f"seq {family} does not read --{flag}")
     j = 0 if args.j is None else args.j
     w = 1 if args.w is None else args.w
+    omega = _weight(args)
     if order < 0:
         raise UsageError("--N must be nonnegative")
     if j < 0:
         raise UsageError("--j must be nonnegative")
     if family == "motzkin":
-        return motzkin.motzkin_column_gf(j, order)
+        return motzkin.motzkin_column_gf(j, order, omega)
     if family == "grand-motzkin":
-        return motzkin.grand_column_gf(j, order)
+        return motzkin.grand_column_gf(j, order, omega)
     if family == "w-path":
         if w < 1:
             raise UsageError("--w must be a positive step length")
-        return schroder.w_column_gf(j, w, order)
+        return schroder.w_column_gf(j, w, order, omega)
     if family == "schroder-compressed":
-        return schroder.compressed_column_gf(j, order)
+        return schroder.compressed_column_gf(j, order, omega)
     if family == "delannoy":
-        return TSeries([schroder.delannoy_number(n, n) for n in range(order + 1)], order)
+        return TSeries([schroder.delannoy_number(n, n, omega) for n in range(order + 1)], order)
     # banded
     if args.k is None or args.k < 1:
         raise UsageError("banded sequences require a band height --k >= 1")
     if args.band_family in (None, "motzkin"):
-        return motzkin.banded_motzkin_gf(args.k).expand(order)
+        return motzkin.banded_motzkin_gf(args.k, omega).expand(order)
     if args.band_family == "schroder":
-        return schroder.banded_schroder_series(args.k, order)
+        return schroder.banded_schroder_series(args.k, order, omega)
     if w < 1:
         raise UsageError("--w must be a positive step length")
-    return schroder.banded_w_gf(args.k, w).expand(order)
+    return schroder.banded_w_gf(args.k, w, omega).expand(order)
 
 
 def _cmd_seq(args) -> int:
@@ -143,7 +152,7 @@ def _cmd_matrix(args) -> int:
         "schroder-inverse": schroder.inverse_schroder_matrix,
         "grand": motzkin.grand_matrix,
     }[args.kind]
-    print(_emit_matrix(build(args.n), args.omega, args.format))
+    print(_emit_matrix(build(args.n, _weight(args)), args.omega, args.format))
     return 0
 
 
@@ -159,7 +168,7 @@ def _cmd_hankel(args) -> int:
     spec = hankel.HankelSpec(
         n, shift=shift, alpha=OmegaPoly([args.alpha]), beta=OmegaPoly([args.beta])
     )
-    det = hankel.det_fraction_free(hankel.hankel_matrix(spec))
+    det = hankel.det_fraction_free(hankel.hankel_matrix(spec, _weight(args)))
     if shift == 0:
         closed = hankel.shifted_hankel_closed(n, args.alpha, args.beta)
     elif shift == 1:
@@ -170,7 +179,7 @@ def _cmd_hankel(args) -> int:
             a = hankel.second_hankel_closed(d)
             closed = closed + a * a
     if args.omega is not None:
-        det_out = det.evaluate(args.omega)
+        (det_out,) = _ints([det])
         closed_out = closed.evaluate(args.omega)
     else:
         det_out, closed_out = det, closed

@@ -1,8 +1,9 @@
 """Exact Hankel determinants of weighted Motzkin numbers.
 
 Determinants are computed by fraction-free (Bareiss) elimination over the
-integral domain Z[w]; every interior division is exact, and a remainder
-raises InexactDivision since it can only mean an implementation bug.  A
+integral domain Z[w], or over Z when the matrix is built at an integer
+weight; every interior division is exact, and a remainder raises
+InexactDivision since it can only mean an implementation bug.  A
 naive cofactor expansion is kept as a second, independent determinant
 engine for small dimensions.
 
@@ -123,11 +124,15 @@ class HankelSpec:
             raise ValueError("alpha and beta cannot both be zero")
 
 
-def hankel_matrix(spec: HankelSpec) -> SquareMatrix:
-    """Build the Hankel matrix of weighted Motzkin numbers for a HankelSpec."""
+def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
+    """The Hankel matrix of the Motzkin numbers at the weight omega for a HankelSpec.
+
+    At an integer weight every entry is constant in w, so Bareiss
+    eliminates an integer matrix.
+    """
     n, shift = spec.n, spec.shift
     alpha, beta = as_opoly(spec.alpha), as_opoly(spec.beta)
-    mu = motzkin_series(2 * n - 2 + shift + 1)
+    mu = motzkin_series(2 * n - 2 + shift + 1, omega)
     seq = [alpha * mu.coeff(k) + beta * mu.coeff(k + 1) for k in range(2 * n - 1 + shift)]
     return SquareMatrix([[seq[i + j + shift] for j in range(n)] for i in range(n)])
 

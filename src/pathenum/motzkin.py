@@ -35,18 +35,14 @@ from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
 from .schroder import _band_polys, _banded, _column, _count_triangle, _series
 
-_STEP = TPoly([1, -W])  # A = 1 - w*t
-_GRAND_DEN = _STEP * _STEP - TPoly([0, 0, 4])  # D = A^2 - 4*t^2
-
-
-def motzkin_series(order: int) -> TSeries:
+def motzkin_series(order: int, omega=W) -> TSeries:
     """Weighted Motzkin numbers M_n as a series, by the discriminant recurrence."""
-    return _series(1, 2, order)
+    return _series(1, 2, order, omega)
 
 
-def grand_motzkin_series(order: int) -> TSeries:
+def grand_motzkin_series(order: int, omega=W) -> TSeries:
     """Weighted grand Motzkin numbers G_n as a series."""
-    return grand_column_gf(0, order)
+    return grand_column_gf(0, order, omega)
 
 
 def catalan(n: int) -> int:
@@ -67,17 +63,17 @@ def motzkin_from_catalan(n: int) -> int:
     return sum(binom(n, k) * (-1) ** (n - k) * catalan(k + 1) for k in range(n + 1))
 
 
-def motzkin_matrix(n: int) -> TriMatrix:
+def motzkin_matrix(n: int, omega=W) -> TriMatrix:
     """n x n triangle of quadrant path counts; entry (i, j) counts paths to (i, j)."""
-    return _count_triangle(PathSpec.quadrant(), n)
+    return _count_triangle(PathSpec.quadrant(), n, omega)
 
 
-def grand_matrix(n: int) -> TriMatrix:
+def grand_matrix(n: int, omega=W) -> TriMatrix:
     """n x n triangle of grand path counts for heights j >= 0."""
-    return _count_triangle(PathSpec.grand(), n)
+    return _count_triangle(PathSpec.grand(), n, omega)
 
 
-def motzkin_column_gf(j: int, order: int) -> TSeries:
+def motzkin_column_gf(j: int, order: int, omega=W) -> TSeries:
     """Column j of the Motzkin triangle, mu^(j+1); t^n holds the count to (n+j, j).
 
     The engine's column of order order+j counts paths to (n, j); its j lowest
@@ -85,13 +81,13 @@ def motzkin_column_gf(j: int, order: int) -> TSeries:
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    return _column(1, 2, j, order + j).shift_down(j)
+    return _column(1, 2, j, order + j, omega).shift_down(j)
 
 
-def grand_column_gf(j: int, order: int) -> TSeries:
+def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
     """Column j of the grand triangle: g * (t*mu)^j; t^n holds the count to (n, j).
 
-    With A = 1 - w*t and D = A^2 - 4*t^2, g = 1/(1 - w*t - 2*t^2*mu) equals
+    With A = 1 - omega*t and D = A^2 - 4*t^2, g = 1/(A - 2*t^2*mu) equals
     (A - 2*t^2*mu)/D (the radical in the closed form of mu is
     A - 2*t^2*mu).  Writing (t*mu)^j through t^(2j-2) mu^j = mu P_(j-1) - P_(j-2)
     and reducing with t^2 mu^2 = A mu - 1 and the recursion of the P gives
@@ -105,12 +101,14 @@ def grand_column_gf(j: int, order: int) -> TSeries:
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    family = _band_polys(1, 2, j)
+    family = _band_polys(1, 2, j, omega)
     below = family[j - 1] if j else TPoly(())
-    c1 = (_STEP * below - 2 * family[j]).shift(2)
-    c0 = _STEP * family[j] - (_GRAND_DEN + TPoly([0, 0, 2])) * below
-    numerator = (motzkin_series(order + j) * c1 + c0).shift_down(j)
-    return TSeries(_quotient(numerator.coeffs, _GRAND_DEN.coeffs, order), order)
+    step = TPoly([OP_ONE, -omega])  # A
+    den = step * step - TPoly([0, 0, 4])  # D
+    c1 = (step * below - 2 * family[j]).shift(2)
+    c0 = step * family[j] - (den + TPoly([0, 0, 2])) * below
+    numerator = (motzkin_series(order + j, omega) * c1 + c0).shift_down(j)
+    return TSeries(_quotient(numerator.coeffs, den.coeffs, order), order)
 
 
 def inverse_motzkin_entry(i: int, j: int) -> OmegaPoly:
@@ -140,9 +138,9 @@ def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:
     return prev
 
 
-def inverse_motzkin_matrix(n: int) -> TriMatrix:
+def inverse_motzkin_matrix(n: int, omega=W) -> TriMatrix:
     """Inverse of the n x n Motzkin triangle by forward substitution."""
-    return motzkin_matrix(n).inverse_unit_lower()
+    return motzkin_matrix(n, omega).inverse_unit_lower()
 
 
 def inverse_motzkin_poly(k: int) -> TPoly:
@@ -155,7 +153,7 @@ def inverse_motzkin_poly(k: int) -> TPoly:
     return _band_polys(1, 2, k)[k]
 
 
-def banded_motzkin_gf(k: int) -> RationalGF:
+def banded_motzkin_gf(k: int, omega=W) -> RationalGF:
     """Counts of Motzkin paths staying strictly below height k, as num/den.
 
     Numerator and denominator are the inverse-triangle row polynomials of
@@ -163,7 +161,7 @@ def banded_motzkin_gf(k: int) -> RationalGF:
     """
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return _banded(1, 2, k)
+    return _banded(1, 2, k, omega)
 
 
 def verify_lemma(bound: int) -> CheckResult:

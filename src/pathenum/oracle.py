@@ -10,8 +10,9 @@ Three modes:
 
 Everything is computed cell-by-cell from the step recursion with OmegaPoly
 entries, independently of all closed forms, so these counts can adjudicate
-any formula in the package.  Weighted counting is always symbolic; the
-weight is specialized at the query boundary if at all.
+any formula in the package.  The weight is symbolic (W) by default; an
+integer weight, passed as omega, is bound before the first cell, so the
+table is counted over Z.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class PathSpec:
 class CountTable:
     """DP table of weighted path counts, indexed by (x-coordinate, height)."""
 
-    def __init__(self, spec: PathSpec, n_max: int):
+    def __init__(self, spec: PathSpec, n_max: int, omega=W):
         self.spec = spec
         self.n_max = n_max
+        self.omega = omega
         if spec.mode == GRAND:
             self._offset = n_max
             height = 2 * n_max + 1
@@ -92,7 +94,7 @@ class CountTable:
                 if y >= 1:
                     acc = acc + prev[y - 1]
                 if horiz is not None and not horiz[y].is_zero():
-                    acc = acc + W * horiz[y]
+                    acc = acc + omega * horiz[y]
                 cur[y] = acc
         self._cols = cols
 
@@ -121,7 +123,7 @@ class CountTable:
             for j in range(lo, top + 1):
                 want = self._neighbor(n - 1, j + 1) + self._neighbor(n - 1, j - 1)
                 if n >= spec.w:
-                    want = want + W * self._neighbor(n - spec.w, j)
+                    want = want + self.omega * self._neighbor(n - spec.w, j)
                 got = self._neighbor(n, j)
                 if got != want:
                     return fail(f"(n={n}, j={j})", got, want)
@@ -143,11 +145,11 @@ def count_paths(spec: PathSpec, n: int, j: int) -> OmegaPoly:
     return CountTable(spec, n).value(n, j)
 
 
-def oracle_series(spec: PathSpec, j: int, order: int) -> TSeries:
+def oracle_series(spec: PathSpec, j: int, order: int, omega=W) -> TSeries:
     """Series whose t^n coefficient counts the paths ending at (n, j)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    table = CountTable(spec, order)
+    table = CountTable(spec, order, omega)
     return TSeries([table.value(n, j) for n in range(order + 1)], order)
 
 
@@ -163,13 +165,13 @@ def compress_schroder(n: int, j: int) -> OmegaPoly:
     return count_paths(PathSpec.quadrant(w=2), 2 * n - j, j)
 
 
-def compressed_series(j: int, order: int, band: int = 0) -> TSeries:
+def compressed_series(j: int, order: int, band: int = 0, omega=W) -> TSeries:
     """Compressed w=2 column series: t^n coefficient counts paths to (2n-j, j).
 
     With band > 0 the paths additionally stay strictly below height band.
     """
     spec = PathSpec.banded(band, w=2) if band else PathSpec.quadrant(w=2)
-    table = CountTable(spec, 2 * order + max(j, 0))
+    table = CountTable(spec, 2 * order + max(j, 0), omega)
     return TSeries(
         [table.value(2 * n - j, j) if 2 * n - j >= 0 else OP_ZERO for n in range(order + 1)],
         order,

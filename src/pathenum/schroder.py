@@ -21,8 +21,17 @@ generating function P_(k-1)/P_k.  The compressed triangle, its inverse
 and the band theorem linking the band generating function to the
 top-of-band column (the Laurent split of t^(-k) S s_(k-1)) also live here.
 
+The engine and the builders behind the CLI's seq and matrix take the
+weight as their last argument omega, the symbolic W by default.  The
+weight is a monomial c w^p (W is 1 w^1, an integer x is x w^0), so in
+_series the three terms of the discriminant and the two of the right-hand
+side shift a coefficient of mu by a power of w and scale it by an integer,
+for either kind of weight; at an integer weight every coefficient is a
+single integer and the same loop runs over Z.
+
 Operations marked weight-1-only implement identities that simply do not
-hold for symbolic weight; they take no weight argument at all.
+hold for symbolic weight; they take no weight argument at all and build
+their operands at weight 1.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from .algebra import (
     TPoly,
     TSeries,
     W,
+    _at_weight,
+    _monomial,
     binom,
     binom_general,
 )
@@ -50,7 +61,7 @@ from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 ONE_MINUS_T = TPoly([1, -1])
 
 
-def _series(a: int, b: int, order: int) -> TSeries:
+def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     """Coefficients of mu = 1 + omega t^a mu + t^b mu^2, in linear time.
 
     With A = 1 - omega t^a, the root s = A - 2 t^b mu of the discriminant
@@ -64,56 +75,60 @@ def _series(a: int, b: int, order: int) -> TSeries:
         R = 2b + (4a - 2b) omega t^a,
 
     where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms,
-    summed coefficient by coefficient in w.  The division by 2(n+b) is
-    exact in Z[w]; a remainder raises InexactDivision (a bug sentinel).
+    summed coefficient by coefficient in w.  The weight is a monomial
+    omega = c w^p (W, or an integer c at p = 0), so each term shifts a
+    coefficient of mu by a power of w and scales it by an integer.  The
+    division by 2(n+b) is exact in Z[w]; a remainder raises InexactDivision
+    (a bug sentinel).
     """
-    disc = ((a, 1, -2), (2 * a, 2, 1), (b, 0, -4))  # D - 1 as (t power, w power, integer)
+    p, c = _monomial(omega)
+    disc = ((a, p, -2 * c), (2 * a, 2 * p, c * c), (b, 0, -4))  # D - 1: (t power, w power, integer)
     mu = []
     for n in range(order + 1):
         m = n + b
         shifted = [(0,) * e + mu[n - i].coeffs if i <= n else () for i, e, _ in disc]
-        width = max(2, *map(len, shifted))
+        width = max(p + 1, *map(len, shifted))
         x, y, z = (v + (0,) * (width - len(v)) for v in shifted)
-        fx, fy, fz = ((3 * i - 2 * m) * c for i, _, c in disc)
-        total = [fx * p + fy * q + fz * r for p, q, r in zip(x, y, z)]
+        fx, fy, fz = ((3 * i - 2 * m) * d for i, _, d in disc)
+        total = [fx * xi + fy * yi + fz * zi for xi, yi, zi in zip(x, y, z)]
         if n == 0:
             total[0] += 2 * b
         if n == a:
-            total[1] += 4 * a - 2 * b
+            total[p] += (4 * a - 2 * b) * c
         mu.append(OmegaPoly(total).exact_div_int(2 * m))
     return TSeries(mu, order)
 
 
-def _band_polys(a: int, b: int, n: int) -> list:
+def _band_polys(a: int, b: int, n: int, omega=W) -> list:
     """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
-    step = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-W])  # 1 - omega t^a
+    step = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-omega])  # 1 - omega t^a
     family = [TPoly(()), TP_ONE]  # P_(-1), P_0
     for _ in range(n):
         family.append(step * family[-1] - family[-2].shift(b))
     return family[1:]
 
 
-def _column(a: int, b: int, j: int, order: int) -> TSeries:
+def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
     """Counts ending at height j as t^(-j) (mu P_j - P_(j-1)).
 
     The j lowest coefficients of the numerator vanish identically, which
     shift_down re-checks.  The index alignment (no offset) is calibrated
     against the oracle.
     """
-    mu = _series(a, b, order + j)
+    mu = _series(a, b, order + j, omega)
     if not j:
         return mu  # P_0 = 1, P_(-1) = 0
-    family = _band_polys(a, b, j)
+    family = _band_polys(a, b, j, omega)
     return (mu * family[j] - family[j - 1]).shift_down(j)
 
 
-def _banded(a: int, b: int, k: int) -> RationalGF:
+def _banded(a: int, b: int, k: int, omega=W) -> RationalGF:
     """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
-    family = _band_polys(a, b, k)
+    family = _band_polys(a, b, k, omega)
     return RationalGF(family[k - 1], family[k])
 
 
-def _count_triangle(spec: PathSpec, n: int) -> TriMatrix:
+def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
     """n x n oracle triangle; entry (i, j) counts paths to (w i - (w-1) j, j).
 
     That is the point (i, j) for w = 1 and the compressed entry for w = 2.
@@ -121,7 +136,7 @@ def _count_triangle(spec: PathSpec, n: int) -> TriMatrix:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     w = spec.w
-    table = CountTable(spec, w * (n - 1))
+    table = CountTable(spec, w * (n - 1), omega)
     return TriMatrix(
         [[table.value(w * i - (w - 1) * j, j) for j in range(i + 1)] for i in range(n)]
     )
@@ -153,14 +168,14 @@ def compressed_p_poly(n: int) -> TPoly:
     return _band_polys(1, 1, n)[n]
 
 
-def w_column_gf(j: int, w: int, order: int) -> TSeries:
+def w_column_gf(j: int, w: int, order: int, omega=W) -> TSeries:
     """Quadrant counts ending at height j: coefficient of t^n counts paths to (n, j)."""
     if j < 0:
         raise ValueError("height must be nonnegative")
-    return _column(w, 2, j, order)
+    return _column(w, 2, j, order, omega)
 
 
-def compressed_column_gf(j: int, order: int) -> TSeries:
+def compressed_column_gf(j: int, order: int, omega=W) -> TSeries:
     """Compressed w=2 counts ending at height j.
 
     Coefficient of t^n is the compressed-triangle entry (n+j, j), i.e. the
@@ -168,36 +183,37 @@ def compressed_column_gf(j: int, order: int) -> TSeries:
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
-    return _column(1, 1, j, order)
+    return _column(1, 1, j, order, omega)
 
 
-def banded_w_gf(k: int, w: int) -> RationalGF:
+def banded_w_gf(k: int, w: int, omega=W) -> RationalGF:
     """Counts below height k as P_(k-1)/P_k; t^n counts paths to (n, 0)."""
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return _banded(w, 2, k)
+    return _banded(w, 2, k, omega)
 
 
-def banded_schroder_series(k: int, order: int) -> TSeries:
-    """Compressed banded w=2 counts at height 0, symbolic weight."""
+def banded_schroder_series(k: int, order: int, omega=W) -> TSeries:
+    """Compressed banded w=2 counts at height 0."""
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return _banded(1, 1, k).expand(order)
+    return _banded(1, 1, k, omega).expand(order)
 
 
-def schroder_matrix_compressed(n: int) -> TriMatrix:
+def schroder_matrix_compressed(n: int, omega=W) -> TriMatrix:
     """n x n compressed Schroeder triangle; entry (i,j) = compressed count (i,j)."""
-    return _count_triangle(PathSpec.quadrant(w=2), n)
+    return _count_triangle(PathSpec.quadrant(w=2), n, omega)
 
 
-def inverse_schroder_entry(k: int, j: int) -> OmegaPoly:
+def inverse_schroder_entry(k: int, j: int, omega=W) -> OmegaPoly:
     """Entry s[k,j] of the inverse compressed triangle, in closed form.
 
     s[k,j] = (-1)^(k-j) sum_m C(k+1-2m, k-j-m) (j+1)/(k-m+1) C(k-m+1, m)
              omega^(k-j-m).
 
-    The rational factors always cancel; a non-integral coefficient raises
-    InexactDivision (bug sentinel, not a data error).
+    The rational factors always cancel: each term is one exact integer
+    division, and a remainder raises InexactDivision (bug sentinel, not a
+    data error).
     """
     if j < 0 or j > k:
         raise IndexOutOfTriangle(f"column {j} outside triangle row {k}")
@@ -205,27 +221,26 @@ def inverse_schroder_entry(k: int, j: int) -> OmegaPoly:
     coeffs = [0] * (d + 1)
     sign = (-1) ** d
     for m in range(d + 1):
-        c = (
-            Fraction(j + 1, k - m + 1)
-            * binom(k + 1 - 2 * m, d - m)
-            * binom(k - m + 1, m)
-        )
-        if c.denominator != 1:
-            raise InexactDivision(f"s[{k},{j}]: non-integral term at m={m}: {c}")
-        coeffs[d - m] = sign * c.numerator
-    return OmegaPoly(coeffs)
+        num = (j + 1) * binom(k + 1 - 2 * m, d - m) * binom(k - m + 1, m)
+        q, r = divmod(num, k - m + 1)
+        if r:
+            raise InexactDivision(
+                f"s[{k},{j}]: non-integral term at m={m}: {Fraction(num, k - m + 1)}"
+            )
+        coeffs[d - m] = sign * q
+    return _at_weight(coeffs, omega)
 
 
-def inverse_schroder_poly(n: int) -> TPoly:
+def inverse_schroder_poly(n: int, omega=W) -> TPoly:
     """Row polynomial s_n(t) = sum_k s[n,k] t^(n-k), read from the closed-form entries."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return TPoly([inverse_schroder_entry(n, n - p) for p in range(n + 1)])
+    return TPoly([inverse_schroder_entry(n, n - p, omega) for p in range(n + 1)])
 
 
-def inverse_schroder_matrix(n: int) -> TriMatrix:
+def inverse_schroder_matrix(n: int, omega=W) -> TriMatrix:
     """Inverse of the compressed triangle by forward substitution."""
-    return schroder_matrix_compressed(n).inverse_unit_lower()
+    return schroder_matrix_compressed(n, omega).inverse_unit_lower()
 
 
 def inverse_schroder_column_gf(k: int, order: int) -> TSeries:
@@ -243,17 +258,14 @@ def inverse_schroder_column_gf(k: int, order: int) -> TSeries:
     return RationalGF(num, den).expand(order)
 
 
-def delannoy_number(n: int, k: int) -> OmegaPoly:
+def delannoy_number(n: int, k: int, omega=W) -> OmegaPoly:
     """Weighted Delannoy number D(n,k) = sum_l C(k,l) C(n+k-l, k) omega^l."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    coeffs = [0] * (min(n, k) + 1)
-    for l in range(min(n, k) + 1):
-        coeffs[l] = binom(k, l) * binom(n + k - l, k)
-    return OmegaPoly(coeffs)
+    return _at_weight([binom(k, l) * binom(n + k - l, k) for l in range(min(n, k) + 1)], omega)
 
 
-def delannoy_poly(k: int) -> TPoly:
+def delannoy_poly(k: int, omega=W) -> TPoly:
     """Delannoy polynomial d_k(t) = sum_l C(k-l,l) omega^l t^l (1+t)^(k-2l).
 
     The coefficient of t^j is D(k-j, j); d_k(0) = 1 and the degree is k.
@@ -265,21 +277,21 @@ def delannoy_poly(k: int) -> TPoly:
         c = binom(k - l, l)
         for a in range(k - 2 * l + 1):
             cols[l + a][l] += c * binom(k - 2 * l, a)
-    return TPoly([OmegaPoly(v) for v in cols])
+    return TPoly([_at_weight(v, omega) for v in cols])
 
 
 def _d_neg_at1(k: int) -> TPoly:
-    """d_k(-t) specialized to weight 1; zero polynomial for k < 0."""
+    """d_k(-t) at weight 1; zero polynomial for k < 0."""
     if k < 0:
         return TPoly(())
-    return delannoy_poly(k).eval_omega(1).at_neg_t()
+    return delannoy_poly(k, OP_ONE).at_neg_t()
 
 
 def _s_at1(n: int) -> TPoly:
     """s_n(t) at weight 1; zero polynomial for n < 0."""
     if n < 0:
         return TPoly(())
-    return inverse_schroder_poly(n).eval_omega(1)
+    return inverse_schroder_poly(n, OP_ONE)
 
 
 def banded_schroder_gf(k: int) -> RationalGF:
@@ -349,7 +361,7 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     d = {k: _d_neg_at1(k) for k in range(-1, bound + 2)}
-    p = _band_polys(1, 1, bound)
+    p = _band_polys(1, 1, bound, OP_ONE)
     for n in range(1, bound + 1):
         sn = _s_at1(n)
         q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
@@ -361,9 +373,8 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
         rhs2 = d[n] - d[n - 1].shift(1)
         if sn != rhs2:
             return fail(f"difference identity at n={n}", sn, rhs2)
-        pn = p[n].eval_omega(1)
-        if pn != d[n]:
-            return fail(f"band-polynomial bridge at n={n}", pn, d[n])
+        if p[n] != d[n]:
+            return fail(f"band-polynomial bridge at n={n}", p[n], d[n])
         rhs4 = d[n - 1].shift(1) + d[n - 2].shift(1) + d[n]
         if d[n - 1] != rhs4:
             return fail(f"three-term recursion at n={n}", d[n - 1], rhs4)
@@ -397,7 +408,7 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
         if coeffs[m] != skm2.coeff(m):
             return fail(f"principal coefficient t^{m - k} (k={k})", coeffs[m], skm2.coeff(m))
 
-    col = compressed_series(k - 1, top - 1, band=k).eval_omega(1)
+    col = compressed_series(k - 1, top - 1, band=k, omega=OP_ONE)
     for n in range(order + 1):
         got = coeffs[k + n]
         want = col.coeff(n + k - 1)

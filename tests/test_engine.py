@@ -9,16 +9,28 @@ engine, and against independent constructions: the quadratic fixed-point
 recursion below (the engine's series before the linear recurrence), the
 Riordan power mu^(j+1), the grand series as a series inverse times a power
 of t*mu, and the band polynomials of the three-term recursion against their
-closed sum.
+closed sum.  Every builder run at an integer weight is checked against the
+symbolic builder evaluated at that weight.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathenum.algebra import OP_ONE, OP_ZERO, InexactDivision, OmegaPoly, TPoly, TSeries, W, binom
+from pathenum.algebra import (
+    OP_ONE,
+    OP_ZERO,
+    InexactDivision,
+    OmegaPoly,
+    TPoly,
+    TSeries,
+    W,
+    as_opoly,
+    binom,
+)
+from pathenum.hankel import HankelSpec, det_fraction_free, hankel_matrix
 from pathenum.motzkin import grand_column_gf, motzkin_column_gf, motzkin_series
-from pathenum.oracle import CountTable, PathSpec, compressed_series
+from pathenum.oracle import BANDED, GRAND, CountTable, PathSpec, compressed_series
 from pathenum.schroder import _band_polys, _banded, _column, _series
 
 
@@ -152,3 +164,58 @@ def test_planted_coefficient_raises_inexact_division(monkeypatch):
     monkeypatch.setattr(OmegaPoly, "exact_div_int", planted)
     with pytest.raises(InexactDivision):
         _series(1, 2, 20)
+
+
+def test_planted_coefficient_raises_inexact_division_at_an_integer_weight(monkeypatch):
+    # At weight 1 each coefficient of mu is one integer; a +1 planted in the
+    # quotient by 2(n+b) = 24 (n = 10, Motzkin family) must surface as a
+    # remainder of a later division.
+    real = OmegaPoly.exact_div_int
+
+    def planted(self, k):
+        q = real(self, k)
+        return q + 1 if k == 24 else q
+
+    assert _series(1, 2, 20, OP_ONE) == _fixed_point(1, 2, 20).eval_omega(1)
+    monkeypatch.setattr(OmegaPoly, "exact_div_int", planted)
+    with pytest.raises(InexactDivision):
+        _series(1, 2, 20, OP_ONE)
+
+
+def _heights(spec, n):
+    """Every height the table holds at x-coordinate n."""
+    if spec.mode == GRAND:
+        return range(-n, n + 1)
+    return range(spec.band if spec.mode == BANDED else n + 1)
+
+
+@fuzz
+@given(
+    family=st.sampled_from([(1, 2), (1, 1)] + [(w, 2) for w in range(2, 5)]),
+    j=heights,
+    k=bands,
+    order=st.integers(0, 40),
+    x=st.integers(-3, 4),
+    n=st.integers(1, 10),
+    # (shift, alpha, beta) of a Hankel matrix, as the CLI accepts them
+    hankel=st.sampled_from([(0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 1, 1), (0, 2, -1), (0, 0, 1)]),
+)
+def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, order, x, n, hankel):
+    a, b = family
+    omega = as_opoly(x)
+    assert _series(a, b, order, omega) == _series(a, b, order).eval_omega(x)
+    assert _column(a, b, j, order, omega) == _column(a, b, j, order).eval_omega(x)
+    assert _banded(a, b, k, omega).expand(order) == _banded(a, b, k).expand(order).eval_omega(x)
+    assert grand_column_gf(j, order, omega) == grand_column_gf(j, order).eval_omega(x)
+    w, size = a if b == 2 else 2, min(order, 20)
+    for spec in (PathSpec.grand(w), PathSpec.quadrant(w), PathSpec.banded(k, w)):
+        at_x, symbolic = CountTable(spec, size, omega), CountTable(spec, size)
+        for m in range(size + 1):
+            for y in _heights(spec, m):
+                assert at_x.value(m, y) == symbolic.value(m, y).evaluate(x), (spec, m, y)
+        assert at_x.recursion_holds()
+    shift, alpha, beta = hankel
+    spec = HankelSpec(n, shift=shift, alpha=as_opoly(alpha), beta=as_opoly(beta))
+    det = det_fraction_free(hankel_matrix(spec, omega))
+    assert det.degree <= 0
+    assert det == det_fraction_free(hankel_matrix(spec)).evaluate(x)

@@ -135,6 +135,19 @@ ARGV = (
         ["seq", "w-path", "--w", "2", "--j", "4", "--N", "150", "--omega", "4"],
         ["seq", "grand-motzkin", "--N", "60", "--j", "5"],
     ]
+    # weights the symbolic outputs above never evaluate at: zero (a zero first
+    # Hankel pivot, so Bareiss swaps rows) and negative
+    + [
+        ["hankel", "--n", "5", "--shift", "1", "--omega", "0"],
+        ["hankel", "--n", "6", "--shift", "2", "--omega", "0", "--format", "json"],
+        ["hankel", "--n", "6", "--alpha", "0", "--beta", "1", "--omega", "0", "--format", "csv"],
+        ["hankel", "--n", "7", "--alpha", "2", "--beta", "-1", "--omega", "-2"],
+        ["seq", "grand-motzkin", "--N", "12", "--j", "2", "--omega", "-3"],
+        ["seq", "banded", "--family", "w-path", "--w", "2", "--k", "3", "--N", "12",
+         "--omega", "-1", "--format", "json"],
+        ["seq", "delannoy", "--N", "8", "--omega", "-2"],
+        ["matrix", "schroder-inverse", "--n", "6", "--omega", "0"],
+    ]
 )
 
 

@@ -438,8 +438,8 @@ class TestTheorem:
     def test_regular_mismatch_is_named(self, monkeypatch):
         real = schroder.compressed_series
 
-        def changed(j, order, band=0):  # entry 5 of the column is regular t^2 at k=4
-            col = real(j, order, band)
+        def changed(j, order, band=0, omega=W):  # entry 5 of the column is regular t^2 at k=4
+            col = real(j, order, band, omega)
             coeffs = list(col.coeffs)
             coeffs[5] = coeffs[5] + 1
             return TSeries(coeffs, col.order)
