@@ -35,6 +35,7 @@ from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
 from .schroder import _band_polys, _banded, _column, _count_triangle, _series
 
+
 def motzkin_series(order: int, omega=W) -> TSeries:
     """Weighted Motzkin numbers M_n as a series, by the discriminant recurrence."""
     return _series(1, 2, order, omega)
