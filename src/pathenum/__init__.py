@@ -5,7 +5,8 @@ arbitrary-precision integers: Motzkin and Schroeder counting triangles and
 their inverses, Hankel determinants in closed form and by fraction-free
 elimination, rational generating functions for paths confined to a band,
 and a brute-force dynamic-programming oracle that every formula is checked
-against.
+against.  A builder given an integer weight computes over Z instead, with
+plain ints as its scalars.
 
 The package is pure Python: the integer coefficient-vector kernels that
 OmegaPoly arithmetic rests on live in pathenum.kernels.

@@ -1,12 +1,21 @@
-"""Exact scalar, polynomial, and series arithmetic over Z[w].
+"""Exact scalar, polynomial, and series arithmetic over Z[w] or Z.
 
-Every quantity in this package is a polynomial in the horizontal-step weight
-w with arbitrary-precision integer coefficients (OmegaPoly), or is built from
-such scalars:
+A scalar of this package is either a polynomial in the horizontal-step
+weight w with arbitrary-precision integer coefficients (OmegaPoly), or, once
+an integer weight is bound, a plain Python int.  The containers hold one
+kind of scalar each:
 
-  * TPoly         polynomial in t with OmegaPoly coefficients
+  * TPoly         polynomial in t
   * TSeries       truncated power series in t, explicit truncation order
   * RationalGF    num/den pair of TPolys, expandable to a TSeries
+
+A container keeps its entries as ints when every entry is an int; if any is
+an OmegaPoly, all are coerced to OmegaPoly (_scalar_rows).  The ring
+operations are written once for both kinds: zero tests are truthiness, the
+constants 0 and 1 of a computation come from its weight or its operands
+(_zero, _one), and an exact division raises InexactDivision on a remainder
+for either kind (_div_exact).  Every isinstance test on a scalar's kind is
+in this module.
 
 There are no floating-point numbers and no numeric roots anywhere:
 generating functions are produced from their algebraic or recursive
@@ -26,10 +35,11 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-A builder's weight is a monomial c w^p: the symbolic W, or an integer,
-which the builder then carries as a constant OmegaPoly so that everything
-it builds is an integer in w-free form (_monomial).  _at_weight binds the
-weight in a polynomial given by its integer coefficients in the weight.
+A builder's weight is the symbolic W, an OmegaPoly constant, or an int.
+The scalars a builder makes follow the weight: at an int weight every one
+is an int, so the same loops run over Z on Python ints with no polynomial
+wrapper.  _at_weight binds a monomial weight c w^p (_monomial) in a
+polynomial given by its integer coefficients in the weight.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -150,7 +160,10 @@ class OmegaPoly:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(self._c)
+        # a constant hashes as the int it equals, so that equal containers of
+        # either kind of scalar hash equal
+        c = self._c
+        return hash(c) if len(c) > 1 else hash(c[0]) if c else 0
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer weight."""
@@ -223,11 +236,56 @@ OP_ONE = _raw((1,))
 W = _raw((0, 1))
 
 
+def _zero(*scalars):
+    """The zero of the scalars' ring: OP_ZERO if any is an OmegaPoly, else 0.
+
+    A container holds one kind of scalar, so its first entry stands for all.
+    """
+    return OP_ZERO if any(isinstance(x, OmegaPoly) for x in scalars) else 0
+
+
+def _one(*scalars):
+    """The one of the scalars' ring: OP_ONE if any is an OmegaPoly, else 1."""
+    return OP_ONE if any(isinstance(x, OmegaPoly) for x in scalars) else 1
+
+
+def _scalar_rows(rows) -> tuple:
+    """rows (iterables of scalars) as tuples of one kind of scalar.
+
+    All ints stay ints; if any entry is an OmegaPoly, every entry is coerced
+    to OmegaPoly.  Anything else raises TypeError.
+    """
+    rows = tuple(tuple(row) for row in rows)
+    kinds = {type(x) for row in rows for x in row}
+    if kinds <= {int} or kinds == {OmegaPoly}:
+        return rows
+    for kind in kinds:
+        if not issubclass(kind, (int, OmegaPoly)):
+            raise TypeError(f"{kind.__name__} is not a scalar (int or OmegaPoly)")
+    return tuple(tuple(map(as_opoly, row)) for row in rows)
+
+
+def _div_exact(a, b):
+    """The exact quotient a / b of scalars; InexactDivision on a remainder.
+
+    Ints divide by divmod; an OmegaPoly divides by an int coefficient-wise
+    and by an OmegaPoly by exact long division.
+    """
+    if isinstance(a, OmegaPoly):
+        return a.exact_div_int(b) if isinstance(b, int) else a.exact_div(b)
+    if isinstance(b, OmegaPoly):
+        return as_opoly(a).exact_div(b)
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivision(f"{a} not divisible by {b}")
+    return q
+
+
 def _monomial(omega) -> tuple:
     """(p, c) with omega = c w^p: (1, 1) for W, (0, x) for an integer x.
 
-    Every builder's weight is one of these, so terms in omega stay
-    shift-and-scale; a weight of two or more terms raises ValueError.
+    _at_weight places each power of the weight by it; a weight of two or
+    more terms raises ValueError.
     """
     cs = as_opoly(omega).coeffs
     p = max(len(cs) - 1, 0)
@@ -236,13 +294,31 @@ def _monomial(omega) -> tuple:
     return p, cs[p] if cs else 0
 
 
-def _at_weight(coeffs, omega) -> OmegaPoly:
-    """sum_l coeffs[l] omega^l, for integer coeffs and a monomial weight omega."""
+def _at_weight(coeffs, omega):
+    """sum_l coeffs[l] omega^l, for integer coeffs and a monomial weight omega.
+
+    An int at an int weight, an OmegaPoly at an OmegaPoly weight.
+    """
+    if isinstance(omega, int):
+        acc = 0
+        for x in reversed(coeffs):
+            acc = acc * omega + x
+        return acc
     p, c = _monomial(omega)
     out = [0] * (p * len(coeffs) + 1)
     for l, x in enumerate(coeffs):
         out[p * l] += x * c**l
     return OmegaPoly(out)
+
+
+def _at(x, value: int):
+    """The scalar x at w = value, as the same kind of scalar."""
+    return OmegaPoly((x.evaluate(value),)) if isinstance(x, OmegaPoly) else x
+
+
+def _plain(x):
+    """x for repr: an int, or an OmegaPoly's coefficient list."""
+    return list(x.coeffs) if isinstance(x, OmegaPoly) else x
 
 
 def _power(base, n: int, one):
@@ -260,12 +336,14 @@ def _power(base, n: int, one):
 
 
 def _ints(values) -> list:
-    """OmegaPolys constant in w, as plain ints; ValueError for one that is not."""
+    """Scalars constant in w, as plain ints; ValueError for one that is not."""
     out = []
     for c in values:
-        if c.degree > 0:
-            raise ValueError(f"{c} still depends on w")
-        out.append(c.coeffs[0] if c.coeffs else 0)
+        if isinstance(c, OmegaPoly):
+            if c.degree > 0:
+                raise ValueError(f"{c} still depends on w")
+            c = c.coeffs[0] if c.coeffs else 0
+        out.append(c)
     return out
 
 
@@ -274,14 +352,14 @@ def _convolve(a, b, length: int) -> list:
 
     Zero coefficients of either operand are skipped.
     """
-    out = [OP_ZERO] * length
+    out = [_zero(*a[:1], *b[:1])] * length
     for i in range(min(len(a), length)):
         x = a[i]
-        if x.is_zero():
+        if not x:
             continue
         for j in range(min(len(b), length - i)):
             y = b[j]
-            if not y.is_zero():
+            if y:
                 out[i + j] = out[i + j] + x * y
     return out
 
@@ -295,22 +373,23 @@ def _quotient(num, den, order: int) -> list:
     Any other constant term, a zero denominator's included, raises
     NonUnitConstant.
     """
-    d0 = den[0] if den else OP_ZERO
-    if d0 != OP_ONE and d0 != -OP_ONE:
+    zero = _zero(*num[:1], *den[:1])
+    d0 = den[0] if den else zero
+    if d0 != 1 and d0 != -1:
         raise NonUnitConstant(f"constant term {d0} of the denominator is not +1 or -1")
-    out = [OP_ZERO] * (order + 1)
+    out = [zero] * (order + 1)
     for n in range(order + 1):
-        acc = num[n] if n < len(num) else OP_ZERO
+        acc = num[n] if n < len(num) else zero
         for k in range(1, min(n, len(den) - 1) + 1):
             dk = den[k]
-            if not dk.is_zero():
+            if dk:
                 acc = acc - dk * out[n - k]
         out[n] = d0 * acc
     return out
 
 
 class TPoly:
-    """Polynomial in t with OmegaPoly coefficients, dense ascending order.
+    """Polynomial in t with scalar coefficients, dense ascending order.
 
     There is no division: an exact quotient of integer coefficient vectors
     is kernels.vdivexact.
@@ -319,10 +398,11 @@ class TPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        cs = [as_opoly(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._c = tuple(cs)
+        (cs,) = _scalar_rows([coeffs])
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        self._c = cs[:n]
 
     @property
     def coeffs(self) -> tuple:
@@ -335,12 +415,12 @@ class TPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coeff(self, n: int) -> OmegaPoly:
+    def coeff(self, n: int):
         if 0 <= n < len(self._c):
             return self._c[n]
-        return OP_ZERO
+        return _zero(*self._c[:1])
 
-    def constant(self) -> OmegaPoly:
+    def constant(self):
         return self.coeff(0)
 
     def __add__(self, other):
@@ -371,8 +451,7 @@ class TPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, OmegaPoly)):
-            k = as_opoly(other)
-            return TPoly([c * k for c in self._c])
+            return TPoly([c * other for c in self._c])
         if isinstance(other, TPoly):
             return TPoly(_convolve(self._c, other._c, len(self._c) + len(other._c) - 1))
         return NotImplemented
@@ -380,7 +459,7 @@ class TPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, TP_ONE)
+        return _power(self, n, TPoly([_one(*self._c[:1])]))
 
     def __eq__(self, other):
         other = _as_tpoly(other)
@@ -395,15 +474,15 @@ class TPoly:
         """Multiply by t^k (k >= 0)."""
         if not self._c:
             return self
-        return TPoly((OP_ZERO,) * k + self._c)
+        return TPoly((_zero(self._c[0]),) * k + self._c)
 
     def at_neg_t(self) -> "TPoly":
         """Substitute t -> -t: negate coefficients of odd powers."""
         return TPoly([-c if i % 2 else c for i, c in enumerate(self._c)])
 
     def eval_omega(self, x: int) -> "TPoly":
-        """Specialize the weight w to an integer."""
-        return TPoly([OmegaPoly((c.evaluate(x),)) for c in self._c])
+        """Specialize the weight w to an integer; the scalars keep their kind."""
+        return TPoly([_at(c, x) for c in self._c])
 
     def to_series(self, order: int) -> "TSeries":
         return TSeries([self.coeff(n) for n in range(order + 1)], order)
@@ -416,23 +495,19 @@ class TPoly:
         return "[" + ", ".join(str(c) for c in self._c) + "]"
 
     def __repr__(self):
-        return f"TPoly({[list(c.coeffs) for c in self._c]!r})"
+        return f"TPoly({[_plain(c) for c in self._c]!r})"
 
 
 def _as_tpoly(x):
     if isinstance(x, TPoly):
         return x
     if isinstance(x, (int, OmegaPoly)):
-        return TPoly((as_opoly(x),))
+        return TPoly((x,))
     return NotImplemented
 
 
-TP_ONE = TPoly((OP_ONE,))
-T = TPoly((OP_ZERO, OP_ONE))
-
-
 class TSeries:
-    """Truncated power series in t with OmegaPoly coefficients.
+    """Truncated power series in t with scalar coefficients.
 
     Carries its truncation order N (inclusive): coefficients of t^0..t^N are
     stored and meaningful, anything beyond is unknown.  Arithmetic on series
@@ -443,21 +518,21 @@ class TSeries:
     __slots__ = ("_c", "order")
 
     def __init__(self, coeffs, order: int = None):
-        cs = [as_opoly(c) for c in coeffs]
+        (cs,) = _scalar_rows([coeffs])
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if len(cs) < order + 1:
-            cs.extend([OP_ZERO] * (order + 1 - len(cs)))
-        self._c = tuple(cs[: order + 1])
+            cs += (_zero(*cs[:1]),) * (order + 1 - len(cs))
+        self._c = cs[: order + 1]
         self.order = order
 
     @property
     def coeffs(self) -> tuple:
         return self._c
 
-    def coeff(self, n: int) -> OmegaPoly:
+    def coeff(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self._c[n]
@@ -491,8 +566,7 @@ class TSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, OmegaPoly)):
-            k = as_opoly(other)
-            return TSeries([c * k for c in self._c], self.order)
+            return TSeries([c * other for c in self._c], self.order)
         if isinstance(other, TPoly):  # the short factor outside: linear in the order
             return TSeries(_convolve(other._c, self._c, self.order + 1), self.order)
         other = _as_tseries(other, self.order)
@@ -504,7 +578,7 @@ class TSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, TSeries([OP_ONE], self.order))
+        return _power(self, n, TSeries([_one(self._c[0])], self.order))
 
     def inverse(self) -> "TSeries":
         """Multiplicative inverse up to the truncation order.
@@ -512,17 +586,18 @@ class TSeries:
         The constant term must be +1 or -1 so that the inverse stays in Z[w];
         anything else raises NonUnitConstant.
         """
-        return TSeries(_quotient((OP_ONE,), self._c, self.order), self.order)
+        return TSeries(_quotient((_one(self._c[0]),), self._c, self.order), self.order)
 
     def shift_down(self, k: int) -> "TSeries":
         """Divide by t^k; the k lowest coefficients must be exactly zero."""
         for i in range(k):
-            if not self._c[i].is_zero():
+            if self._c[i]:
                 raise InexactDivision(f"coefficient of t^{i} is {self._c[i]}, not 0")
         return TSeries(self._c[k:], self.order - k)
 
     def eval_omega(self, x: int) -> "TSeries":
-        return TSeries([OmegaPoly((c.evaluate(x),)) for c in self._c], self.order)
+        """Specialize the weight w to an integer; the scalars keep their kind."""
+        return TSeries([_at(c, x) for c in self._c], self.order)
 
     def int_coeffs(self) -> list:
         """Coefficients as plain ints; requires every coefficient constant in w."""
@@ -540,10 +615,11 @@ class TSeries:
         return "[" + "; ".join(str(c) for c in self._c) + f"] + O(t^{self.order + 1})"
 
     def __repr__(self):
-        return f"TSeries({[list(c.coeffs) for c in self._c]!r}, order={self.order})"
+        return f"TSeries({[_plain(c) for c in self._c]!r}, order={self.order})"
 
     def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self._c], "order": self.order}
+        """Each coefficient as a polynomial in w (an int as a constant one)."""
+        return {"coeffs": [as_opoly(c).to_json() for c in self._c], "order": self.order}
 
     @classmethod
     def from_json(cls, data) -> "TSeries":
@@ -556,13 +632,13 @@ def _as_tseries(x, order):
     if isinstance(x, TPoly):
         return x.to_series(order)
     if isinstance(x, (int, OmegaPoly)):
-        return TSeries([as_opoly(x)], order)
+        return TSeries([x], order)
     return NotImplemented
 
 
 @dataclass(frozen=True)
 class RationalGF:
-    """Rational generating function num/den over Z[w][t].
+    """Rational generating function num/den over Z[w][t] (or Z[t]).
 
     The denominator must have constant term +1 or -1 so the expansion stays
     in Z[w]; expand() raises NonUnitConstant otherwise.

@@ -3,25 +3,30 @@
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
 specialize (verify always checks symbolically).  An integer weight is bound
-before anything is built: every series, triangle and Hankel matrix is then
-computed over Z, not over Z[w], and only the Hankel closed form, which
-stays symbolic as the independent cross-check, is evaluated at it.  seq and
-verify reject any flag the chosen family or suite does not read, and verify
-rejects a bound below its suite's domain.  Exit codes: 0 success,
-1 a mathematical disagreement was detected, 2 usage error.  All output is
-deterministic and large integers are printed in full decimal.
+before anything is built and passed to the builders as a plain int: every
+series, triangle and Hankel matrix is then computed over Z on int scalars,
+not over Z[w], and only the Hankel closed form, which stays symbolic as the
+independent cross-check, is evaluated at it.  seq and verify reject any
+flag the chosen family or suite does not read, and verify rejects a bound
+below its suite's domain.  Exit codes: 0 success, 1 a mathematical
+disagreement was detected, 2 usage error.  All output is deterministic and
+large integers are printed in full decimal.
+
+The argument parser is built once per process, on first use.  It records
+the subcommand's name, and main looks up its _cmd_ function at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
-from .algebra import W, OmegaPoly, TSeries, _ints, as_opoly
+from .algebra import W, OmegaPoly, TSeries, _ints
 from .checks import PASS
 from .matrices import TriMatrix
 
@@ -42,8 +47,8 @@ def _omega_arg(text: str):
 
 
 def _weight(args):
-    """The weight the builders take: W, or the integer --omega as a scalar."""
-    return W if args.omega is None else as_opoly(args.omega)
+    """The weight the builders take: W, or the integer --omega as an int."""
+    return W if args.omega is None else args.omega
 
 
 def _dump_json(obj) -> str:
@@ -124,7 +129,7 @@ def _seq_series(args) -> TSeries:
     if family == "schroder-compressed":
         return schroder.compressed_column_gf(j, order, omega)
     if family == "delannoy":
-        return TSeries([schroder.delannoy_number(n, n, omega) for n in range(order + 1)], order)
+        return schroder.central_delannoy_series(order, omega)
     # banded
     if args.k is None or args.k < 1:
         raise UsageError("banded sequences require a band height --k >= 1")
@@ -165,9 +170,7 @@ def _cmd_hankel(args) -> int:
         raise UsageError("--shift is only meaningful with the default (alpha, beta) = (1, 0)")
     if (args.alpha, args.beta) == (0, 0):
         raise UsageError("alpha and beta cannot both be zero")
-    spec = hankel.HankelSpec(
-        n, shift=shift, alpha=OmegaPoly([args.alpha]), beta=OmegaPoly([args.beta])
-    )
+    spec = hankel.HankelSpec(n, shift=shift, alpha=args.alpha, beta=args.beta)
     det = hankel.det_fraction_free(hankel.hankel_matrix(spec, _weight(args)))
     if shift == 0:
         closed = hankel.shifted_hankel_closed(n, args.alpha, args.beta)
@@ -304,7 +307,15 @@ def _cmd_typo_ledger() -> int:
     return 0 if ok_all else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    It holds no function objects: args.command names the subcommand, and
+    main looks up its _cmd_ function in this module at each call, so a
+    function replaced after the first call (as a tracer does) is the one
+    that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="pathenum",
         description="Exact weighted lattice-path enumeration: sequences, triangles, determinants, identity checks.",
@@ -336,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="path family for banded sequences (default motzkin)",
     )
     add_common(p_seq)
-    p_seq.set_defaults(func=_cmd_seq)
 
     p_mat = sub.add_parser("matrix", help="triangular matrices")
     p_mat.add_argument(
@@ -345,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_mat.add_argument("--n", type=int, required=True, help="dimension")
     add_common(p_mat)
-    p_mat.set_defaults(func=_cmd_matrix)
 
     p_han = sub.add_parser("hankel", help="Hankel determinant, two ways")
     p_han.add_argument("--n", type=int, required=True, help="dimension")
@@ -353,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_han.add_argument("--beta", type=int, default=0)
     p_han.add_argument("--shift", type=int, choices=(0, 1, 2), default=0)
     add_common(p_han)
-    p_han.set_defaults(func=_cmd_hankel)
 
     p_ver = sub.add_parser("verify", help="identity verification suites")
     p_ver.add_argument(
@@ -367,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=int, help="band height / upper index bound")
     p_ver.add_argument("--N", type=int, help="horizon / truncation order")
     add_common(p_ver, omega=False)  # the suites check symbolically in w
-    p_ver.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -389,7 +396,7 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly
+from .algebra import OmegaPoly
 from .checks import PASS, CheckResult, fail
 from .hankel import HankelSpec, det_fraction_free, hankel_matrix
 from .motzkin import banded_motzkin_gf
@@ -52,8 +52,8 @@ def _check_banded4_tail() -> CheckResult:
     # The height-4 band table lists 323, 835 at n = 8, 9 (weight 1); the
     # accompanying sequence list has 322, 826 (A005207).  The oracle and the
     # rational generating function, both built at weight 1, give 322, 826.
-    got = oracle_series(PathSpec.banded(4), 0, 9, OP_ONE).int_coeffs()[8:10]
-    gf = banded_motzkin_gf(4, OP_ONE).expand(9).int_coeffs()
+    got = oracle_series(PathSpec.banded(4), 0, 9, 1).int_coeffs()[8:10]
+    gf = banded_motzkin_gf(4, 1).expand(9).int_coeffs()
     if got != [322, 826]:
         return fail("oracle n=8,9", got, [322, 826])
     if gf[8:10] != [322, 826]:
@@ -89,7 +89,7 @@ def _check_aerated_hankel_delta() -> CheckResult:
     # period-6 pattern 1, 1, 0, -1, -1, 0, ...  The matrix is built at weight 0.
     pattern = [1, 1, 0, -1, -1, 0]
     for n in range(1, 13):
-        m = hankel_matrix(HankelSpec(n, alpha=OP_ONE, beta=OP_ONE), OP_ZERO)
+        m = hankel_matrix(HankelSpec(n, alpha=1, beta=1), 0)
         got = det_fraction_free(m)
         want = pattern[n % 6]
         if got != want:

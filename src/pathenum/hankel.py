@@ -1,8 +1,8 @@
 """Exact Hankel determinants of weighted Motzkin numbers.
 
 Determinants are computed by fraction-free (Bareiss) elimination over the
-integral domain Z[w], or over Z when the matrix is built at an integer
-weight; every interior division is exact, and a remainder raises
+integral domain Z[w], or over Z on plain ints when the matrix is built at an
+integer weight; every interior division is exact, and a remainder raises
 InexactDivision since it can only mean an implementation bug.  A
 naive cofactor expansion is kept as a second, independent determinant
 engine for small dimensions.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly, W, as_opoly, binom
+from .algebra import OP_ONE, OP_ZERO, OmegaPoly, W, _div_exact, _zero, as_opoly, binom
 from .checks import PASS, CheckResult, fail
 from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
@@ -36,12 +36,12 @@ def _bareiss(m: SquareMatrix):
     pivots = []
     sign = 1
     swapped = False
-    prev = OP_ONE
+    prev = None  # the previous pivot; the first step divides by nothing
     for k in range(n):
-        if k < n - 1 and rows[k][k].is_zero():
+        if k < n - 1 and not rows[k][k]:
             # zero pivot: swap in a nonzero row below, tracking the sign
             for i in range(k + 1, n):
-                if not rows[i][k].is_zero():
+                if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     swapped = True
@@ -54,32 +54,32 @@ def _bareiss(m: SquareMatrix):
             rik = rows[i][k]
             for j in range(k + 1, n):
                 elt = pivot * rows[i][j] - rik * rows[k][j]
-                rows[i][j] = elt.exact_div(prev) if k else elt
+                rows[i][j] = _div_exact(elt, prev) if k else elt
         prev = pivot
     return pivots, sign, swapped
 
 
-def det_fraction_free(m: SquareMatrix) -> OmegaPoly:
-    """Exact determinant by Bareiss elimination; dimension 0 gives 1."""
+def det_fraction_free(m: SquareMatrix):
+    """Exact determinant by Bareiss elimination, of the entries' kind; dimension 0 gives 1."""
     if m.n == 0:
-        return OP_ONE
+        return 1
     pivots, sign, _ = _bareiss(m)
     if len(pivots) < m.n:
-        return OP_ZERO
+        return _zero(m.rows[0][0])
     return pivots[-1] if sign == 1 else -pivots[-1]
 
 
-def det_cofactor(m: SquareMatrix) -> OmegaPoly:
+def det_cofactor(m: SquareMatrix):
     """Determinant by cofactor expansion; exponential, for cross-checks only."""
 
     def rec(rows):
         if len(rows) == 1:
             return rows[0][0]
-        acc = OP_ZERO
+        acc = _zero(rows[0][0])
         sign = 1
         for j in range(len(rows)):
             c = rows[0][j]
-            if not c.is_zero():
+            if c:
                 sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
                 term = c * rec(sub)
                 acc = acc + term if sign > 0 else acc - term
@@ -87,7 +87,7 @@ def det_cofactor(m: SquareMatrix) -> OmegaPoly:
         return acc
 
     if m.n == 0:
-        return OP_ONE
+        return 1
     return rec([list(r) for r in m.rows])
 
 
@@ -108,30 +108,32 @@ def leading_minor_dets(m: SquareMatrix) -> list:
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Hankel matrix spec: entry (i,j) = alpha*M[i+j+shift] + beta*M[i+j+shift+1]."""
+    """Hankel matrix spec: entry (i,j) = alpha*M[i+j+shift] + beta*M[i+j+shift+1].
+
+    alpha and beta are scalars: ints, or OmegaPolys.
+    """
 
     n: int
     shift: int = 0
-    alpha: OmegaPoly = OP_ONE
-    beta: OmegaPoly = OP_ZERO
+    alpha: int | OmegaPoly = 1
+    beta: int | OmegaPoly = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.shift not in (0, 1, 2):
             raise ValueError("shift must be 0, 1 or 2")
-        if as_opoly(self.alpha).is_zero() and as_opoly(self.beta).is_zero():
+        if not self.alpha and not self.beta:
             raise ValueError("alpha and beta cannot both be zero")
 
 
 def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
     """The Hankel matrix of the Motzkin numbers at the weight omega for a HankelSpec.
 
-    At an integer weight every entry is constant in w, so Bareiss
-    eliminates an integer matrix.
+    At an integer weight, with int alpha and beta, every entry is an int, so
+    Bareiss eliminates an integer matrix.
     """
-    n, shift = spec.n, spec.shift
-    alpha, beta = as_opoly(spec.alpha), as_opoly(spec.beta)
+    n, shift, alpha, beta = spec.n, spec.shift, spec.alpha, spec.beta
     mu = motzkin_series(2 * n - 2 + shift + 1, omega)
     seq = [alpha * mu.coeff(k) + beta * mu.coeff(k + 1) for k in range(2 * n - 1 + shift)]
     return SquareMatrix([[seq[i + j + shift] for j in range(n)] for i in range(n)])

@@ -38,9 +38,18 @@ def vneg(a):
 
 
 def vmul(a, b):
-    """Full convolution product of two normalized vectors."""
+    """Full convolution product of two normalized vectors.
+
+    A product with a monomial c x^e (such as the weight w) is a shift and a
+    scale, done in one pass.
+    """
     if not a or not b:
         return []
+    if len(a) > len(b):
+        a, b = b, a
+    if not any(a[:-1]):
+        c = a[-1]
+        return [0] * (len(a) - 1) + [c * y for y in b]
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:

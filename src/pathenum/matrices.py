@@ -1,19 +1,26 @@
-"""Lower-triangular and square matrices of OmegaPoly entries."""
+"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight)."""
 
 from __future__ import annotations
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly, _ints, as_opoly
+from .algebra import _at, _ints, _one, _scalar_rows, _zero
+
+
+def _corner(rows) -> tuple:
+    """The entry (0, 0) as a 0- or 1-tuple; one entry tells a matrix's kind of scalar."""
+    return rows[0][:1] if rows else ()
 
 
 class TriMatrix:
-    """Square lower-triangular matrix; row i stores entries for columns 0..i."""
+    """Square lower-triangular matrix; row i stores entries for columns 0..i.
+
+    The entries are of one kind: ints if every entry given is an int, else
+    OmegaPoly.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(
-            tuple(as_opoly(x) for x in row) for row in rows
-        )
+        self.rows = _scalar_rows(rows)
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
@@ -22,9 +29,9 @@ class TriMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> OmegaPoly:
+    def entry(self, i: int, j: int):
         if j > i:
-            return OP_ZERO
+            return _zero(*_corner(self.rows))
         return self.rows[i][j]
 
     def __eq__(self, other):
@@ -38,16 +45,17 @@ class TriMatrix:
     def __mul__(self, other):
         if not isinstance(other, TriMatrix) or self.n != other.n:
             return NotImplemented
+        zero = _zero(*_corner(self.rows), *_corner(other.rows))
         out = []
         for i in range(self.n):
             row = []
             for j in range(i + 1):
-                acc = OP_ZERO
+                acc = zero
                 for k in range(j, i + 1):
                     a = self.rows[i][k]
-                    if not a.is_zero():
+                    if a:
                         b = other.rows[k][j]
-                        if not b.is_zero():
+                        if b:
                             acc = acc + a * b
                 row.append(acc)
             out.append(row)
@@ -57,22 +65,23 @@ class TriMatrix:
         """Inverse by forward substitution; requires unit diagonal.
 
         No pivoting and no fractions: with 1s on the diagonal the inverse
-        stays in Z[w].
+        stays in Z[w] (in Z for an int matrix).
         """
         n = self.n
         for i in range(n):
-            if self.rows[i][i] != OP_ONE:
+            if self.rows[i][i] != 1:
                 raise ValueError(f"diagonal entry ({i},{i}) is not 1")
-        inv = [[OP_ZERO] * (i + 1) for i in range(n)]
+        zero, one = _zero(*_corner(self.rows)), _one(*_corner(self.rows))
+        inv = [[zero] * (i + 1) for i in range(n)]
         for i in range(n):
-            inv[i][i] = OP_ONE
+            inv[i][i] = one
             for j in range(i - 1, -1, -1):
-                acc = OP_ZERO
+                acc = zero
                 for k in range(j, i):
                     a = self.rows[i][k]
-                    if not a.is_zero():
+                    if a:
                         b = inv[k][j]
-                        if not b.is_zero():
+                        if b:
                             acc = acc + a * b
                 inv[i][j] = -acc
         return TriMatrix(inv)
@@ -80,15 +89,13 @@ class TriMatrix:
     def is_identity(self) -> bool:
         for i, row in enumerate(self.rows):
             for j, x in enumerate(row):
-                want = OP_ONE if i == j else OP_ZERO
-                if x != want:
+                if x != (1 if i == j else 0):
                     return False
         return True
 
     def eval_omega(self, x: int) -> "TriMatrix":
-        return TriMatrix(
-            [[OmegaPoly((e.evaluate(x),)) for e in row] for row in self.rows]
-        )
+        """Specialize the weight w to an integer; the entries keep their kind."""
+        return TriMatrix([[_at(e, x) for e in row] for row in self.rows])
 
     def int_rows(self) -> list:
         """Rows as plain ints; requires every entry constant in w."""
@@ -96,12 +103,12 @@ class TriMatrix:
 
 
 class SquareMatrix:
-    """Dense square matrix of OmegaPoly entries."""
+    """Dense square matrix of scalars, of one kind as in TriMatrix."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(as_opoly(x) for x in row) for row in rows)
+        self.rows = _scalar_rows(rows)
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n:
@@ -111,13 +118,12 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> OmegaPoly:
+    def entry(self, i: int, j: int):
         return self.rows[i][j]
 
     def eval_omega(self, x: int) -> "SquareMatrix":
-        return SquareMatrix(
-            [[OmegaPoly((e.evaluate(x),)) for e in row] for row in self.rows]
-        )
+        """Specialize the weight w to an integer; the entries keep their kind."""
+        return SquareMatrix([[_at(e, x) for e in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):

@@ -27,6 +27,7 @@ from .algebra import (
     TPoly,
     TSeries,
     W,
+    _one,
     _quotient,
     binom,
 )
@@ -104,7 +105,7 @@ def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
         raise ValueError("height must be nonnegative")
     family = _band_polys(1, 2, j, omega)
     below = family[j - 1] if j else TPoly(())
-    step = TPoly([OP_ONE, -omega])  # A
+    step = TPoly([_one(omega), -omega])  # A
     den = step * step - TPoly([0, 0, 4])  # D
     c1 = (step * below - 2 * family[j]).shift(2)
     c0 = step * family[j] - (den + TPoly([0, 0, 2])) * below
@@ -233,7 +234,7 @@ def banded_motzkin_recursion_check(k: int, horizon: int) -> CheckResult:
         acc = OP_ZERO
         for j in range(k + 1):
             acc = acc + counts[n - j] * mk[j]
-        if not acc.is_zero():
+        if acc:
             return fail(f"recursion at n={n} (k={k})", acc, OP_ZERO)
     return PASS
 

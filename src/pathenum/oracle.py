@@ -8,18 +8,18 @@ Three modes:
   * quadrant  paths stay weakly above the x-axis
   * banded k  quadrant paths that additionally stay strictly below height k
 
-Everything is computed cell-by-cell from the step recursion with OmegaPoly
-entries, independently of all closed forms, so these counts can adjudicate
-any formula in the package.  The weight is symbolic (W) by default; an
-integer weight, passed as omega, is bound before the first cell, so the
-table is counted over Z.
+Everything is computed cell-by-cell from the step recursion, independently
+of all closed forms, so these counts can adjudicate any formula in the
+package.  The weight is symbolic (W) by default and every cell is an
+OmegaPoly; an integer weight, passed as omega, is bound before the first
+cell, so the table is counted over Z and every cell is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly, TSeries, W
+from .algebra import OmegaPoly, TSeries, W, _one, _zero
 from .checks import PASS, CheckResult, fail
 
 GRAND = "grand"
@@ -71,6 +71,7 @@ class CountTable:
         self.spec = spec
         self.n_max = n_max
         self.omega = omega
+        self._zero = zero = _zero(omega)
         if spec.mode == GRAND:
             self._offset = n_max
             height = 2 * n_max + 1
@@ -80,26 +81,26 @@ class CountTable:
         else:
             self._offset = 0
             height = spec.band
-        cols = [[OP_ZERO] * height for _ in range(n_max + 1)]
-        cols[0][self._offset] = OP_ONE
+        cols = [[zero] * height for _ in range(n_max + 1)]
+        cols[0][self._offset] = _one(omega)
         w = spec.w
         for x in range(1, n_max + 1):
             prev = cols[x - 1]
             horiz = cols[x - w] if x >= w else None
             cur = cols[x]
             for y in range(height):
-                acc = OP_ZERO
+                acc = zero
                 if y + 1 < height:
                     acc = acc + prev[y + 1]
                 if y >= 1:
                     acc = acc + prev[y - 1]
-                if horiz is not None and not horiz[y].is_zero():
+                if horiz is not None and horiz[y]:
                     acc = acc + omega * horiz[y]
                 cur[y] = acc
         self._cols = cols
 
-    def value(self, n: int, j: int) -> OmegaPoly:
-        """Weighted count of paths from the origin to (n, j)."""
+    def value(self, n: int, j: int):
+        """Weighted count of paths from the origin to (n, j), a scalar of the weight's kind."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"x-coordinate {n} outside table range 0..{self.n_max}")
         spec = self.spec
@@ -108,10 +109,10 @@ class CountTable:
                 raise BandViolation(f"height {j} outside [0, {spec.band})")
             return self._cols[n][j]
         if spec.mode == QUADRANT and j < 0:
-            return OP_ZERO
+            return self._zero
         idx = j + self._offset
         if not 0 <= idx < len(self._cols[n]):
-            return OP_ZERO
+            return self._zero
         return self._cols[n][idx]
 
     def recursion_holds(self) -> CheckResult:
@@ -127,14 +128,14 @@ class CountTable:
                 got = self._neighbor(n, j)
                 if got != want:
                     return fail(f"(n={n}, j={j})", got, want)
-        if self.value(0, 0) != OP_ONE:
-            return fail("(0, 0)", self.value(0, 0), OP_ONE)
+        if self.value(0, 0) != 1:
+            return fail("(0, 0)", self.value(0, 0), 1)
         return PASS
 
     def _neighbor(self, n, j):
         # like value(), but out-of-band heights read as zero
         if self.spec.mode == BANDED and not 0 <= j < self.spec.band:
-            return OP_ZERO
+            return self._zero
         return self.value(n, j)
 
 
@@ -173,6 +174,6 @@ def compressed_series(j: int, order: int, band: int = 0, omega=W) -> TSeries:
     spec = PathSpec.banded(band, w=2) if band else PathSpec.quadrant(w=2)
     table = CountTable(spec, 2 * order + max(j, 0), omega)
     return TSeries(
-        [table.value(2 * n - j, j) if 2 * n - j >= 0 else OP_ZERO for n in range(order + 1)],
+        [table.value(2 * n - j, j) if 2 * n - j >= 0 else _zero(omega) for n in range(order + 1)],
         order,
     )

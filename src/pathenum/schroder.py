@@ -23,15 +23,16 @@ top-of-band column (the Laurent split of t^(-k) S s_(k-1)) also live here.
 
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
-weight is a monomial c w^p (W is 1 w^1, an integer x is x w^0), so in
-_series the three terms of the discriminant and the two of the right-hand
-side shift a coefficient of mu by a power of w and scale it by an integer,
-for either kind of weight; at an integer weight every coefficient is a
-single integer and the same loop runs over Z.
+scalars they build follow the weight: OmegaPolys at W (or at any OmegaPoly
+weight), plain ints at an int weight, with the constants 0 and 1 taken from
+the weight itself.  The same loops run over Z[w] and over Z, and every
+exact division keeps its remainder check for both.  The central Delannoy
+numbers behind seq delannoy come from their P-recurrence, one exact
+division per term.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all and build
-their operands at weight 1.
+their operands at the int weight 1.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
-    OP_ONE,
-    OP_ZERO,
-    TP_ONE,
     InexactDivision,
     OmegaPoly,
     RationalGF,
@@ -49,7 +47,9 @@ from .algebra import (
     TSeries,
     W,
     _at_weight,
-    _monomial,
+    _div_exact,
+    _one,
+    _zero,
     binom,
     binom_general,
 )
@@ -74,35 +74,32 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
         2(n+b) mu_n = R_n - sum_{i>=1} D_i (2(n+b) - 3i) mu_(n-i),
         R = 2b + (4a - 2b) omega t^a,
 
-    where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms,
-    summed coefficient by coefficient in w.  The weight is a monomial
-    omega = c w^p (W, or an integer c at p = 0), so each term shifts a
-    coefficient of mu by a power of w and scales it by an integer.  The
-    division by 2(n+b) is exact in Z[w]; a remainder raises InexactDivision
-    (a bug sentinel).
+    where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms.
+    The loop runs on scalars of the weight's kind: at W each product of a
+    coefficient of mu with a monomial in w is a shift and a scale
+    (kernels.vmul), and at an int weight every coefficient is an int.  The
+    division by 2(n+b) is exact in Z[w] and in Z; a remainder raises
+    InexactDivision (a bug sentinel).
     """
-    p, c = _monomial(omega)
-    disc = ((a, p, -2 * c), (2 * a, 2 * p, c * c), (b, 0, -4))  # D - 1: (t power, w power, integer)
+    zero, one = _zero(omega), _one(omega)
+    disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4 * one))  # D - 1, by power of t
+    rhs = {0: 2 * b * one, a: (4 * a - 2 * b) * omega}  # R, by power of t
     mu = []
     for n in range(order + 1):
         m = n + b
-        shifted = [(0,) * e + mu[n - i].coeffs if i <= n else () for i, e, _ in disc]
-        width = max(p + 1, *map(len, shifted))
-        x, y, z = (v + (0,) * (width - len(v)) for v in shifted)
-        fx, fy, fz = ((3 * i - 2 * m) * d for i, _, d in disc)
-        total = [fx * xi + fy * yi + fz * zi for xi, yi, zi in zip(x, y, z)]
-        if n == 0:
-            total[0] += 2 * b
-        if n == a:
-            total[p] += (4 * a - 2 * b) * c
-        mu.append(OmegaPoly(total).exact_div_int(2 * m))
+        total = rhs.get(n, zero)
+        for i, d in disc:
+            if i <= n:
+                total = total + (3 * i - 2 * m) * d * mu[n - i]
+        mu.append(_div_exact(total, 2 * m))
     return TSeries(mu, order)
 
 
 def _band_polys(a: int, b: int, n: int, omega=W) -> list:
     """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
-    step = TPoly([OP_ONE] + [OP_ZERO] * (a - 1) + [-omega])  # 1 - omega t^a
-    family = [TPoly(()), TP_ONE]  # P_(-1), P_0
+    one = _one(omega)
+    step = TPoly([one] + [0] * (a - 1) + [-omega])  # 1 - omega t^a
+    family = [TPoly(()), TPoly([one])]  # P_(-1), P_0
     for _ in range(n):
         family.append(step * family[-1] - family[-2].shift(b))
     return family[1:]
@@ -265,6 +262,25 @@ def delannoy_number(n: int, k: int, omega=W) -> OmegaPoly:
     return _at_weight([binom(k, l) * binom(n + k - l, k) for l in range(min(n, k) + 1)], omega)
 
 
+def central_delannoy_series(order: int, omega=W) -> TSeries:
+    """The central Delannoy numbers D(n, n), n <= order, by their P-recurrence
+
+        n D_n = (omega + 2)(2n - 1) D_(n-1) - omega^2 (n - 1) D_(n-2),
+        D_0 = 1,  D_1 = omega + 2.
+
+    Each term is one exact division by n, in Z[w] or in Z; a remainder
+    raises InexactDivision (a bug sentinel).  delannoy_number, the closed
+    sum, is the cross-check.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    step, square = omega + 2, omega * omega
+    d = [_one(omega), step]
+    for n in range(2, order + 1):
+        d.append(_div_exact((2 * n - 1) * step * d[n - 1] - (n - 1) * square * d[n - 2], n))
+    return TSeries(d[: order + 1], order)
+
+
 def delannoy_poly(k: int, omega=W) -> TPoly:
     """Delannoy polynomial d_k(t) = sum_l C(k-l,l) omega^l t^l (1+t)^(k-2l).
 
@@ -284,14 +300,14 @@ def _d_neg_at1(k: int) -> TPoly:
     """d_k(-t) at weight 1; zero polynomial for k < 0."""
     if k < 0:
         return TPoly(())
-    return delannoy_poly(k, OP_ONE).at_neg_t()
+    return delannoy_poly(k, 1).at_neg_t()
 
 
 def _s_at1(n: int) -> TPoly:
     """s_n(t) at weight 1; zero polynomial for n < 0."""
     if n < 0:
         return TPoly(())
-    return inverse_schroder_poly(n, OP_ONE)
+    return inverse_schroder_poly(n, 1)
 
 
 def banded_schroder_gf(k: int) -> RationalGF:
@@ -318,7 +334,7 @@ def banded_schroder_gf_via_s(k: int) -> RationalGF:
             i += 1
         acc = ONE_MINUS_T * acc
         if tail_on:
-            acc = acc + (TP_ONE * tail_sign).shift(tail_deg)
+            acc = acc + TPoly([tail_sign]).shift(tail_deg)
         return acc
 
     num = assemble(k - 2, k - 1, k % 2 == 1, (-1) ** ((k - 1) // 2))
@@ -361,7 +377,7 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     d = {k: _d_neg_at1(k) for k in range(-1, bound + 2)}
-    p = _band_polys(1, 1, bound, OP_ONE)
+    p = _band_polys(1, 1, bound, 1)
     for n in range(1, bound + 1):
         sn = _s_at1(n)
         q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
@@ -408,7 +424,7 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
         if coeffs[m] != skm2.coeff(m):
             return fail(f"principal coefficient t^{m - k} (k={k})", coeffs[m], skm2.coeff(m))
 
-    col = compressed_series(k - 1, top - 1, band=k, omega=OP_ONE)
+    col = compressed_series(k - 1, top - 1, band=k, omega=1)
     for n in range(order + 1):
         got = coeffs[k + n]
         want = col.coeff(n + k - 1)
@@ -417,7 +433,7 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
 
     diff = product - skm2
     for m in range(top + 1):
-        want = col.coeff(m - 1) if m >= 1 else OP_ZERO
+        want = col.coeff(m - 1) if m >= 1 else 0
         if diff.coeff(m) != want:
             return fail(f"shifted column identity t^{m} (k={k})", diff.coeff(m), want)
     return PASS

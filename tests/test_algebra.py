@@ -18,6 +18,7 @@ from pathenum.algebra import (
     TPoly,
     TSeries,
     W,
+    _div_exact,
     binom_general,
 )
 from conftest import random_opoly
@@ -164,6 +165,57 @@ class TestTSeries:
     def test_json_roundtrip(self):
         ts = TSeries([OmegaPoly([1]), W, OmegaPoly([1, 0, 1])], 2)
         assert TSeries.from_json(json.loads(json.dumps(ts.to_json()))) == ts
+
+
+class TestScalarKinds:
+    def test_constants_hash_as_their_int(self):
+        assert OmegaPoly([5]) == 5
+        assert {OmegaPoly([5]): "five"}[5] == "five"
+        assert {5: "five"}[OmegaPoly([5])] == "five"
+        assert {0: "zero"}[OmegaPoly([])] == "zero"
+        assert hash(OmegaPoly([-1])) == hash(-1)
+        assert hash(OmegaPoly([0, 1])) != hash(OmegaPoly([1]))
+
+    def test_equal_containers_of_either_kind_hash_equal(self):
+        ints = TSeries([5, 0, -2], 2)
+        polys = TSeries([OmegaPoly([5]), OmegaPoly([]), OmegaPoly([-2])], 2)
+        assert ints == polys and hash(ints) == hash(polys)
+        assert hash(TPoly([1, 2])) == hash(TPoly([OmegaPoly([1]), OmegaPoly([2])]))
+
+    def test_a_container_holds_one_kind(self):
+        assert all(type(c) is int for c in TPoly([1, 0, 3, 0]).coeffs)
+        assert all(type(c) is int for c in TSeries([2, -1], 4).coeffs)  # padding too
+        assert all(isinstance(c, OmegaPoly) for c in TPoly([1, W]).coeffs)
+        assert all(isinstance(c, OmegaPoly) for c in TSeries([0, W], 4).coeffs)
+        with pytest.raises(TypeError):
+            TPoly([Fraction(1, 2)])
+
+    def test_scalar_products_keep_the_kinds(self):
+        s = TSeries([1, 2], 1)
+        assert all(type(c) is int for c in (s * 3).coeffs)
+        assert (s * W).coeffs == (W, 2 * W)
+        assert all(type(c) is int for c in (TPoly([1, -1]) * TPoly([1, 1]) ** 2).coeffs)
+
+    def test_int_containers_support_every_method(self):
+        s = TSeries([1, 2, 3], 2)
+        assert s.eval_omega(5) == s
+        assert s.int_coeffs() == [1, 2, 3]
+        assert s.to_json() == {"coeffs": [["1"], ["2"], ["3"]], "order": 2}
+        assert TSeries.from_json(s.to_json()) == s
+        assert str(s) == "[1; 2; 3] + O(t^3)"
+        assert repr(s) == "TSeries([1, 2, 3], order=2)"
+        assert TSeries([1, -1], 3).inverse().coeffs == (1, 1, 1, 1)
+        p = TPoly([1, -2, 0])
+        assert repr(p) == "TPoly([1, -2])" and str(p) == "[1, -2]"
+        assert p.coeff(5) == 0 and p.shift(2).coeffs == (0, 0, 1, -2)
+
+    def test_exact_division_of_either_kind(self):
+        assert _div_exact(12, 4) == 3
+        assert _div_exact(OmegaPoly([4, 8]), 4) == OmegaPoly([1, 2])
+        assert _div_exact(OmegaPoly([-1, 0, 1]), W + 1) == W - 1
+        for a, b in ((13, 4), (OmegaPoly([4, 9]), 4), (OmegaPoly([1, 0, 1]), W + 1)):
+            with pytest.raises(InexactDivision):
+                _div_exact(a, b)
 
 
 class TestRationalGF:

@@ -1,7 +1,9 @@
 """Command-line behavior: pinned outputs, formats, exit codes, determinism."""
 
+import argparse
 import json
 import sys
+import types
 
 import pytest
 
@@ -360,3 +362,29 @@ class TestLedgerAndMisc:
         c = run("verify", "bridge", "--N", "6", capsys=capsys)
         d = run("verify", "bridge", "--N", "6", capsys=capsys)
         assert c == d
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        # cli sees an argparse whose ArgumentParser is counted
+        counted = types.SimpleNamespace(**vars(argparse))
+        builds = count_calls(monkeypatch, counted, "ArgumentParser")
+        monkeypatch.setattr(cli, "argparse", counted)
+        cli._build_parser.cache_clear()
+        assert run("seq", "motzkin", "--N", "3", capsys=capsys)[0] == 0
+        assert run("matrix", "motzkin", "--n", "3", capsys=capsys)[0] == 0
+        assert builds[0] == 1
+
+    def test_command_replaced_after_the_first_call_is_the_one_that_runs(self, monkeypatch, capsys):
+        assert run("seq", "motzkin", "--N", "3", capsys=capsys)[0] == 0
+        monkeypatch.setattr(cli, "_cmd_seq", lambda args: 7)
+        assert run("seq", "motzkin", "--N", "3", capsys=capsys)[0] == 7
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run("seq", "motzkin", capsys=capsys)[0] == 2  # --N is required
+        assert run("seq", "motzkin", "--N", "3", capsys=capsys)[:2] == (0, "1; w; 1 + w^2; 3*w + w^3\n")
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        assert run("seq", "motzkin", "--N", "3", "--j", "1", "--omega", "1", capsys=capsys)[0] == 0
+        # delannoy rejects --j, and --omega 1 would print integers
+        assert run("seq", "delannoy", "--N", "2", capsys=capsys)[:2] == (0, "1; 2 + w; 6 + 6*w + w^2\n")

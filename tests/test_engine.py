@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathenum import schroder
 from pathenum.algebra import (
     OP_ONE,
     OP_ZERO,
@@ -25,10 +26,10 @@ from pathenum.algebra import (
     TPoly,
     TSeries,
     W,
-    as_opoly,
     binom,
 )
 from pathenum.hankel import HankelSpec, det_fraction_free, hankel_matrix
+from pathenum.matrices import SquareMatrix
 from pathenum.motzkin import grand_column_gf, motzkin_column_gf, motzkin_series
 from pathenum.oracle import BANDED, GRAND, CountTable, PathSpec, compressed_series
 from pathenum.schroder import _band_polys, _banded, _column, _series
@@ -154,32 +155,32 @@ def test_grand_columns_match_product_and_oracle(j, order):
 def test_planted_coefficient_raises_inexact_division(monkeypatch):
     # 2(n+b) mu_n is divided by 2(n+b) = 24 at n = 10 of the Motzkin family;
     # a +1 planted in that quotient must surface as a remainder downstream.
-    real = OmegaPoly.exact_div_int
+    real = schroder._div_exact
 
-    def planted(self, k):
-        q = real(self, k)
+    def planted(a, k):
+        q = real(a, k)
         return q + 1 if k == 24 else q
 
     assert _series(1, 2, 20) == _fixed_point(1, 2, 20)
-    monkeypatch.setattr(OmegaPoly, "exact_div_int", planted)
+    monkeypatch.setattr(schroder, "_div_exact", planted)
     with pytest.raises(InexactDivision):
         _series(1, 2, 20)
 
 
 def test_planted_coefficient_raises_inexact_division_at_an_integer_weight(monkeypatch):
-    # At weight 1 each coefficient of mu is one integer; a +1 planted in the
-    # quotient by 2(n+b) = 24 (n = 10, Motzkin family) must surface as a
-    # remainder of a later division.
-    real = OmegaPoly.exact_div_int
+    # At the int weight 1 each coefficient of mu is an int, divided by
+    # divmod; a +1 planted in the quotient by 2(n+b) = 24 (n = 10, Motzkin
+    # family) must surface as a remainder of a later division.
+    real = schroder._div_exact
 
-    def planted(self, k):
-        q = real(self, k)
+    def planted(a, k):
+        q = real(a, k)
         return q + 1 if k == 24 else q
 
-    assert _series(1, 2, 20, OP_ONE) == _fixed_point(1, 2, 20).eval_omega(1)
-    monkeypatch.setattr(OmegaPoly, "exact_div_int", planted)
+    assert _series(1, 2, 20, 1) == _fixed_point(1, 2, 20).eval_omega(1)
+    monkeypatch.setattr(schroder, "_div_exact", planted)
     with pytest.raises(InexactDivision):
-        _series(1, 2, 20, OP_ONE)
+        _series(1, 2, 20, 1)
 
 
 def _heights(spec, n):
@@ -201,21 +202,43 @@ def _heights(spec, n):
     hankel=st.sampled_from([(0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 1, 1), (0, 2, -1), (0, 0, 1)]),
 )
 def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, order, x, n, hankel):
+    # Every builder is run at the int weight x and at W.  Each value at x
+    # must equal the symbolic value evaluated at x, every scalar built at x
+    # must be a plain int, and every scalar built at W an OmegaPoly.
     a, b = family
-    omega = as_opoly(x)
-    assert _series(a, b, order, omega) == _series(a, b, order).eval_omega(x)
-    assert _column(a, b, j, order, omega) == _column(a, b, j, order).eval_omega(x)
-    assert _banded(a, b, k, omega).expand(order) == _banded(a, b, k).expand(order).eval_omega(x)
-    assert grand_column_gf(j, order, omega) == grand_column_gf(j, order).eval_omega(x)
     w, size = a if b == 2 else 2, min(order, 20)
-    for spec in (PathSpec.grand(w), PathSpec.quadrant(w), PathSpec.banded(k, w)):
-        at_x, symbolic = CountTable(spec, size, omega), CountTable(spec, size)
-        for m in range(size + 1):
-            for y in _heights(spec, m):
-                assert at_x.value(m, y) == symbolic.value(m, y).evaluate(x), (spec, m, y)
-        assert at_x.recursion_holds()
     shift, alpha, beta = hankel
-    spec = HankelSpec(n, shift=shift, alpha=as_opoly(alpha), beta=as_opoly(beta))
-    det = det_fraction_free(hankel_matrix(spec, omega))
-    assert det.degree <= 0
-    assert det == det_fraction_free(hankel_matrix(spec)).evaluate(x)
+    spec = HankelSpec(n, shift=shift, alpha=alpha, beta=beta)
+    specs = (PathSpec.grand(w), PathSpec.quadrant(w), PathSpec.banded(k, w))
+    built = {}
+    for omega in (x, W):
+        built[omega] = [
+            _series(a, b, order, omega),
+            _column(a, b, j, order, omega),
+            _banded(a, b, k, omega).expand(order),
+            grand_column_gf(j, order, omega),
+            hankel_matrix(spec, omega),
+        ] + [CountTable(path_spec, size, omega) for path_spec in specs]
+        kind = OmegaPoly if omega is W else int
+        for value in built[omega]:
+            assert all(type(c) is kind for c in _scalars(value)), (omega, value)
+    at_x, symbolic = built[x], built[W]
+    for got, want in zip(at_x[:4], symbolic[:4]):
+        assert got == want.eval_omega(x)
+    for path_spec, table, table_w in zip(specs, at_x[5:], symbolic[5:]):
+        for m in range(size + 1):
+            for y in _heights(path_spec, m):
+                assert table.value(m, y) == table_w.value(m, y).evaluate(x), (path_spec, m, y)
+        assert table.recursion_holds()
+    det = det_fraction_free(at_x[4])
+    assert type(det) is int
+    assert det == det_fraction_free(symbolic[4]).evaluate(x)
+
+
+def _scalars(value):
+    """Every scalar a built value holds."""
+    if isinstance(value, CountTable):
+        return [c for col in value._cols for c in col]
+    if isinstance(value, SquareMatrix):
+        return [c for row in value.rows for c in row]
+    return value.coeffs

@@ -148,6 +148,13 @@ ARGV = (
         ["seq", "delannoy", "--N", "8", "--omega", "-2"],
         ["matrix", "schroder-inverse", "--n", "6", "--omega", "0"],
     ]
+    # Delannoy numbers by their P-recurrence: a large integer weight, the
+    # symbolic json rendering, and the shortest list at a negative weight
+    + [
+        ["seq", "delannoy", "--N", "40", "--omega", "3"],
+        ["seq", "delannoy", "--N", "30", "--format", "json"],
+        ["seq", "delannoy", "--N", "1", "--omega", "-2"],
+    ]
 )
 
 

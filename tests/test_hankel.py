@@ -27,7 +27,7 @@ class TestDeterminantEngine:
         assert det_fraction_free(m) == OP_ONE
 
     def test_rank_one(self):
-        assert det_fraction_free(SquareMatrix([[1, 2], [2, 4]])).is_zero()
+        assert det_fraction_free(SquareMatrix([[1, 2], [2, 4]])) == 0
 
     def test_motzkin_three(self):
         m = SquareMatrix([[1, 1, 2], [1, 2, 4], [2, 4, 9]])
@@ -39,7 +39,7 @@ class TestDeterminantEngine:
 
     def test_zero_pivot_swap(self):
         assert det_fraction_free(SquareMatrix([[0, 1], [1, 0]])) == OmegaPoly([-1])
-        assert det_fraction_free(SquareMatrix([[0, 0], [1, 1]])).is_zero()
+        assert det_fraction_free(SquareMatrix([[0, 0], [1, 1]])) == 0
         m = SquareMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
         assert det_fraction_free(m) == det_cofactor(m)
 
@@ -163,7 +163,7 @@ class TestRecursion:
 
     def test_hand_size_two_weight_one(self):
         m = SquareMatrix([[2, 4], [4, 9]])
-        assert det_fraction_free(m).evaluate(0) == 2
+        assert det_fraction_free(m) == 2
 
     def test_symbolic_up_to_ten(self):
         assert hankel_recursion_check(10)

@@ -1,6 +1,8 @@
 """General-w paths, compressed Schroeder structure, Delannoy bridges, band theorem."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathenum import schroder
 from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, TPoly, TSeries, W
@@ -19,6 +21,7 @@ from pathenum.schroder import (
     banded_schroder_gf_via_s,
     banded_schroder_series,
     banded_w_gf,
+    central_delannoy_series,
     compressed_column_gf,
     compressed_p_poly,
     delannoy_number,
@@ -287,6 +290,31 @@ class TestDelannoy:
 
     def test_recursion_symbolic(self):
         assert delannoy_recursion_check(15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.integers(0, 40), x=st.integers(-3, 5))
+    def test_p_recurrence_matches_closed_sum(self, order, x):
+        at_x = central_delannoy_series(order, x)
+        assert at_x.coeffs == tuple(delannoy_number(n, n, x) for n in range(order + 1))
+        assert all(type(c) is int for c in at_x.coeffs)
+        symbolic = central_delannoy_series(min(order, 20))
+        assert symbolic.coeffs == tuple(delannoy_number(n, n) for n in range(symbolic.order + 1))
+        assert all(isinstance(c, OmegaPoly) for c in symbolic.coeffs)
+
+    @pytest.mark.parametrize("omega", [W, 3], ids=["symbolic", "weight-3"])
+    def test_planted_term_raises_inexact_division(self, omega, monkeypatch):
+        # n D_n is divided by n once per term; a +1 planted in D_10 makes the
+        # division by 11 of the next term leave a remainder.
+        real = schroder._div_exact
+
+        def planted(a, k):
+            q = real(a, k)
+            return q + 1 if k == 10 else q
+
+        central_delannoy_series(20, omega)
+        monkeypatch.setattr(schroder, "_div_exact", planted)
+        with pytest.raises(InexactDivision):
+            central_delannoy_series(20, omega)
 
     def test_hand_case(self):
         # D(1,1) = w D(0,0) + D(1,0) + D(0,1) = w + 1 + 1
