@@ -305,6 +305,8 @@ def _at_weight(coeffs, omega):
             acc = acc * omega + x
         return acc
     p, c = _monomial(omega)
+    if (p, c) == (1, 1):  # omega is w itself: the coefficients as they are
+        return OmegaPoly(coeffs)
     out = [0] * (p * len(coeffs) + 1)
     for l, x in enumerate(coeffs):
         out[p * l] += x * c**l

@@ -4,9 +4,8 @@ Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
 specialize (verify always checks symbolically).  An integer weight is bound
 before anything is built and passed to the builders as a plain int: every
-series, triangle and Hankel matrix is then computed over Z on int scalars,
-not over Z[w], and only the Hankel closed form, which stays symbolic as the
-independent cross-check, is evaluated at it.  seq and verify reject any
+series, triangle, Hankel determinant and Hankel closed form is then
+computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
 disagreement was detected, 2 usage error.  All output is deterministic and
@@ -26,7 +25,7 @@ import json
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
-from .algebra import W, OmegaPoly, TSeries, _ints
+from .algebra import W, TSeries
 from .checks import PASS
 from .matrices import TriMatrix
 
@@ -171,31 +170,18 @@ def _cmd_hankel(args) -> int:
     if (args.alpha, args.beta) == (0, 0):
         raise UsageError("alpha and beta cannot both be zero")
     spec = hankel.HankelSpec(n, shift=shift, alpha=args.alpha, beta=args.beta)
-    det = hankel.det_fraction_free(hankel.hankel_matrix(spec, _weight(args)))
-    if shift == 0:
-        closed = hankel.shifted_hankel_closed(n, args.alpha, args.beta)
-    elif shift == 1:
-        closed = hankel.second_hankel_closed(n)
-    else:
-        closed = OmegaPoly([1])
-        for d in range(1, n + 1):
-            a = hankel.second_hankel_closed(d)
-            closed = closed + a * a
-    if args.omega is not None:
-        (det_out,) = _ints([det])
-        closed_out = closed.evaluate(args.omega)
-    else:
-        det_out, closed_out = det, closed
-    agree = det_out == closed_out
+    omega = _weight(args)
+    det, closed = hankel.hankel_det(spec, omega), hankel.hankel_closed(spec, omega)
+    agree = det == closed
     if args.format == "json":
         enc = (lambda v: v.to_json()) if args.omega is None else (lambda v: v)
-        print(_dump_json({"agree": agree, "closed_form": enc(closed_out), "determinant": enc(det_out)}))
+        print(_dump_json({"agree": agree, "closed_form": enc(closed), "determinant": enc(det)}))
     elif args.format == "csv":
         print(_csv_line(["determinant", "closed-form", "agree"]))
-        print(_csv_line([str(det_out), str(closed_out), str(agree).lower()]))
+        print(_csv_line([str(det), str(closed), str(agree).lower()]))
     else:
-        print(f"determinant: {det_out}")
-        print(f"closed-form: {closed_out}")
+        print(f"determinant: {det}")
+        print(f"closed-form: {closed}")
         print(f"agree: {str(agree).lower()}")
     return 0 if agree else 1
 

@@ -1,23 +1,39 @@
 """Exact Hankel determinants of weighted Motzkin numbers.
 
-Determinants are computed by fraction-free (Bareiss) elimination over the
-integral domain Z[w], or over Z on plain ints when the matrix is built at an
-integer weight; every interior division is exact, and a remainder raises
-InexactDivision since it can only mean an implementation bug.  A
-naive cofactor expansion is kept as a second, independent determinant
-engine for small dimensions.
+hankel_det computes det(c[i+j]) of the sequence c from the leading
+coefficients of the subresultant polynomial remainder sequence of x^(2n)
+and sum_k c[k] x^(2n-1-k), over the integral domain Z[w], or over Z on
+plain ints at an integer weight.  Each remainder keeps only the top
+coefficients that the later leading coefficients read, so the sequence
+costs O(n^2) ring operations.  A zero leading minor (a degree gap) falls
+back to fraction-free (Bareiss) elimination of the matrix.  Every interior
+division is exact, and a remainder raises InexactDivision since it can
+only mean an implementation bug.  A naive cofactor expansion is kept as a
+second, independent determinant engine for small dimensions.
 
 The determinant of (alpha*M[i+j] + beta*M[i+j+1]) has the closed form
 sum_i (-beta)^(n-i) alpha^i m[n,i] over the inverse-triangle entries m;
 that polynomial form is used here rather than any radical expression, so
-results stay exact in Z[w].
+results stay exact in Z[w].  hankel_closed builds it, and the closed forms
+of the shifted matrices, at the weight, from integer coefficients alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OP_ONE, OP_ZERO, OmegaPoly, W, _div_exact, _zero, as_opoly, binom
+from .algebra import (
+    OP_ONE,
+    OP_ZERO,
+    OmegaPoly,
+    W,
+    _at_weight,
+    _div_exact,
+    _one,
+    _zero,
+    as_opoly,
+    binom,
+)
 from .checks import PASS, CheckResult, fail
 from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
@@ -127,30 +143,86 @@ class HankelSpec:
             raise ValueError("alpha and beta cannot both be zero")
 
 
+def _sequence(spec: HankelSpec, omega) -> list:
+    """c[k] = alpha*M[k+shift] + beta*M[k+shift+1] for k < 2n-1, at the weight omega."""
+    n, shift, alpha, beta = spec.n, spec.shift, spec.alpha, spec.beta
+    mu = motzkin_series(2 * n - 1 + shift, omega)
+    return [alpha * mu.coeff(k + shift) + beta * mu.coeff(k + shift + 1) for k in range(2 * n - 1)]
+
+
 def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
     """The Hankel matrix of the Motzkin numbers at the weight omega for a HankelSpec.
 
     At an integer weight, with int alpha and beta, every entry is an int, so
     Bareiss eliminates an integer matrix.
     """
-    n, shift, alpha, beta = spec.n, spec.shift, spec.alpha, spec.beta
-    mu = motzkin_series(2 * n - 2 + shift + 1, omega)
-    seq = [alpha * mu.coeff(k) + beta * mu.coeff(k + 1) for k in range(2 * n - 1 + shift)]
-    return SquareMatrix([[seq[i + j + shift] for j in range(n)] for i in range(n)])
+    c = _sequence(spec, omega)
+    return SquareMatrix([[c[i + j] for j in range(spec.n)] for i in range(spec.n)])
 
 
-def shifted_hankel_closed(n: int, alpha, beta) -> OmegaPoly:
-    """Closed form sum_i (-beta)^(n-i) alpha^i m[n,i] for det(alpha*M + beta*M')."""
+def hankel_det(spec: HankelSpec, omega=W):
+    """det(c[i+j]) for a HankelSpec at the weight omega, of the entries' kind.
+
+    The subresultant remainder sequence of r_0 = x^(2n) and
+    r_1 = sum_k c[k] x^(2n-1-k) has, while every degree step is one,
+    r_(k+1) = prem(r_(k-1), r_k) / lc(r_(k-1))^2, and the leading minor of
+    dimension k is (-1)^(k(k-1)/2) lc(r_k).  Only the top 2(n-k)+1
+    coefficients of r_k reach lc(r_n), so each remainder is cut to those.
+    A zero leading coefficient before r_n is a zero leading minor, where
+    the sequence has a degree gap: the determinant is then taken by
+    Bareiss elimination of the matrix.
+    """
+    n = spec.n
+    b = _sequence(spec, omega)  # r_1, cut to its top 2n-1 coefficients
+    one = _one(*b)
+    a = [one] + [_zero(one)] * (2 * n)  # r_0
+    prev = one
+    for _ in range(n - 1):
+        g = b[0]
+        if not g:
+            return det_fraction_free(hankel_matrix(spec, omega))
+        a0 = a[0]
+        r0 = g * a[1] - a0 * b[1]
+        a, b, prev = b, [
+            _div_exact(g * (g * a[i + 2] - a0 * b[i + 2]) - r0 * b[i + 1], prev)
+            for i in range(len(b) - 2)
+        ], g * g
+    return -b[0] if n * (n - 1) // 2 % 2 else b[0]
+
+
+def hankel_closed(spec: HankelSpec, omega=W):
+    """The closed form of det(c[i+j]) for a HankelSpec, at the weight omega.
+
+    Shift 0 is shifted_hankel_closed; shift 1 is second_hankel_closed; shift
+    2 is 1 + sum_(d<=n) second_hankel_closed(d)^2 (hankel_recursion_check).
+    The shifted forms are for (alpha, beta) = (1, 0) only.  At an int
+    weight each term is built from its integer coefficients as an int.
+    """
+    n, shift = spec.n, spec.shift
+    if shift == 0:
+        return shifted_hankel_closed(n, spec.alpha, spec.beta, omega)
+    if (spec.alpha, spec.beta) != (1, 0):
+        raise ValueError("the shifted closed forms are for (alpha, beta) = (1, 0)")
+    if shift == 1:
+        return second_hankel_closed(n, omega)
+    acc = _one(omega)
+    for d in range(1, n + 1):
+        a = second_hankel_closed(d, omega)
+        acc = acc + a * a
+    return acc
+
+
+def shifted_hankel_closed(n: int, alpha, beta, omega=W):
+    """Closed form sum_i (-beta)^(n-i) alpha^i m[n,i] for det(alpha*M + beta*M'), at omega."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    alpha, beta = as_opoly(alpha), as_opoly(beta)
-    acc = OP_ZERO
-    apow = OP_ONE
-    bpows = [OP_ONE]
+    acc = _zero(omega)
+    apow = _one(omega)
+    bpows = [apow]
     for _ in range(n):
         bpows.append(bpows[-1] * (-beta))
     for i in range(n + 1):
-        acc = acc + bpows[n - i] * apow * inverse_motzkin_entry(n, i)
+        acc = acc + bpows[n - i] * apow * inverse_motzkin_entry(n, i, omega)
         apow = apow * alpha
     return acc
 
@@ -165,14 +237,14 @@ def shifted_hankel_binomial(n: int, alpha, beta) -> OmegaPoly:
     return acc
 
 
-def second_hankel_closed(n: int) -> OmegaPoly:
-    """det (M[i+j+1]) closed form: sum_k C(n-k,k)(-1)^k w^(n-2k)."""
+def second_hankel_closed(n: int, omega=W):
+    """det (M[i+j+1]) closed form: sum_k C(n-k,k)(-1)^k w^(n-2k), at omega."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
         coeffs[n - 2 * k] = (-1) ** k * binom(n - k, k)
-    return OmegaPoly(coeffs)
+    return _at_weight(coeffs, omega)
 
 
 def hankel_recursion_check(n: int) -> CheckResult:

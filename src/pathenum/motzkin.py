@@ -27,6 +27,7 @@ from .algebra import (
     TPoly,
     TSeries,
     W,
+    _at_weight,
     _one,
     _quotient,
     binom,
@@ -113,15 +114,15 @@ def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
     return TSeries(_quotient(numerator.coeffs, den.coeffs, order), order)
 
 
-def inverse_motzkin_entry(i: int, j: int) -> OmegaPoly:
-    """Entry (i, j) of the inverse triangle by the double-binomial sum."""
+def inverse_motzkin_entry(i: int, j: int, omega=W):
+    """Entry (i, j) of the inverse triangle by the double-binomial sum, at omega."""
     if j < 0 or j > i:
         raise IndexOutOfTriangle(f"column {j} outside triangle row {i}")
     d = i - j
     coeffs = [0] * (d + 1)
     for l in range(d // 2 + 1):
         coeffs[d - 2 * l] = (-1) ** (d - l) * binom(i - l, d - l) * binom(d - l, l)
-    return OmegaPoly(coeffs)
+    return _at_weight(coeffs, omega)
 
 
 def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:

@@ -155,6 +155,15 @@ ARGV = (
         ["seq", "delannoy", "--N", "30", "--format", "json"],
         ["seq", "delannoy", "--N", "1", "--omega", "-2"],
     ]
+    # the Hankel remainder sequence: a degree gap (a zero leading minor, so
+    # the Bareiss fallback runs), a symbolic size past the workload's, a
+    # shift-2 sum of squares at a weight, and the aerated weight zero
+    + [
+        ["hankel", "--n", "6", "--alpha", "0", "--beta", "1", "--omega", "1"],
+        ["hankel", "--n", "24", "--alpha", "2", "--beta", "-1", "--format", "json"],
+        ["hankel", "--n", "9", "--shift", "2", "--omega", "3", "--format", "csv"],
+        ["hankel", "--n", "12", "--alpha", "1", "--beta", "1", "--omega", "0"],
+    ]
 )
 
 

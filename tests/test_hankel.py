@@ -1,14 +1,19 @@
-"""Fraction-free determinants and the closed forms for Motzkin Hankel matrices."""
+"""Hankel determinants: the remainder sequence, Bareiss, cofactors and closed forms."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathenum.algebra import OP_ONE, OmegaPoly, W
+from pathenum import algebra, hankel
+from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, W
 from pathenum.hankel import (
     HankelSpec,
     det_cofactor,
     det_fraction_free,
+    hankel_closed,
+    hankel_det,
     hankel_matrix,
     hankel_recursion_check,
     leading_minor_dets,
@@ -178,3 +183,106 @@ def test_random_alpha_beta_spot_check():
         )
         for n in range(1, 10):
             assert minors[n - 1] == shifted_hankel_closed(n, a, b)
+
+
+# (shift, alpha, beta) as the CLI accepts them: a shift only with (1, 0)
+hankel_specs = st.one_of(
+    st.tuples(st.just(0), st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[1] or t[2]),
+    st.tuples(st.sampled_from([1, 2]), st.just(1), st.just(0)),
+)
+
+
+class TestRemainderSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        spec=hankel_specs,
+        omega=st.one_of(st.just(W), st.integers(-3, 4)),
+    )
+    def test_matches_bareiss_closed_form_and_cofactor(self, n, spec, omega):
+        shift, alpha, beta = spec
+        spec = HankelSpec(n, shift=shift, alpha=alpha, beta=beta)
+        det = hankel_det(spec, omega)
+        m = hankel_matrix(spec, omega)
+        assert det == det_fraction_free(m)
+        assert det == hankel_closed(spec, omega)
+        if n <= 6:
+            assert det == det_cofactor(m)
+        kind = OmegaPoly if omega is W else int
+        assert type(det) is kind
+        assert type(hankel_closed(spec, omega)) is kind
+
+    @pytest.mark.parametrize("omega", [W, 3], ids=["symbolic", "weight-3"])
+    def test_planted_remainder_raises_inexact_division(self, monkeypatch, omega):
+        # The third quotient is a coefficient of r_2; a +1 planted there must
+        # surface as a remainder when a later remainder divides by lc(r_2)^2.
+        # (A +1 planted in the sequence c itself cannot: the subresultant
+        # divisions are exact for every input sequence, so only the
+        # closed-form cross-check catches that.)
+        spec = HankelSpec(8, alpha=1, beta=1)
+        assert hankel_det(spec, omega) == hankel_closed(spec, omega)
+        real, calls = hankel._div_exact, []
+
+        def planted(a, b):
+            calls.append(b)
+            q = real(a, b)
+            return q + 1 if len(calls) == 3 else q
+
+        monkeypatch.setattr(hankel, "_div_exact", planted)
+        with pytest.raises(InexactDivision):
+            hankel_det(spec, omega)
+
+    def test_planted_sequence_term_disagrees_with_closed_form(self, monkeypatch):
+        spec = HankelSpec(8, alpha=1, beta=1)
+        real = hankel._sequence
+
+        def planted(spec, omega):
+            c = real(spec, omega)
+            c[5] = c[5] + 1
+            return c
+
+        monkeypatch.setattr(hankel, "_sequence", planted)
+        assert hankel_det(spec, W) != hankel_closed(spec, W)
+
+    def _count_bareiss(self, monkeypatch):
+        calls = []
+        real = hankel.det_fraction_free
+
+        def counted(m):
+            calls.append(m.n)
+            return real(m)
+
+        monkeypatch.setattr(hankel, "det_fraction_free", counted)
+        return calls
+
+    def test_degree_gap_falls_back_to_bareiss(self, monkeypatch):
+        # At weight 1, (alpha, beta) = (0, 1) has H_2 = 0 but H_6 = 1.
+        calls = self._count_bareiss(monkeypatch)
+        assert hankel_det(HankelSpec(2, alpha=0, beta=1), 1) == 0
+        assert calls == []  # a zero last minor is read off, not a gap
+        assert hankel_det(HankelSpec(6, alpha=0, beta=1), 1) == 1
+        assert calls == [6]
+
+    def test_normal_case_never_runs_bareiss(self, monkeypatch):
+        calls = self._count_bareiss(monkeypatch)
+        spec = HankelSpec(20, alpha=1, beta=1)
+        assert hankel_det(spec, W) == shifted_hankel_closed(20, 1, 1)
+        assert calls == []
+
+    def test_integer_weight_builds_no_omega_poly(self, monkeypatch):
+        # Every OmegaPoly operation and constructor goes through a kernel
+        # bound in algebra; at an int weight none may run.
+        def forbidden(*args):
+            raise AssertionError("an OmegaPoly was built at an integer weight")
+
+        for name in ("vnorm", "vadd", "vsub", "vneg", "vmul", "vscale", "vdivexact",
+                     "vdivexact_int", "veval"):
+            monkeypatch.setattr(algebra, name, forbidden)
+        monkeypatch.setattr(algebra, "_raw", forbidden)
+        for shift, alpha, beta in [(0, 1, 1), (0, 2, -1), (0, 0, 1), (1, 1, 0), (2, 1, 0)]:
+            spec = HankelSpec(9, shift=shift, alpha=alpha, beta=beta)
+            assert hankel_det(spec, 2) == hankel_closed(spec, 2)
+
+    def test_shifted_closed_forms_need_the_plain_spec(self):
+        with pytest.raises(ValueError):
+            hankel_closed(HankelSpec(3, shift=1, alpha=2))
