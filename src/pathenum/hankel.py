@@ -8,8 +8,8 @@ coefficients that the later leading coefficients read, so the sequence
 costs O(n^2) ring operations.  A zero leading minor (a degree gap) falls
 back to fraction-free (Bareiss) elimination of the matrix.  Every interior
 division is exact, and a remainder raises InexactDivision since it can
-only mean an implementation bug.  A naive cofactor expansion is kept as a
-second, independent determinant engine for small dimensions.
+only mean an implementation bug.  The tests check both engines against a
+naive cofactor expansion at small dimensions.
 
 The determinant of (alpha*M[i+j] + beta*M[i+j+1]) has the closed form
 sum_i (-beta)^(n-i) alpha^i m[n,i] over the inverse-triangle entries m;
@@ -83,28 +83,6 @@ def det_fraction_free(m: SquareMatrix):
     if len(pivots) < m.n:
         return _zero(m.rows[0][0])
     return pivots[-1] if sign == 1 else -pivots[-1]
-
-
-def det_cofactor(m: SquareMatrix):
-    """Determinant by cofactor expansion; exponential, for cross-checks only."""
-
-    def rec(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = _zero(rows[0][0])
-        sign = 1
-        for j in range(len(rows)):
-            c = rows[0][j]
-            if c:
-                sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                term = c * rec(sub)
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        return acc
-
-    if m.n == 0:
-        return 1
-    return rec([list(r) for r in m.rows])
 
 
 def leading_minor_dets(m: SquareMatrix) -> list:

@@ -10,11 +10,12 @@ engine in the schroder module.  The grand (unrestricted-height) series is
 equals (1 - w*t - 2*t^2*mu) / ((1 - w*t)^2 - 4*t^2), and every grand column
 reduces to the same form (c0 + c1*mu) / D with short polynomials c0, c1.
 
-The inverse of the Motzkin triangle is produced three independent ways: a
-Gegenbauer-type double-binomial sum, a three-term recurrence with exact
-integer divisions, and plain triangular inversion.  The row polynomials of
-the inverse supply numerator and denominator of the generating function of
-path counts confined to 0 <= y < k.
+The inverse of the Motzkin triangle has one production construction (the
+band polynomials: row i holds the coefficients of P_i) and three
+cross-checks: a Gegenbauer-type double-binomial sum, a three-term recurrence
+with exact integer divisions, and plain triangular inversion.  The row
+polynomials of the inverse supply numerator and denominator of the
+generating function of path counts confined to 0 <= y < k.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .algebra import (
 from .checks import PASS, CheckResult, fail
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
-from .schroder import _band_polys, _banded, _column, _count_triangle, _series
+from .schroder import _band_polys, _banded, _column, _count_triangle, _row_triangle, _series
 
 
 def motzkin_series(order: int, omega=W) -> TSeries:
@@ -46,24 +47,6 @@ def motzkin_series(order: int, omega=W) -> TSeries:
 def grand_motzkin_series(order: int, omega=W) -> TSeries:
     """Weighted grand Motzkin numbers G_n as a series."""
     return grand_column_gf(0, order, omega)
-
-
-def catalan(n: int) -> int:
-    """Catalan number C_n."""
-    return binom(2 * n, n) // (n + 1)
-
-
-def motzkin_closed(n: int) -> OmegaPoly:
-    """M_n by the explicit binomial-Catalan sum (coefficient of w^(n-2k))."""
-    coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = binom(n, 2 * k) * catalan(k)
-    return OmegaPoly(coeffs)
-
-
-def motzkin_from_catalan(n: int) -> int:
-    """Weight-1 Motzkin number as the alternating binomial transform of C_{k+1}."""
-    return sum(binom(n, k) * (-1) ** (n - k) * catalan(k + 1) for k in range(n + 1))
 
 
 def motzkin_matrix(n: int, omega=W) -> TriMatrix:
@@ -142,8 +125,14 @@ def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:
 
 
 def inverse_motzkin_matrix(n: int, omega=W) -> TriMatrix:
-    """Inverse of the n x n Motzkin triangle by forward substitution."""
-    return motzkin_matrix(n, omega).inverse_unit_lower()
+    """Inverse of the n x n Motzkin triangle, read off the band polynomials.
+
+    Row i holds the coefficients of P_i of the (1, 2) family: entry (i, j) is
+    the coefficient of t^(i-j).  Inverting motzkin_matrix by forward
+    substitution and the closed-form entries inverse_motzkin_entry are the
+    cross-checks.
+    """
+    return _row_triangle(n, _band_polys(1, 2, n - 1, omega))
 
 
 def inverse_motzkin_poly(k: int) -> TPoly:

@@ -16,10 +16,19 @@ polynomials, built by their three-term recursion
 (the continuants of the band's continued fraction, constant term 1): the
 column ending at height j is (mu P_j - P_(j-1)) / t^j, one product of mu
 with a short polynomial, and the counts confined to 0 <= y < k have
-generating function P_(k-1)/P_k.  The compressed triangle, its inverse
-(via Lagrange inversion in closed form), Delannoy numbers and polynomials,
-and the band theorem linking the band generating function to the
-top-of-band column (the Laurent split of t^(-k) S s_(k-1)) also live here.
+generating function P_(k-1)/P_k.  The band polynomials are also the rows
+of both inverse triangles, the entry (i, j) being the coefficient of
+t^(i-j) in
+
+    P_i                   of the (1, 2) family, for the inverse Motzkin triangle,
+    P_i - t P_(i-1)       of the (1, 1) family, for the inverse compressed
+                          Schroeder triangle,
+
+with triangular inversion of the count triangles as the cross-check.  The
+compressed triangle, the closed form of its inverse (via Lagrange
+inversion), Delannoy numbers and polynomials, and the band theorem linking
+the band generating function to the top-of-band column (the Laurent split
+of t^(-k) S s_(k-1)) also live here.
 
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
@@ -125,6 +134,17 @@ def _banded(a: int, b: int, k: int, omega=W) -> RationalGF:
     return RationalGF(family[k - 1], family[k])
 
 
+def _row_triangle(n: int, rows: list) -> TriMatrix:
+    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in rows[i].
+
+    The coefficients are read with TPoly.coeff, which pads with zeros: a top
+    coefficient can vanish at an int weight (P_1 = 1 - omega t at omega = 0).
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    return TriMatrix([[rows[i].coeff(i - j) for j in range(i + 1)] for i in range(n)])
+
+
 def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
     """n x n oracle triangle; entry (i, j) counts paths to (w i - (w-1) j, j).
 
@@ -202,7 +222,7 @@ def schroder_matrix_compressed(n: int, omega=W) -> TriMatrix:
     return _count_triangle(PathSpec.quadrant(w=2), n, omega)
 
 
-def inverse_schroder_entry(k: int, j: int, omega=W) -> OmegaPoly:
+def inverse_schroder_entry(k: int, j: int, omega=W):
     """Entry s[k,j] of the inverse compressed triangle, in closed form.
 
     s[k,j] = (-1)^(k-j) sum_m C(k+1-2m, k-j-m) (j+1)/(k-m+1) C(k-m+1, m)
@@ -210,7 +230,7 @@ def inverse_schroder_entry(k: int, j: int, omega=W) -> OmegaPoly:
 
     The rational factors always cancel: each term is one exact integer
     division, and a remainder raises InexactDivision (bug sentinel, not a
-    data error).
+    data error).  The entry is an OmegaPoly at W and an int at an int weight.
     """
     if j < 0 or j > k:
         raise IndexOutOfTriangle(f"column {j} outside triangle row {k}")
@@ -236,8 +256,15 @@ def inverse_schroder_poly(n: int, omega=W) -> TPoly:
 
 
 def inverse_schroder_matrix(n: int, omega=W) -> TriMatrix:
-    """Inverse of the compressed triangle by forward substitution."""
-    return schroder_matrix_compressed(n, omega).inverse_unit_lower()
+    """Inverse of the n x n compressed triangle, read off the band polynomials.
+
+    Row i holds the coefficients of P_i - t P_(i-1) of the (1, 1) family
+    (P_(-1) = 0): entry (i, j) is the coefficient of t^(i-j).  Inverting
+    schroder_matrix_compressed by forward substitution and the closed-form
+    entries inverse_schroder_entry are the cross-checks.
+    """
+    family = _band_polys(1, 1, n - 1, omega)
+    return _row_triangle(n, [p - q.shift(1) for q, p in zip([TPoly(())] + family, family)])
 
 
 def inverse_schroder_column_gf(k: int, order: int) -> TSeries:

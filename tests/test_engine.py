@@ -9,8 +9,10 @@ engine, and against independent constructions: the quadratic fixed-point
 recursion below (the engine's series before the linear recurrence), the
 Riordan power mu^(j+1), the grand series as a series inverse times a power
 of t*mu, and the band polynomials of the three-term recursion against their
-closed sum.  Every builder run at an integer weight is checked against the
-symbolic builder evaluated at that weight.
+closed sum.  The inverse triangles, read off the band polynomials, are
+checked against triangular inversion of the count triangles and against
+their closed-form entries.  Every builder run at an integer weight is
+checked against the symbolic builder evaluated at that weight.
 """
 
 import pytest
@@ -29,10 +31,25 @@ from pathenum.algebra import (
     binom,
 )
 from pathenum.hankel import HankelSpec, det_fraction_free, hankel_matrix
-from pathenum.matrices import SquareMatrix
-from pathenum.motzkin import grand_column_gf, motzkin_column_gf, motzkin_series
+from pathenum.matrices import SquareMatrix, TriMatrix
+from pathenum.motzkin import (
+    grand_column_gf,
+    inverse_motzkin_entry,
+    inverse_motzkin_matrix,
+    motzkin_column_gf,
+    motzkin_matrix,
+    motzkin_series,
+)
 from pathenum.oracle import BANDED, GRAND, CountTable, PathSpec, compressed_series
-from pathenum.schroder import _band_polys, _banded, _column, _series
+from pathenum.schroder import (
+    _band_polys,
+    _banded,
+    _column,
+    _series,
+    inverse_schroder_entry,
+    inverse_schroder_matrix,
+    schroder_matrix_compressed,
+)
 
 
 def _fixed_point(a: int, b: int, order: int) -> TSeries:
@@ -152,6 +169,32 @@ def test_grand_columns_match_product_and_oracle(j, order):
     assert list(column.coeffs) == [table.value(n, j) for n in range(order + 1)]
 
 
+INVERSES = (
+    (inverse_motzkin_matrix, motzkin_matrix, inverse_motzkin_entry),
+    (inverse_schroder_matrix, schroder_matrix_compressed, inverse_schroder_entry),
+)
+
+
+@fuzz
+@given(n=st.integers(1, 30), omega=st.sampled_from([W] + list(range(-3, 5))))
+def test_inverse_triangles_match_inversion_and_closed_entries(n, omega):
+    # The band-polynomial rows, forward substitution on the count triangle
+    # and the closed-form entries are three independent constructions.
+    size = min(n, 20) if omega is W else n
+    for build, triangle, entry in INVERSES:
+        got = build(size, omega)
+        assert got == triangle(size, omega).inverse_unit_lower(), build.__name__
+        closed = TriMatrix([[entry(i, j, omega) for j in range(i + 1)] for i in range(size)])
+        assert got == closed, build.__name__
+
+
+@pytest.mark.parametrize("omega", [W, 2])
+@pytest.mark.parametrize("build", [inverse_motzkin_matrix, inverse_schroder_matrix])
+def test_inverse_triangles_reject_dimension_zero(build, omega):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        build(0, omega)
+
+
 def test_planted_coefficient_raises_inexact_division(monkeypatch):
     # 2(n+b) mu_n is divided by 2(n+b) = 24 at n = 10 of the Motzkin family;
     # a +1 planted in that quotient must surface as a remainder downstream.
@@ -217,28 +260,30 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
             _column(a, b, j, order, omega),
             _banded(a, b, k, omega).expand(order),
             grand_column_gf(j, order, omega),
+            inverse_motzkin_matrix(n, omega),
+            inverse_schroder_matrix(n, omega),
             hankel_matrix(spec, omega),
         ] + [CountTable(path_spec, size, omega) for path_spec in specs]
         kind = OmegaPoly if omega is W else int
         for value in built[omega]:
             assert all(type(c) is kind for c in _scalars(value)), (omega, value)
     at_x, symbolic = built[x], built[W]
-    for got, want in zip(at_x[:4], symbolic[:4]):
+    for got, want in zip(at_x[:6], symbolic[:6]):
         assert got == want.eval_omega(x)
-    for path_spec, table, table_w in zip(specs, at_x[5:], symbolic[5:]):
+    for path_spec, table, table_w in zip(specs, at_x[7:], symbolic[7:]):
         for m in range(size + 1):
             for y in _heights(path_spec, m):
                 assert table.value(m, y) == table_w.value(m, y).evaluate(x), (path_spec, m, y)
         assert table.recursion_holds()
-    det = det_fraction_free(at_x[4])
+    det = det_fraction_free(at_x[6])
     assert type(det) is int
-    assert det == det_fraction_free(symbolic[4]).evaluate(x)
+    assert det == det_fraction_free(symbolic[6]).evaluate(x)
 
 
 def _scalars(value):
     """Every scalar a built value holds."""
     if isinstance(value, CountTable):
         return [c for col in value._cols for c in col]
-    if isinstance(value, SquareMatrix):
+    if isinstance(value, (SquareMatrix, TriMatrix)):
         return [c for row in value.rows for c in row]
     return value.coeffs

@@ -164,6 +164,17 @@ ARGV = (
         ["hankel", "--n", "9", "--shift", "2", "--omega", "3", "--format", "csv"],
         ["hankel", "--n", "12", "--alpha", "1", "--beta", "1", "--omega", "0"],
     ]
+    # the inverse triangles read off the band polynomials: symbolic sizes past
+    # the workload's, large int weights, a weight where a top coefficient of
+    # a row polynomial vanishes, and an empty matrix
+    + [
+        ["matrix", "motzkin-inverse", "--n", "24"],
+        ["matrix", "schroder-inverse", "--n", "20", "--format", "json"],
+        ["matrix", "motzkin-inverse", "--n", "40", "--omega", "-2", "--format", "csv"],
+        ["matrix", "schroder-inverse", "--n", "40", "--omega", "3"],
+        ["matrix", "motzkin-inverse", "--n", "7", "--omega", "0"],
+        ["matrix", "schroder-inverse", "--n", "0"],
+    ]
 )
 
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathenum import algebra, hankel
-from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, W
+from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, W, _zero
 from pathenum.hankel import (
     HankelSpec,
-    det_cofactor,
     det_fraction_free,
     hankel_closed,
     hankel_det,
@@ -24,6 +23,28 @@ from pathenum.hankel import (
 from pathenum.matrices import SquareMatrix
 from pathenum.motzkin import motzkin_series
 from conftest import random_opoly
+
+
+def det_cofactor(m: SquareMatrix):
+    """Determinant by cofactor expansion; exponential, for cross-checks only."""
+
+    def rec(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = _zero(rows[0][0])
+        sign = 1
+        for j in range(len(rows)):
+            c = rows[0][j]
+            if c:
+                sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
+                term = c * rec(sub)
+                acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+        return acc
+
+    if m.n == 0:
+        return 1
+    return rec([list(r) for r in m.rows])
 
 
 class TestDeterminantEngine:

@@ -9,11 +9,11 @@ from pathenum.algebra import (
     TPoly,
     TSeries,
     W,
+    binom,
 )
 from pathenum.motzkin import (
     banded_motzkin_gf,
     banded_motzkin_recursion_check,
-    catalan,
     first_return_check,
     grand_column_gf,
     grand_matrix,
@@ -22,15 +22,31 @@ from pathenum.motzkin import (
     inverse_motzkin_entry_rec,
     inverse_motzkin_matrix,
     inverse_motzkin_poly,
-    motzkin_closed,
     motzkin_column_gf,
-    motzkin_from_catalan,
     motzkin_matrix,
     motzkin_series,
     verify_lemma,
     verify_orthogonality,
 )
 from pathenum.oracle import CountTable, IndexOutOfTriangle, PathSpec, oracle_series
+
+
+def catalan(n: int) -> int:
+    """Catalan number C_n."""
+    return binom(2 * n, n) // (n + 1)
+
+
+def motzkin_closed(n: int) -> OmegaPoly:
+    """M_n by the explicit binomial-Catalan sum (coefficient of w^(n-2k))."""
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = binom(n, 2 * k) * catalan(k)
+    return OmegaPoly(coeffs)
+
+
+def motzkin_from_catalan(n: int) -> int:
+    """Weight-1 Motzkin number as the alternating binomial transform of C_{k+1}."""
+    return sum(binom(n, k) * (-1) ** (n - k) * catalan(k + 1) for k in range(n + 1))
 
 MU_ROW = [
     OmegaPoly([1]),
