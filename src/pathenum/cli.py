@@ -11,6 +11,13 @@ below its suite's domain.  Exit codes: 0 success, 1 a mathematical
 disagreement was detected, 2 usage error.  All output is deterministic and
 large integers are printed in full decimal.
 
+Each seq family, band family, matrix kind and verify suite is declared
+once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
+the flags it reads and its builder or checks; the parser's choices, the
+flag checks and the dispatch all read these tables.  An entry looks its
+builder up through its module at each call, so a function replaced there
+(as a test or a tracer does) is the one that runs.
+
 The argument parser is built once per process, on first use.  It records
 the subcommand's name, and main looks up its _cmd_ function at each call.
 """
@@ -60,85 +67,80 @@ def _csv_line(row) -> str:
     return buf.getvalue()
 
 
-def _emit_series(ts: TSeries, omega, fmt: str) -> str:
-    if omega is None:
-        if fmt == "plain":
-            return "; ".join(str(c) for c in ts.coeffs)
-        if fmt == "csv":
-            return _csv_line([str(c) for c in ts.coeffs])
-        return _dump_json(ts.to_json())
-    values = ts.int_coeffs()  # raises if the weight was not bound in the builder
-    if fmt == "plain":
-        return " ".join(str(v) for v in values)
+def _line(values, omega, fmt: str) -> str:
+    """One plain or csv line: polynomials in w are joined by "; ", ints by " "."""
     if fmt == "csv":
         return _csv_line(values)
-    return _dump_json({"order": ts.order, "values": values})
+    return ("; " if omega is None else " ").join(str(v) for v in values)
+
+
+def _emit_series(ts: TSeries, omega, fmt: str) -> str:
+    # int_coeffs raises if the weight was not bound in the builder
+    values = ts.coeffs if omega is None else ts.int_coeffs()
+    if fmt == "json":
+        return _dump_json(ts.to_json() if omega is None else {"order": ts.order, "values": values})
+    return _line(values, omega, fmt)
 
 
 def _emit_matrix(m: TriMatrix, omega, fmt: str) -> str:
-    if omega is not None:
-        rows = m.int_rows()  # raises if the weight was not bound in the builder
-        if fmt == "plain":
-            return "\n".join(" ".join(str(v) for v in row) for row in rows)
-        if fmt == "csv":
-            return "\n".join(_csv_line(row) for row in rows)
+    rows = m.rows if omega is None else m.int_rows()  # int_rows raises likewise
+    if fmt == "json":
+        if omega is None:
+            rows = [[e.to_json() for e in row] for row in rows]
         return _dump_json({"n": m.n, "rows": rows})
-    if fmt == "plain":
-        return "\n".join("; ".join(str(e) for e in row) for row in m.rows)
-    if fmt == "csv":
-        return "\n".join(_csv_line([str(e) for e in row]) for row in m.rows)
-    return _dump_json({"n": m.n, "rows": [[e.to_json() for e in row] for row in m.rows]})
+    return "\n".join(_line(row, omega, fmt) for row in rows)
 
 
-# The optional flags each seq family reads; any other flag given is an error.
-# banded also reads --w when its --family is w-path.
-_SEQ_FLAGS = {
-    "motzkin": ("j",),
-    "grand-motzkin": ("j",),
-    "w-path": ("j", "w"),
-    "schroder-compressed": ("j",),
-    "delannoy": (),
-    "banded": ("k", "family"),
+def _step(w: int) -> int:
+    if w < 1:
+        raise UsageError("--w must be a positive step length")
+    return w
+
+
+def _banded(n, omega, k, family, **flags):
+    if k is None or k < 1:
+        raise UsageError("banded sequences require a band height --k >= 1")
+    return _BAND[family][1](k, n, omega, **flags)
+
+
+# Each seq family: (the optional flags it reads, as {flag: default}, and its
+# builder(order, omega, **flags)); any other flag given is an error.  A family
+# that reads --family also reads the flags of the band family it names.
+_SEQ = {
+    "motzkin": ({"j": 0}, lambda n, omega, j: motzkin.motzkin_column_gf(j, n, omega)),
+    "grand-motzkin": ({"j": 0}, lambda n, omega, j: motzkin.grand_column_gf(j, n, omega)),
+    "w-path": ({"j": 0, "w": 1},
+               lambda n, omega, j, w: schroder.w_column_gf(j, _step(w), n, omega)),
+    "schroder-compressed": ({"j": 0},
+                            lambda n, omega, j: schroder.compressed_column_gf(j, n, omega)),
+    "delannoy": ({}, lambda n, omega: schroder.central_delannoy_series(n, omega)),
+    "banded": ({"k": None, "family": "motzkin"}, _banded),
+}
+
+# Each band family of seq banded, in the same form: its builder takes (k, order, omega).
+_BAND = {
+    "motzkin": ({}, lambda k, n, omega: motzkin.banded_motzkin_gf(k, omega).expand(n)),
+    "schroder": ({}, lambda k, n, omega: schroder.banded_schroder_series(k, n, omega)),
+    "w-path": ({"w": 1},
+               lambda k, n, omega, w: schroder.banded_w_gf(k, _step(w), omega).expand(n)),
 }
 
 
 def _seq_series(args) -> TSeries:
-    family, order = args.family, args.N
-    reads = _SEQ_FLAGS[family]
-    if family == "banded" and args.band_family == "w-path":
-        reads += ("w",)
-    for flag, value in (("k", args.k), ("w", args.w), ("j", args.j), ("family", args.band_family)):
+    family = args.family
+    reads, build = _SEQ[family]
+    given = {"k": args.k, "w": args.w, "j": args.j, "family": args.band_family}
+    if "family" in reads:
+        reads = {**reads, **_BAND[args.band_family or reads["family"]][0]}
+    for flag, value in given.items():
         if value is not None and flag not in reads:
             raise UsageError(f"seq {family} does not read --{flag}")
-    j = 0 if args.j is None else args.j
-    w = 1 if args.w is None else args.w
-    omega = _weight(args)
-    if order < 0:
+    if args.N < 0:
         raise UsageError("--N must be nonnegative")
-    if j < 0:
+    bound = {flag: default if given[flag] is None else given[flag] for flag, default in reads.items()}
+    if bound.get("j", 0) < 0:
         raise UsageError("--j must be nonnegative")
-    if family == "motzkin":
-        return motzkin.motzkin_column_gf(j, order, omega)
-    if family == "grand-motzkin":
-        return motzkin.grand_column_gf(j, order, omega)
-    if family == "w-path":
-        if w < 1:
-            raise UsageError("--w must be a positive step length")
-        return schroder.w_column_gf(j, w, order, omega)
-    if family == "schroder-compressed":
-        return schroder.compressed_column_gf(j, order, omega)
-    if family == "delannoy":
-        return schroder.central_delannoy_series(order, omega)
-    # banded
-    if args.k is None or args.k < 1:
-        raise UsageError("banded sequences require a band height --k >= 1")
-    if args.band_family in (None, "motzkin"):
-        return motzkin.banded_motzkin_gf(args.k, omega).expand(order)
-    if args.band_family == "schroder":
-        return schroder.banded_schroder_series(args.k, order, omega)
-    if w < 1:
-        raise UsageError("--w must be a positive step length")
-    return schroder.banded_w_gf(args.k, w, omega).expand(order)
+    return build(args.N, _weight(args), **bound)
 
 
 def _cmd_seq(args) -> int:
@@ -146,17 +148,20 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+# Each matrix kind: its builder(n, omega).
+_MATRIX = {
+    "motzkin": lambda n, omega: motzkin.motzkin_matrix(n, omega),
+    "motzkin-inverse": lambda n, omega: motzkin.inverse_motzkin_matrix(n, omega),
+    "schroder": lambda n, omega: schroder.schroder_matrix_compressed(n, omega),
+    "schroder-inverse": lambda n, omega: schroder.inverse_schroder_matrix(n, omega),
+    "grand": lambda n, omega: motzkin.grand_matrix(n, omega),
+}
+
+
 def _cmd_matrix(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    build = {
-        "motzkin": motzkin.motzkin_matrix,
-        "motzkin-inverse": motzkin.inverse_motzkin_matrix,
-        "schroder": schroder.schroder_matrix_compressed,
-        "schroder-inverse": schroder.inverse_schroder_matrix,
-        "grand": motzkin.grand_matrix,
-    }[args.kind]
-    print(_emit_matrix(build(args.n, _weight(args)), args.omega, args.format))
+    print(_emit_matrix(_MATRIX[args.kind](args.n, _weight(args)), args.omega, args.format))
     return 0
 
 
@@ -191,70 +196,58 @@ def _first_failure(results):
     return next((r for r in results if not r), PASS)
 
 
-# The flags each verify suite reads, as flag: (least accepted value, default),
-# in the order `verify all` runs the suites; any other flag given is an error.
-_VERIFY_FLAGS = {
-    "lemma": {"max": (1, 12)},
-    "orthogonality": {"max": (1, 12)},
-    "banded-recursion": {"k": (1, 6), "N": (0, 30)},
-    "first-return": {"N": (0, 30)},
-    "delannoy": {"N": (1, 15)},
-    "bridge": {"N": (1, 20)},
-    "gould": {"k": (0, 20)},
-    "theorem-schroeder": {"k": (2, 4), "N": (0, 12)},
+def _theorem_schroeder(k, N):
+    product = schroder.band_times_s(k, N)
+    result = schroder.theorem_schroeder_check(k, N, product)
+    extra = ["regular coefficients: " + " ".join(str(c) for c in product.coeffs[k:])] if result else []
+    yield f"theorem-schroeder (k={k}, order {N})", result, extra
+
+
+# Each verify suite, in the order `verify all` runs them: (the flags it reads,
+# as {flag: (least accepted value, default)}, and its checks(**flags), which
+# yield (name, CheckResult, extra output lines)); any other flag is an error.
+_VERIFY = {
+    "lemma": ({"max": (1, 12)}, lambda max: [
+        (f"lemma (i, j <= {max})", motzkin.verify_lemma(max), [])]),
+    "orthogonality": ({"max": (1, 12)}, lambda max: [
+        (f"orthogonality (j <= {max})", motzkin.verify_orthogonality(max), [])]),
+    "banded-recursion": ({"k": (1, 6), "N": (0, 30)}, lambda k, N: (
+        (f"banded-recursion (k={band}, n <= {N})",
+         motzkin.banded_motzkin_recursion_check(band, N), [])
+        for band in range(1, k + 1))),
+    "first-return": ({"N": (0, 30)}, lambda N: [
+        (f"first-return (n <= {N})", motzkin.first_return_check(N), [])]),
+    "delannoy": ({"N": (1, 15)}, lambda N: [
+        (f"delannoy-recursion (n, j <= {N})", schroder.delannoy_recursion_check(N), [])]),
+    "bridge": ({"N": (1, 20)}, lambda N: [
+        (f"delannoy-s-bridge (n <= {N})", schroder.delannoy_s_bridge_check(N), [])]),
+    "gould": ({"k": (0, 20)}, lambda k: [
+        (f"gould-carlitz (k <= {k})", _first_failure(
+            schroder.gould_identity_check(top, m)
+            for top in range(k + 1) for m in range(top // 2 + 1)), [])]),
+    "theorem-schroeder": ({"k": (2, 4), "N": (0, 12)}, _theorem_schroeder),
 }
 
 
 def _verify_selected(args):
     """Yield (name, CheckResult, extra_output_lines) for the selected suite."""
     which = args.which
-    suites = list(_VERIFY_FLAGS) if which == "all" else [which]
+    suites = list(_VERIFY) if which == "all" else [which]
     for flag in ("max", "k", "N"):
         value = getattr(args, flag)
         if value is None:
             continue
-        readers = [suite for suite in suites if flag in _VERIFY_FLAGS[suite]]
+        readers = [suite for suite in suites if flag in _VERIFY[suite][0]]
         if not readers:
             raise UsageError(f"verify {which} does not read --{flag}")
         for suite in readers:
-            least = _VERIFY_FLAGS[suite][flag][0]
+            least = _VERIFY[suite][0][flag][0]
             if value < least:
                 raise UsageError(f"verify {suite} requires --{flag} >= {least}")
     for suite in suites:
-        bound = {
-            flag: default if getattr(args, flag) is None else getattr(args, flag)
-            for flag, (_, default) in _VERIFY_FLAGS[suite].items()
-        }
-        k, n = bound.get("k"), bound.get("N", bound.get("max"))  # no suite reads both
-        if suite == "lemma":
-            yield f"lemma (i, j <= {n})", motzkin.verify_lemma(n), []
-        elif suite == "orthogonality":
-            yield f"orthogonality (j <= {n})", motzkin.verify_orthogonality(n), []
-        elif suite == "banded-recursion":
-            for band in range(1, k + 1):
-                yield (
-                    f"banded-recursion (k={band}, n <= {n})",
-                    motzkin.banded_motzkin_recursion_check(band, n),
-                    [],
-                )
-        elif suite == "first-return":
-            yield f"first-return (n <= {n})", motzkin.first_return_check(n), []
-        elif suite == "delannoy":
-            yield f"delannoy-recursion (n, j <= {n})", schroder.delannoy_recursion_check(n), []
-        elif suite == "bridge":
-            yield f"delannoy-s-bridge (n <= {n})", schroder.delannoy_s_bridge_check(n), []
-        elif suite == "gould":
-            checks = (schroder.gould_identity_check(top, m)
-                      for top in range(k + 1) for m in range(top // 2 + 1))
-            yield f"gould-carlitz (k <= {k})", _first_failure(checks), []
-        else:  # theorem-schroeder
-            product = schroder.band_times_s(k, n)
-            result = schroder.theorem_schroeder_check(k, n, product)
-            extra = []
-            if result:
-                regular = product.coeffs[k:]
-                extra.append("regular coefficients: " + " ".join(str(c) for c in regular))
-            yield f"theorem-schroeder (k={k}, order {n})", result, extra
+        reads, checks = _VERIFY[suite]
+        yield from checks(**{flag: default if getattr(args, flag) is None else getattr(args, flag)
+                             for flag, (_, default) in reads.items()})
 
 
 def _cmd_verify(args) -> int:
@@ -320,25 +313,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p_seq = sub.add_parser("seq", help="coefficient sequences")
-    p_seq.add_argument(
-        "family",
-        choices=("motzkin", "grand-motzkin", "w-path", "schroder-compressed", "delannoy", "banded"),
-    )
+    p_seq.add_argument("family", choices=tuple(_SEQ))
     p_seq.add_argument("--N", type=int, required=True, help="highest index (inclusive)")
     p_seq.add_argument("--k", type=int, help="band height (banded family)")
     p_seq.add_argument("--w", type=int, help="horizontal step length (w-path; default 1)")
     p_seq.add_argument("--j", type=int, help="ending height (column sequences; default 0)")
     p_seq.add_argument(
-        "--family", dest="band_family", choices=("motzkin", "schroder", "w-path"),
+        "--family", dest="band_family", choices=tuple(_BAND),
         help="path family for banded sequences (default motzkin)",
     )
     add_common(p_seq)
 
     p_mat = sub.add_parser("matrix", help="triangular matrices")
-    p_mat.add_argument(
-        "kind",
-        choices=("motzkin", "motzkin-inverse", "schroder", "schroder-inverse", "grand"),
-    )
+    p_mat.add_argument("kind", choices=tuple(_MATRIX))
     p_mat.add_argument("--n", type=int, required=True, help="dimension")
     add_common(p_mat)
 
@@ -350,13 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_han)
 
     p_ver = sub.add_parser("verify", help="identity verification suites")
-    p_ver.add_argument(
-        "which",
-        choices=(
-            "lemma", "orthogonality", "banded-recursion", "first-return",
-            "delannoy", "bridge", "gould", "theorem-schroeder", "all",
-        ),
-    )
+    p_ver.add_argument("which", choices=(*_VERIFY, "all"))
     p_ver.add_argument("--max", type=int, help="index bound of lemma and orthogonality (default 12)")
     p_ver.add_argument("--k", type=int, help="band height / upper index bound")
     p_ver.add_argument("--N", type=int, help="horizon / truncation order")
@@ -371,9 +352,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.typo_ledger and args.command:
+        print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
+        return 2
     if args.typo_ledger:
         return _cmd_typo_ledger()
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 2
     # Values are printed in full decimal, past Python's default limit on

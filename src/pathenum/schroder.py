@@ -50,7 +50,6 @@ from fractions import Fraction
 
 from .algebra import (
     InexactDivision,
-    OmegaPoly,
     RationalGF,
     TPoly,
     TSeries,
@@ -282,8 +281,11 @@ def inverse_schroder_column_gf(k: int, order: int) -> TSeries:
     return RationalGF(num, den).expand(order)
 
 
-def delannoy_number(n: int, k: int, omega=W) -> OmegaPoly:
-    """Weighted Delannoy number D(n,k) = sum_l C(k,l) C(n+k-l, k) omega^l."""
+def delannoy_number(n: int, k: int, omega=W):
+    """Weighted Delannoy number D(n,k) = sum_l C(k,l) C(n+k-l, k) omega^l.
+
+    An OmegaPoly at W and an int at an int weight.
+    """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     return _at_weight([binom(k, l) * binom(n + k - l, k) for l in range(min(n, k) + 1)], omega)

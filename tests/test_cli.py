@@ -338,6 +338,62 @@ class TestVerify:
         assert out.startswith(f"PASS {name}\n")
 
 
+class TestUsageErrorText:
+    """Every UsageError the CLI raises, pinned as its full stderr line.
+
+    The cases also pin the order of the checks: seq rejects an unread flag
+    (k, w, j, family) before --N, --N before --j, and --j before the family's
+    own checks; verify checks every given flag (max, k, N) against every
+    selected suite before any suite runs.  argparse's own errors are left
+    out, because their usage text depends on the terminal width.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # seq: an unread flag, in the order k, w, j, family
+            (["seq", "motzkin", "--N", "-1", "--k", "2", "--w", "0"],
+             "seq motzkin does not read --k"),
+            (["seq", "grand-motzkin", "--N", "3", "--w", "2", "--family", "schroder"],
+             "seq grand-motzkin does not read --w"),
+            (["seq", "delannoy", "--N", "-1", "--j", "-1"], "seq delannoy does not read --j"),
+            (["seq", "schroder-compressed", "--N", "3", "--family", "motzkin"],
+             "seq schroder-compressed does not read --family"),
+            (["seq", "banded", "--family", "schroder", "--k", "2", "--N", "3", "--w", "2"],
+             "seq banded does not read --w"),
+            (["seq", "banded", "--k", "0", "--N", "-1", "--j", "1"],
+             "seq banded does not read --j"),
+            # seq: --N, then --j, then the family's own checks
+            (["seq", "motzkin", "--N", "-1", "--j", "-1"], "--N must be nonnegative"),
+            (["seq", "banded", "--N", "-1"], "--N must be nonnegative"),
+            (["seq", "w-path", "--N", "3", "--j", "-1", "--w", "0"], "--j must be nonnegative"),
+            (["seq", "w-path", "--N", "3", "--w", "0"], "--w must be a positive step length"),
+            (["seq", "banded", "--family", "w-path", "--k", "2", "--N", "3", "--w", "-1"],
+             "--w must be a positive step length"),
+            (["seq", "banded", "--N", "3"], "banded sequences require a band height --k >= 1"),
+            (["seq", "banded", "--family", "w-path", "--k", "0", "--N", "3", "--w", "0"],
+             "banded sequences require a band height --k >= 1"),
+            # matrix and hankel
+            (["matrix", "grand", "--n", "0"], "--n must be >= 1"),
+            (["hankel", "--n", "-2", "--shift", "1", "--alpha", "3"], "--n must be >= 1"),
+            (["hankel", "--n", "3", "--shift", "2", "--beta", "1"],
+             "--shift is only meaningful with the default (alpha, beta) = (1, 0)"),
+            (["hankel", "--n", "3", "--alpha", "0", "--beta", "0"],
+             "alpha and beta cannot both be zero"),
+            # verify: flags in the order max, k, N, each against every selected suite
+            (["verify", "gould", "--max", "0", "--k", "-1"], "verify gould does not read --max"),
+            (["verify", "lemma", "--max", "0", "--k", "0"], "verify lemma requires --max >= 1"),
+            (["verify", "delannoy", "--N", "0"], "verify delannoy requires --N >= 1"),
+            (["verify", "all", "--k", "1", "--N", "-1"],
+             "verify theorem-schroeder requires --k >= 2"),
+            (["verify", "all", "--N", "0"], "verify delannoy requires --N >= 1"),
+            (["verify", "all", "--max", "0"], "verify lemma requires --max >= 1"),
+        ],
+    )
+    def test_full_stderr_line(self, argv, message, capsys):
+        assert run(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
+
+
 class TestLedgerAndMisc:
     def test_typo_ledger(self, capsys):
         code, out, _ = run("--typo-ledger", capsys=capsys)
@@ -346,6 +402,13 @@ class TestLedgerAndMisc:
         assert "banded4-tail" in out
         assert "UNRESOLVED" not in out
         assert out.count("verified") >= 2
+
+    @pytest.mark.parametrize("argv", [["seq", "motzkin", "--N", "3"], ["verify", "lemma"]])
+    def test_typo_ledger_with_a_command_is_rejected(self, argv, capsys):
+        # the ledger runs alone; a command given with it is not silently dropped
+        code, out, err = run("--typo-ledger", *argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --typo-ledger takes no command, got {argv[0]}\n"
 
     def test_no_command_exits_two(self, capsys):
         assert run(capsys=capsys)[0] == 2

@@ -1,7 +1,8 @@
 """Golden CLI outputs: stdout and exit code, byte for byte, for a fixed argv list.
 
 The golden file pins every `seq` family (with column heights), the banded
-families, every `matrix` kind, `hankel` at shifts 0-2, symbolic and integer
+families, every `matrix` kind, `hankel` at shifts 0-2, every `verify` suite
+(at small and at default bounds), the typo ledger, symbolic and integer
 weights, and the plain, csv and json formats.  To re-record it after an
 intended output change:
 
@@ -174,6 +175,17 @@ ARGV = (
         ["matrix", "schroder-inverse", "--n", "40", "--omega", "3"],
         ["matrix", "motzkin-inverse", "--n", "7", "--omega", "0"],
         ["matrix", "schroder-inverse", "--n", "0"],
+    ]
+    # verify at each suite's default bounds, and `verify all` with a flag that
+    # only some suites read, so that the defaults and the binding of each flag
+    # to its readers are pinned
+    + [["verify", suite] for suite in ("lemma", "orthogonality", "banded-recursion",
+                                       "first-return", "delannoy", "bridge", "gould",
+                                       "theorem-schroeder", "all")]
+    + [
+        ["verify", "all", "--N", "5", "--format", "csv"],
+        ["verify", "all", "--k", "2"],
+        ["verify", "all", "--max", "3", "--format", "json"],
     ]
 )
 
