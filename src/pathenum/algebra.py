@@ -35,11 +35,11 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-A builder's weight is the symbolic W, an OmegaPoly constant, or an int.
-The scalars a builder makes follow the weight: at an int weight every one
-is an int, so the same loops run over Z on Python ints with no polynomial
-wrapper.  _at_weight binds a monomial weight c w^p (_monomial) in a
-polynomial given by its integer coefficients in the weight.
+A builder's weight is the symbolic W or an int.  The scalars a builder
+makes follow the weight: at an int weight every one is an int, so the same
+loops run over Z on Python ints with no polynomial wrapper.  _at_weight
+binds the weight in a polynomial given by its integer coefficients in the
+weight.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -281,36 +281,20 @@ def _div_exact(a, b):
     return q
 
 
-def _monomial(omega) -> tuple:
-    """(p, c) with omega = c w^p: (1, 1) for W, (0, x) for an integer x.
-
-    _at_weight places each power of the weight by it; a weight of two or
-    more terms raises ValueError.
-    """
-    cs = as_opoly(omega).coeffs
-    p = max(len(cs) - 1, 0)
-    if any(cs[:p]):
-        raise ValueError(f"weight {omega} is not a monomial c*w^p")
-    return p, cs[p] if cs else 0
-
-
 def _at_weight(coeffs, omega):
-    """sum_l coeffs[l] omega^l, for integer coeffs and a monomial weight omega.
+    """sum_l coeffs[l] omega^l, for integer coeffs and the weight W or an int.
 
-    An int at an int weight, an OmegaPoly at an OmegaPoly weight.
+    An int at an int weight, an OmegaPoly at W; any other weight raises
+    ValueError.
     """
     if isinstance(omega, int):
         acc = 0
         for x in reversed(coeffs):
             acc = acc * omega + x
         return acc
-    p, c = _monomial(omega)
-    if (p, c) == (1, 1):  # omega is w itself: the coefficients as they are
-        return OmegaPoly(coeffs)
-    out = [0] * (p * len(coeffs) + 1)
-    for l, x in enumerate(coeffs):
-        out[p * l] += x * c**l
-    return OmegaPoly(out)
+    if omega != W:
+        raise ValueError(f"weight {omega} is neither W nor an int")
+    return OmegaPoly(coeffs)
 
 
 def _at(x, value: int):

@@ -8,8 +8,9 @@ series, triangle, Hankel determinant and Hankel closed form is then
 computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
-disagreement was detected, 2 usage error.  All output is deterministic and
-large integers are printed in full decimal.
+disagreement was detected, 2 usage error, 141 the reader closed standard
+output before it was written.  All output is deterministic and large
+integers are printed in full decimal.
 
 Each seq family, band family, matrix kind and verify suite is declared
 once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
@@ -29,6 +30,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
@@ -355,9 +357,7 @@ def main(argv=None) -> int:
     if args.typo_ledger and args.command:
         print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
         return 2
-    if args.typo_ledger:
-        return _cmd_typo_ledger()
-    if not args.command:
+    if not args.typo_ledger and not args.command:
         parser.print_usage(sys.stderr)
         return 2
     # Values are printed in full decimal, past Python's default limit on
@@ -366,10 +366,19 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        if args.typo_ledger:
+            return _cmd_typo_ledger()
         return globals()[f"_cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send the flush at exit to the null device
+        # and exit as SIGPIPE would (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -6,10 +6,12 @@ and sum_k c[k] x^(2n-1-k), over the integral domain Z[w], or over Z on
 plain ints at an integer weight.  Each remainder keeps only the top
 coefficients that the later leading coefficients read, so the sequence
 costs O(n^2) ring operations.  A zero leading minor (a degree gap) falls
-back to fraction-free (Bareiss) elimination of the matrix.  Every interior
-division is exact, and a remainder raises InexactDivision since it can
-only mean an implementation bug.  The tests check both engines against a
-naive cofactor expansion at small dimensions.
+back to det_fraction_free, one fraction-free (Bareiss) elimination loop
+that swaps in a lower row at a zero pivot; leading_minor_dets applies it to
+each leading block.  Every interior division is exact, and a remainder
+raises InexactDivision since it can only mean an implementation bug.  The
+tests check both engines against a naive cofactor expansion at small
+dimensions.
 
 The determinant of (alpha*M[i+j] + beta*M[i+j+1]) has the closed form
 sum_i (-beta)^(n-i) alpha^i m[n,i] over the inverse-triangle entries m;
@@ -39,61 +41,38 @@ from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
 
 
-def _bareiss(m: SquareMatrix):
-    """One fraction-free elimination sweep; returns (pivots, sign, swapped).
+def det_fraction_free(m: SquareMatrix):
+    """Exact determinant by Bareiss elimination, of the entries' kind; dimension 0 gives 1.
 
-    pivots[k] is the leading principal minor of dimension k+1 of the matrix
-    with its rows swapped as the sweep went; the list stops short of m.n when
-    a column has no nonzero pivot, so the determinant is zero.  sign is the
-    parity of the row swaps and swapped tells whether any took place.
+    A zero pivot swaps in a lower row; with none to swap in, the determinant is zero.
     """
     n = m.n
+    if n == 0:
+        return 1
     rows = [list(r) for r in m.rows]
-    pivots = []
     sign = 1
-    swapped = False
     prev = None  # the previous pivot; the first step divides by nothing
     for k in range(n):
-        if k < n - 1 and not rows[k][k]:
-            # zero pivot: swap in a nonzero row below, tracking the sign
+        if not rows[k][k]:
             for i in range(k + 1, n):
                 if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
-                    swapped = True
                     break
             else:
-                return pivots, sign, swapped
+                return _zero(rows[k][k])
         pivot = rows[k][k]
-        pivots.append(pivot)
         for i in range(k + 1, n):
             rik = rows[i][k]
             for j in range(k + 1, n):
                 elt = pivot * rows[i][j] - rik * rows[k][j]
                 rows[i][j] = _div_exact(elt, prev) if k else elt
         prev = pivot
-    return pivots, sign, swapped
-
-
-def det_fraction_free(m: SquareMatrix):
-    """Exact determinant by Bareiss elimination, of the entries' kind; dimension 0 gives 1."""
-    if m.n == 0:
-        return 1
-    pivots, sign, _ = _bareiss(m)
-    if len(pivots) < m.n:
-        return _zero(m.rows[0][0])
-    return pivots[-1] if sign == 1 else -pivots[-1]
+    return pivot if sign == 1 else -pivot
 
 
 def leading_minor_dets(m: SquareMatrix) -> list:
-    """Determinants of all leading principal minors (dimensions 1..n).
-
-    One Bareiss sweep gives every minor when it swaps no rows; otherwise
-    this falls back to independent determinants per dimension.
-    """
-    pivots, _, swapped = _bareiss(m)
-    if not swapped and len(pivots) == m.n:
-        return pivots
+    """Determinants of all leading principal minors (dimensions 1..n)."""
     return [
         det_fraction_free(SquareMatrix([r[: d + 1] for r in m.rows[: d + 1]]))
         for d in range(m.n)

@@ -8,6 +8,7 @@ Three modes:
   * quadrant  paths stay weakly above the x-axis
   * banded k  quadrant paths that additionally stay strictly below height k
 
+Each mode is one height window of the table, and a count outside it is zero.
 Everything is computed cell-by-cell from the step recursion, independently
 of all closed forms, so these counts can adjudicate any formula in the
 package.  The weight is symbolic (W) by default and every cell is an
@@ -65,24 +66,21 @@ class PathSpec:
 
 
 class CountTable:
-    """DP table of weighted path counts, indexed by (x-coordinate, height)."""
+    """DP table of weighted path counts, indexed by (x-coordinate, height).
+
+    The mode sets one height window lo <= y <= hi; a count outside it is zero.
+    """
 
     def __init__(self, spec: PathSpec, n_max: int, omega=W):
         self.spec = spec
         self.n_max = n_max
         self.omega = omega
         self._zero = zero = _zero(omega)
-        if spec.mode == GRAND:
-            self._offset = n_max
-            height = 2 * n_max + 1
-        elif spec.mode == QUADRANT:
-            self._offset = 0
-            height = n_max + 1
-        else:
-            self._offset = 0
-            height = spec.band
+        self._lo = -n_max if spec.mode == GRAND else 0
+        self._hi = spec.band - 1 if spec.mode == BANDED else n_max
+        height = self._hi - self._lo + 1
         cols = [[zero] * height for _ in range(n_max + 1)]
-        cols[0][self._offset] = _one(omega)
+        cols[0][-self._lo] = _one(omega)
         w = spec.w
         for x in range(1, n_max + 1):
             prev = cols[x - 1]
@@ -99,44 +97,34 @@ class CountTable:
                 cur[y] = acc
         self._cols = cols
 
+    def _cell(self, n: int, j: int):
+        """The count at (n, j); zero outside the height window."""
+        if not self._lo <= j <= self._hi:
+            return self._zero
+        return self._cols[n][j - self._lo]
+
     def value(self, n: int, j: int):
         """Weighted count of paths from the origin to (n, j), a scalar of the weight's kind."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"x-coordinate {n} outside table range 0..{self.n_max}")
-        spec = self.spec
-        if spec.mode == BANDED:
-            if not 0 <= j < spec.band:
-                raise BandViolation(f"height {j} outside [0, {spec.band})")
-            return self._cols[n][j]
-        if spec.mode == QUADRANT and j < 0:
-            return self._zero
-        idx = j + self._offset
-        if not 0 <= idx < len(self._cols[n]):
-            return self._zero
-        return self._cols[n][idx]
+        if self.spec.mode == BANDED and not 0 <= j < self.spec.band:
+            raise BandViolation(f"height {j} outside [0, {self.spec.band})")
+        return self._cell(n, j)
 
     def recursion_holds(self) -> CheckResult:
         """Cell-by-cell re-check of the defining step recursion."""
-        spec = self.spec
-        top = spec.band - 1 if spec.mode == BANDED else self.n_max
-        lo = -self.n_max if spec.mode == GRAND else 0
+        w = self.spec.w
         for n in range(1, self.n_max + 1):
-            for j in range(lo, top + 1):
-                want = self._neighbor(n - 1, j + 1) + self._neighbor(n - 1, j - 1)
-                if n >= spec.w:
-                    want = want + self.omega * self._neighbor(n - spec.w, j)
-                got = self._neighbor(n, j)
+            for j in range(self._lo, self._hi + 1):
+                want = self._cell(n - 1, j + 1) + self._cell(n - 1, j - 1)
+                if n >= w:
+                    want = want + self.omega * self._cell(n - w, j)
+                got = self._cell(n, j)
                 if got != want:
                     return fail(f"(n={n}, j={j})", got, want)
         if self.value(0, 0) != 1:
             return fail("(0, 0)", self.value(0, 0), 1)
         return PASS
-
-    def _neighbor(self, n, j):
-        # like value(), but out-of-band heights read as zero
-        if self.spec.mode == BANDED and not 0 <= j < self.spec.band:
-            return self._zero
-        return self.value(n, j)
 
 
 def count_paths(spec: PathSpec, n: int, j: int) -> OmegaPoly:

@@ -1,17 +1,19 @@
-"""The documented public API: exported names and the README library example."""
+"""The documented public API: exported names and the README examples."""
 
 import pathlib
 import re
+import shlex
 
 import pathenum
+from pathenum import cli
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
-def _library_block() -> list:
+def _block(heading: str, lang: str) -> list:
     text = README.read_text()
-    section = text[text.index("## Library"):]
-    match = re.search(r"```python\n(.*?)```", section, re.S)
+    section = text[text.index(heading):]
+    match = re.search(rf"```{lang}\n(.*?)```", section, re.S)
     return match.group(1).splitlines()
 
 
@@ -22,7 +24,7 @@ def test_public_api_matches_readme():
     # each `expression  # result` line must print as its comment
     namespace = {}
     checked = 0
-    for line in _library_block():
+    for line in _block("## Library", "python"):
         code, sep, expected = line.partition("  # ")
         if not sep:
             exec(line, namespace)
@@ -30,3 +32,18 @@ def test_public_api_matches_readme():
         assert str(eval(code, namespace)) == expected.strip(), line
         checked += 1
     assert checked >= 5
+
+
+def test_command_line_block_matches_readme(capsys):
+    # every command runs and exits 0; a `command  # output` line prints its comment
+    checked = 0
+    for line in _block("## Command line", ""):
+        command, sep, expected = line.partition("  # ")
+        argv = shlex.split(command)
+        assert argv[0] == "pathenum", line
+        assert cli.main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if sep:
+            assert out == expected.strip() + "\n", line
+            checked += 1
+    assert checked >= 4

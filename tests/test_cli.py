@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import types
 
@@ -425,6 +428,22 @@ class TestLedgerAndMisc:
         c = run("verify", "bridge", "--N", "6", capsys=capsys)
         d = run("verify", "bridge", "--N", "6", capsys=capsys)
         assert c == d
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # 2 MB of output: far more than a pipe buffers, so the write fails
+        # once the reader has gone
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pathenum.cli", "seq", "motzkin", "--N", "3000", "--omega", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert (head, err) == (b"1 1 2 4 9 ", b"")
 
 
 class TestParser:

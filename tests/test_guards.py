@@ -1,0 +1,165 @@
+"""Input guards of the library, and the failure detail of each identity check.
+
+A check reports its first counterexample as `first mismatch at <index>:
+lhs=<value>, rhs=<value>`; each planted wrong value below must be named
+with its index and both values.
+"""
+
+import pytest
+
+from pathenum import hankel, motzkin, oracle, schroder
+from pathenum.algebra import OP_ONE, OP_ZERO, W, TSeries
+from pathenum.checks import CheckResult
+from pathenum.hankel import HankelSpec, det_fraction_free, hankel_det
+from pathenum.matrices import SquareMatrix, TriMatrix
+from pathenum.oracle import CountTable, PathSpec
+
+GUARDS = [
+    # motzkin
+    (lambda: motzkin.motzkin_column_gf(-1, 5), ValueError, "height must be nonnegative"),
+    (lambda: motzkin.grand_column_gf(-1, 5), ValueError, "height must be nonnegative"),
+    (lambda: motzkin.inverse_motzkin_poly(-1), ValueError, "index must be nonnegative"),
+    (lambda: motzkin.banded_motzkin_gf(0), ValueError, "band height must be >= 1"),
+    (lambda: motzkin.verify_lemma(-1), ValueError, "bound must be nonnegative"),
+    (lambda: motzkin.banded_motzkin_recursion_check(0, 5), ValueError, "band height must be >= 1"),
+    (lambda: motzkin.motzkin_matrix(0), ValueError, "dimension must be >= 1"),
+    # schroder
+    (lambda: schroder.w_series(0, 5), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder.w_p_poly(-1, 2), ValueError, "index must be nonnegative"),
+    (lambda: schroder.compressed_p_poly(-1), ValueError, "index must be nonnegative"),
+    (lambda: schroder.w_column_gf(-1, 2, 5), ValueError, "height must be nonnegative"),
+    (lambda: schroder.compressed_column_gf(-1, 5), ValueError, "height must be nonnegative"),
+    (lambda: schroder.banded_w_gf(0, 2), ValueError, "band height must be >= 1"),
+    (lambda: schroder.banded_schroder_series(0, 5), ValueError, "band height must be >= 1"),
+    (lambda: schroder.inverse_schroder_poly(-1), ValueError, "index must be nonnegative"),
+    (lambda: schroder.inverse_schroder_column_gf(-1, 5), ValueError, "column must be nonnegative"),
+    (lambda: schroder.delannoy_number(-1, 0), ValueError, "indices must be nonnegative"),
+    (lambda: schroder.central_delannoy_series(-1), ValueError, "order must be nonnegative"),
+    (lambda: schroder.delannoy_poly(-1), ValueError, "index must be nonnegative"),
+    (lambda: schroder.banded_schroder_gf(0), ValueError, "band height must be >= 1"),
+    (lambda: schroder.banded_schroder_gf_via_s(0), ValueError, "band height must be >= 1"),
+    (lambda: schroder.delannoy_recursion_check(0), ValueError, "horizon must be >= 1"),
+    # oracle
+    (lambda: PathSpec(0, "quadrant"), ValueError, "horizontal step length must be positive"),
+    (lambda: PathSpec(1, "diagonal"), ValueError, "unknown mode 'diagonal'"),
+    (lambda: PathSpec(1, "banded", 0), ValueError, "band height must be positive"),
+    (lambda: CountTable(PathSpec.quadrant(), 3).value(4, 0), IndexError, "outside table range"),
+    (lambda: oracle.count_paths(PathSpec.quadrant(), -1, 0), ValueError,
+     "path length must be nonnegative"),
+    (lambda: oracle.oracle_series(PathSpec.quadrant(), 0, -1), ValueError,
+     "order must be nonnegative"),
+    # hankel
+    (lambda: hankel.shifted_hankel_closed(-1, 1, 0), ValueError, "dimension must be nonnegative"),
+    (lambda: hankel.second_hankel_closed(-1), ValueError, "dimension must be nonnegative"),
+    (lambda: hankel.hankel_recursion_check(0), ValueError, "dimension must be >= 1"),
+    # matrices
+    (lambda: TriMatrix([[1, 2]]), ValueError, "row 0 must have 1 entries, got 2"),
+    (lambda: TriMatrix([[2]]).inverse_unit_lower(), ValueError,
+     r"diagonal entry \(0,0\) is not 1"),
+    (lambda: SquareMatrix([[1, 2]]), ValueError, "matrix must be square"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS)
+def test_input_guard_raises(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()
+
+
+def assert_fails(result: CheckResult, where, lhs, rhs):
+    assert not result
+    assert result.detail == f"first mismatch at {where}: lhs={lhs}, rhs={rhs}"
+
+
+def plant(monkeypatch, module, name, bad, corrupt):
+    """Replace module.name by a wrapper that corrupts its value at the arguments bad."""
+    real = getattr(module, name)
+
+    def planted(*args):
+        value = real(*args)
+        return corrupt(value) if args == bad else value
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def test_lemma_names_a_wrong_inverse_expansion(monkeypatch):
+    # m[3,3] is read only by the inverse expansion of row 2, first at j = 0,
+    # where it multiplies M_2
+    bound = 2
+    plant(monkeypatch, motzkin, "inverse_motzkin_entry", (3, 3), lambda v: v + 1)
+    m20 = motzkin.inverse_motzkin_entry(2, 0)
+    mu2 = motzkin.motzkin_series(2).coeff(2)
+    assert_fails(motzkin.verify_lemma(bound), "inverse expansion at (i=2, j=0)", m20, m20 + mu2)
+
+
+def test_orthogonality_names_a_wrong_entry(monkeypatch):
+    # sum_k m[1,k] M_k = -w + w = 0; with m[1,0] one larger it is 1
+    plant(monkeypatch, motzkin, "inverse_motzkin_entry", (1, 0), lambda v: v + 1)
+    assert_fails(motzkin.verify_orthogonality(3), "(i=0, j=1)", OP_ONE, OP_ZERO)
+
+
+def planted_table(at):
+    """CountTable, but with the count at (at, 0) one too large."""
+
+    class Planted(CountTable):
+        def value(self, n, j):
+            v = super().value(n, j)
+            return v + 1 if (n, j) == (at, 0) else v
+
+    return Planted
+
+
+@pytest.mark.parametrize(
+    "plant_at, where, lhs, rhs",
+    [
+        # m[k,k] = 1 multiplies the planted count; at n = 0 the sum is M^(k)_0 = 1 = m[k-1,k-1]
+        (0, "initial value n=0 (k=3)", 2 * OP_ONE, OP_ONE),
+        (7, "recursion at n=7 (k=3)", OP_ONE, OP_ZERO),
+    ],
+)
+def test_banded_recursion_names_a_wrong_count(plant_at, where, lhs, rhs, monkeypatch):
+    monkeypatch.setattr(motzkin, "CountTable", planted_table(plant_at))
+    assert_fails(motzkin.banded_motzkin_recursion_check(3, 7), where, lhs, rhs)
+
+
+def test_first_return_names_a_wrong_term(monkeypatch):
+    # M_(n+2) is read only on the left side, at n
+    horizon = 4
+    real = motzkin.motzkin_series(horizon + 2)
+    coeffs = list(real.coeffs)
+    coeffs[horizon + 2] = coeffs[horizon + 2] + 1
+    monkeypatch.setattr(motzkin, "motzkin_series", lambda order: TSeries(coeffs, order))
+    lhs = real.coeff(horizon + 2) - W * real.coeff(horizon + 1)
+    assert_fails(motzkin.first_return_check(horizon), f"n={horizon}", lhs + 1, lhs)
+
+
+@pytest.mark.parametrize("spec", [PathSpec.grand(), PathSpec.quadrant(w=2), PathSpec.banded(3)])
+def test_count_table_names_a_wrong_cell(spec):
+    # the cell (2, 0) is first read at n = 2, as the count it checks
+    table = CountTable(spec, 5)
+    want = table.value(2, 0)
+    offset = 5 if spec.mode == "grand" else 0
+    table._cols[2][offset] = want + 1
+    assert_fails(table.recursion_holds(), "(n=2, j=0)", want + 1, want)
+
+
+def test_hankel_recursion_names_a_wrong_determinant(monkeypatch):
+    # one more in the corner of the shift-2 matrix moves only its full determinant
+    n = 3
+    real = hankel.hankel_matrix
+
+    def planted(spec, omega=W):
+        m = real(spec, omega)
+        if spec.shift != 2:
+            return m
+        rows = [list(r) for r in m.rows]
+        rows[-1][-1] = rows[-1][-1] + 1
+        return SquareMatrix(rows)
+
+    monkeypatch.setattr(hankel, "hankel_matrix", planted)
+    lhs = det_fraction_free(planted(HankelSpec(n, shift=2)))
+    second = hankel_det(HankelSpec(n, shift=1))
+    rhs = hankel_det(HankelSpec(n - 1, shift=2)) + second * second
+    assert lhs != rhs
+    assert_fails(hankel.hankel_recursion_check(n), f"dimension {n}", lhs, rhs)
+

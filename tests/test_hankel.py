@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathenum import algebra, hankel
-from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, W, _zero
+from pathenum.algebra import OP_ONE, OP_ZERO, InexactDivision, OmegaPoly, W, _zero
 from pathenum.hankel import (
     HankelSpec,
     det_fraction_free,
@@ -68,6 +68,13 @@ class TestDeterminantEngine:
         assert det_fraction_free(SquareMatrix([[0, 0], [1, 1]])) == 0
         m = SquareMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
         assert det_fraction_free(m) == det_cofactor(m)
+
+    @pytest.mark.parametrize("zero, one", [(0, 1), (OP_ZERO, W)])
+    def test_column_without_a_pivot_is_zero(self, zero, one):
+        # column 0 has no nonzero entry to swap in: the determinant is the ring's zero
+        det = det_fraction_free(SquareMatrix([[zero, one], [zero, one]]))
+        assert det == 0
+        assert type(det) is type(zero)
 
     def test_agrees_with_cofactor_on_random_matrices(self, rng):
         for trial in range(40):

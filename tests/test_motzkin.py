@@ -243,6 +243,10 @@ class TestInverse:
         with pytest.raises(IndexOutOfTriangle):
             inverse_motzkin_entry_rec(2, -1)
 
+    def test_weight_other_than_w_or_an_int_is_rejected(self):
+        with pytest.raises(ValueError, match="neither W nor an int"):
+            inverse_motzkin_entry(3, 1, OmegaPoly([3]))
+
     def test_five_by_five_display(self):
         assert inverse_motzkin_matrix(5).eval_omega(1).int_rows() == [
             [1],

@@ -206,6 +206,13 @@ class TestInverseSchroder:
         with pytest.raises(IndexOutOfTriangle):
             inverse_schroder_entry(3, 5)
 
+    def test_inexact_term_raises(self, monkeypatch):
+        # C(5, 3) = 10 made 11: the m = 0 term of s[4,1] is 2 * 11 / 5
+        real = schroder.binom
+        monkeypatch.setattr(schroder, "binom", lambda n, k: real(n, k) + ((n, k) == (5, 3)))
+        with pytest.raises(InexactDivision):
+            inverse_schroder_entry(4, 1)
+
     def test_display(self):
         assert inverse_schroder_matrix(5).eval_omega(1).int_rows() == [
             [1],
