@@ -281,19 +281,27 @@ def _div_exact(a, b):
     return q
 
 
+def _ring(omega) -> tuple:
+    """(zero, one) of the scalars built at the weight W or an int; else ValueError."""
+    if isinstance(omega, int):
+        return 0, 1
+    if omega != W:
+        raise ValueError(f"weight {omega} is neither W nor an int")
+    return OP_ZERO, OP_ONE
+
+
 def _at_weight(coeffs, omega):
     """sum_l coeffs[l] omega^l, for integer coeffs and the weight W or an int.
 
     An int at an int weight, an OmegaPoly at W; any other weight raises
-    ValueError.
+    ValueError (_ring).
     """
     if isinstance(omega, int):
         acc = 0
         for x in reversed(coeffs):
             acc = acc * omega + x
         return acc
-    if omega != W:
-        raise ValueError(f"weight {omega} is neither W nor an int")
+    _ring(omega)  # W, or ValueError
     return OmegaPoly(coeffs)
 
 

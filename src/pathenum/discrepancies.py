@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import OmegaPoly
-from .checks import PASS, CheckResult, fail
+from .checks import CheckResult, first_mismatch
 from .hankel import HankelSpec, det_fraction_free, hankel_matrix
 from .motzkin import banded_motzkin_gf
 from .oracle import CountTable, PathSpec, oracle_series
@@ -36,51 +36,34 @@ def _check_grand_mirror() -> CheckResult:
     # which breaks the mirror symmetry of unrestricted paths; the recursion
     # gives 20*w + 10*w^3, matching the (5, 2) entry.
     table = CountTable(PathSpec.grand(), 5)
-    printed = OmegaPoly([20, 0, 0, 10])
-    resolved = OmegaPoly([0, 20, 0, 10])
     got = table.value(5, -2)
-    if got != resolved:
-        return fail("(5,-2)", got, resolved)
-    if got != table.value(5, 2):
-        return fail("mirror (5,2)", got, table.value(5, 2))
-    if got == printed:
-        return fail("(5,-2) should differ from the printed value", got, printed)
-    return PASS
+    return first_mismatch((
+        ("(5,-2)", got, OmegaPoly([0, 20, 0, 10])),
+        ("mirror (5,2)", got, table.value(5, 2)),
+    ))
 
 
 def _check_banded4_tail() -> CheckResult:
     # The height-4 band table lists 323, 835 at n = 8, 9 (weight 1); the
     # accompanying sequence list has 322, 826 (A005207).  The oracle and the
     # rational generating function, both built at weight 1, give 322, 826.
-    got = oracle_series(PathSpec.banded(4), 0, 9, 1).int_coeffs()[8:10]
-    gf = banded_motzkin_gf(4, 1).expand(9).int_coeffs()
-    if got != [322, 826]:
-        return fail("oracle n=8,9", got, [322, 826])
-    if gf[8:10] != [322, 826]:
-        return fail("generating function n=8,9", gf[8:10], [322, 826])
-    if got == [323, 835]:
-        return fail("oracle should differ from the table values", got, [323, 835])
-    return PASS
+    return first_mismatch((
+        ("oracle n=8,9", oracle_series(PathSpec.banded(4), 0, 9, 1).int_coeffs()[8:10], [322, 826]),
+        ("generating function n=8,9", banded_motzkin_gf(4, 1).expand(9).int_coeffs()[8:10],
+         [322, 826]),
+    ))
 
 
 def _check_inverse_column_gf() -> CheckResult:
     # The column generating function of the inverse compressed Schroeder
     # triangle is printed as ((1-t)/(1+t))^k, which does not reproduce the
-    # displayed matrix; the validated form is t^k ((1-t)/(1+t))^(k+1).
-    for k in range(4):
-        got = inverse_schroder_column_gf(k, 8).int_coeffs()
-        want = [
-            inverse_schroder_entry(n, k).evaluate(1) if n >= k else 0 for n in range(9)
-        ]
-        if got != want:
-            return fail(f"validated form, column {k}", got, want)
-    # printed form, k = 1: coefficients of (1-t)/(1+t) start 1, -2 while the
-    # triangle column starts 0, 1
-    printed_k1 = [1, -2]
-    want_k1 = [0, inverse_schroder_entry(1, 1).evaluate(1)]
-    if printed_k1 == want_k1:
-        return fail("printed form unexpectedly matches", printed_k1, want_k1)
-    return PASS
+    # displayed matrix (at k = 1 its coefficients start 1, -2 where the
+    # column starts 0, 1); the validated form is t^k ((1-t)/(1+t))^(k+1).
+    return first_mismatch(
+        (f"validated form, column {k}", inverse_schroder_column_gf(k, 8).int_coeffs(),
+         [inverse_schroder_entry(n, k).evaluate(1) if n >= k else 0 for n in range(9)])
+        for k in range(4)
+    )
 
 
 def _check_aerated_hankel_delta() -> CheckResult:
@@ -88,15 +71,11 @@ def _check_aerated_hankel_delta() -> CheckResult:
     # matrix is claimed to collapse to delta(0,n); exact evaluation gives the
     # period-6 pattern 1, 1, 0, -1, -1, 0, ...  The matrix is built at weight 0.
     pattern = [1, 1, 0, -1, -1, 0]
-    for n in range(1, 13):
-        m = hankel_matrix(HankelSpec(n, alpha=1, beta=1), 0)
-        got = det_fraction_free(m)
-        want = pattern[n % 6]
-        if got != want:
-            return fail(f"dimension {n}", got, want)
-    if pattern[1 % 6] == 0:
-        return fail("pattern should differ from delta at n=1", pattern[1], 0)
-    return PASS
+    return first_mismatch(
+        (f"dimension {n}", det_fraction_free(hankel_matrix(HankelSpec(n, alpha=1, beta=1), 0)),
+         pattern[n % 6])
+        for n in range(1, 13)
+    )
 
 
 REGISTRY = (

@@ -32,11 +32,12 @@ from .algebra import (
     _at_weight,
     _div_exact,
     _one,
+    _ring,
     _zero,
     as_opoly,
     binom,
 )
-from .checks import PASS, CheckResult, fail
+from .checks import CheckResult, first_mismatch
 from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
 
@@ -162,7 +163,7 @@ def hankel_closed(spec: HankelSpec, omega=W):
         raise ValueError("the shifted closed forms are for (alpha, beta) = (1, 0)")
     if shift == 1:
         return second_hankel_closed(n, omega)
-    acc = _one(omega)
+    acc = _ring(omega)[1]
     for d in range(1, n + 1):
         a = second_hankel_closed(d, omega)
         acc = acc + a * a
@@ -173,8 +174,7 @@ def shifted_hankel_closed(n: int, alpha, beta, omega=W):
     """Closed form sum_i (-beta)^(n-i) alpha^i m[n,i] for det(alpha*M + beta*M'), at omega."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    acc = _zero(omega)
-    apow = _one(omega)
+    acc, apow = _ring(omega)
     bpows = [apow]
     for _ in range(n):
         bpows.append(bpows[-1] * (-beta))
@@ -214,10 +214,7 @@ def hankel_recursion_check(n: int) -> CheckResult:
         raise ValueError("dimension must be >= 1")
     shift2 = leading_minor_dets(hankel_matrix(HankelSpec(n, shift=2)))
     shift1 = leading_minor_dets(hankel_matrix(HankelSpec(n, shift=1)))
-    for d in range(1, n + 1):
-        lhs = shift2[d - 1]
-        prev = shift2[d - 2] if d >= 2 else OP_ONE
-        rhs = prev + shift1[d - 1] * shift1[d - 1]
-        if lhs != rhs:
-            return fail(f"dimension {d}", lhs, rhs)
-    return PASS
+    return first_mismatch(
+        (f"dimension {d}", lhs, prev + a * a)
+        for d, (lhs, prev, a) in enumerate(zip(shift2, [OP_ONE] + shift2, shift1), 1)
+    )

@@ -29,11 +29,11 @@ from .algebra import (
     TSeries,
     W,
     _at_weight,
-    _one,
     _quotient,
+    _ring,
     binom,
 )
-from .checks import PASS, CheckResult, fail
+from .checks import CheckResult, first_mismatch
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
 from .schroder import _band_polys, _banded, _column, _count_triangle, _row_triangle, _series
@@ -89,7 +89,7 @@ def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
         raise ValueError("height must be nonnegative")
     family = _band_polys(1, 2, j, omega)
     below = family[j - 1] if j else TPoly(())
-    step = TPoly([_one(omega), -omega])  # A
+    step = TPoly([_ring(omega)[1], -omega])  # A
     den = step * step - TPoly([0, 0, 4])  # D
     c1 = (step * below - 2 * family[j]).shift(2)
     c0 = step * family[j] - (den + TPoly([0, 0, 2])) * below
@@ -156,6 +156,11 @@ def banded_motzkin_gf(k: int, omega=W) -> RationalGF:
     return _banded(1, 2, k, omega)
 
 
+def _dot(row, values, offset: int):
+    """sum_k row[k] * values[offset + k], symbolically."""
+    return sum((x * values[offset + k] for k, x in enumerate(row)), OP_ZERO)
+
+
 def verify_lemma(bound: int) -> CheckResult:
     """Both triangle-to-sequence expansions at every pair i, j <= bound.
 
@@ -165,40 +170,30 @@ def verify_lemma(bound: int) -> CheckResult:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    mu = motzkin_series(2 * bound + 1)
+    mu = motzkin_series(2 * bound + 1).coeffs
     table = CountTable(PathSpec.quadrant(), bound)
-    inv_rows = [[inverse_motzkin_entry(r, c) for c in range(r + 1)] for r in range(bound + 2)]
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            lhs1 = table.value(i, j)
-            rhs1 = OP_ZERO
-            for k in range(j + 1):
-                rhs1 = rhs1 + inv_rows[j][k] * mu.coeff(i + k)
-            if lhs1 != rhs1:
-                return fail(f"count expansion at (i={i}, j={j})", lhs1, rhs1)
-            if j <= i:
-                lhs2 = inv_rows[i][j]
-                rhs2 = OP_ZERO
-                for k in range(i - j + 1):
-                    rhs2 = rhs2 + inv_rows[i + 1][j + 1 + k] * mu.coeff(k)
-                if lhs2 != rhs2:
-                    return fail(f"inverse expansion at (i={i}, j={j})", lhs2, rhs2)
-    return PASS
+    inv = [[inverse_motzkin_entry(r, c) for c in range(r + 1)] for r in range(bound + 2)]
+
+    def comparisons():
+        for i in range(bound + 1):
+            for j in range(bound + 1):
+                yield f"count expansion at (i={i}, j={j})", table.value(i, j), _dot(inv[j], mu, i)
+                if j <= i:
+                    rhs = _dot(inv[i + 1][j + 1:], mu, 0)
+                    yield f"inverse expansion at (i={i}, j={j})", inv[i][j], rhs
+
+    return first_mismatch(comparisons())
 
 
 def verify_orthogonality(max_j: int) -> CheckResult:
     """sum_{k<=j} m[j,k] M_{i+k} = delta(i,j) for 0 <= i <= j <= max_j."""
-    mu = motzkin_series(2 * max_j + 1)
-    inv_rows = [[inverse_motzkin_entry(j, k) for k in range(j + 1)] for j in range(max_j + 1)]
-    for j in range(max_j + 1):
-        for i in range(j + 1):
-            acc = OP_ZERO
-            for k in range(j + 1):
-                acc = acc + inv_rows[j][k] * mu.coeff(i + k)
-            want = OP_ONE if i == j else OP_ZERO
-            if acc != want:
-                return fail(f"(i={i}, j={j})", acc, want)
-    return PASS
+    mu = motzkin_series(2 * max_j + 1).coeffs
+    inv = [[inverse_motzkin_entry(j, k) for k in range(j + 1)] for j in range(max_j + 1)]
+    return first_mismatch(
+        (f"(i={i}, j={j})", _dot(inv[j], mu, i), int(i == j))
+        for j in range(max_j + 1)
+        for i in range(j + 1)
+    )
 
 
 def banded_motzkin_recursion_check(k: int, horizon: int) -> CheckResult:
@@ -212,29 +207,20 @@ def banded_motzkin_recursion_check(k: int, horizon: int) -> CheckResult:
         raise ValueError("band height must be >= 1")
     table = CountTable(PathSpec.banded(k), horizon)
     counts = [table.value(n, 0) for n in range(horizon + 1)]
-    mk = [inverse_motzkin_entry(k, k - j) for j in range(k + 1)]
-    for n in range(min(k, horizon + 1)):
-        acc = OP_ZERO
-        for j in range(n + 1):
-            acc = acc + counts[n - j] * mk[j]
-        want = inverse_motzkin_entry(k - 1, k - 1 - n)
-        if acc != want:
-            return fail(f"initial value n={n} (k={k})", acc, want)
-    for n in range(k, horizon + 1):
-        acc = OP_ZERO
-        for j in range(k + 1):
-            acc = acc + counts[n - j] * mk[j]
-        if acc:
-            return fail(f"recursion at n={n} (k={k})", acc, OP_ZERO)
-    return PASS
+    row = [inverse_motzkin_entry(k, j) for j in range(k + 1)]
+    return first_mismatch(
+        (f"initial value n={n} (k={k})", _dot(row[k - n:], counts, 0),
+         inverse_motzkin_entry(k - 1, k - 1 - n))
+        if n < k else
+        (f"recursion at n={n} (k={k})", _dot(row, counts, n - k), 0)
+        for n in range(horizon + 1)
+    )
 
 
 def first_return_check(horizon: int) -> CheckResult:
     """M_{n+2} - w M_{n+1} = sum_{i<=n} M_i M_{n-i}, symbolically, n <= horizon."""
     mu = motzkin_series(horizon + 2)
     sq = mu.truncate(horizon) ** 2
-    for n in range(horizon + 1):
-        lhs = mu.coeff(n + 2) - W * mu.coeff(n + 1)
-        if lhs != sq.coeff(n):
-            return fail(f"n={n}", lhs, sq.coeff(n))
-    return PASS
+    return first_mismatch(
+        (f"n={n}", mu.coeff(n + 2) - W * mu.coeff(n + 1), sq.coeff(n)) for n in range(horizon + 1)
+    )

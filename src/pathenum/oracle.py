@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OmegaPoly, TSeries, W, _one, _zero
-from .checks import PASS, CheckResult, fail
+from .algebra import OmegaPoly, TSeries, W, _ring
+from .checks import CheckResult, first_mismatch
 
 GRAND = "grand"
 QUADRANT = "quadrant"
@@ -72,15 +72,18 @@ class CountTable:
     """
 
     def __init__(self, spec: PathSpec, n_max: int, omega=W):
+        if n_max < 0:
+            raise ValueError("table size must be >= 0")
         self.spec = spec
         self.n_max = n_max
         self.omega = omega
-        self._zero = zero = _zero(omega)
+        zero, one = _ring(omega)
+        self._zero = zero
         self._lo = -n_max if spec.mode == GRAND else 0
         self._hi = spec.band - 1 if spec.mode == BANDED else n_max
         height = self._hi - self._lo + 1
         cols = [[zero] * height for _ in range(n_max + 1)]
-        cols[0][-self._lo] = _one(omega)
+        cols[0][-self._lo] = one
         w = spec.w
         for x in range(1, n_max + 1):
             prev = cols[x - 1]
@@ -113,18 +116,18 @@ class CountTable:
 
     def recursion_holds(self) -> CheckResult:
         """Cell-by-cell re-check of the defining step recursion."""
-        w = self.spec.w
-        for n in range(1, self.n_max + 1):
-            for j in range(self._lo, self._hi + 1):
-                want = self._cell(n - 1, j + 1) + self._cell(n - 1, j - 1)
-                if n >= w:
-                    want = want + self.omega * self._cell(n - w, j)
-                got = self._cell(n, j)
-                if got != want:
-                    return fail(f"(n={n}, j={j})", got, want)
-        if self.value(0, 0) != 1:
-            return fail("(0, 0)", self.value(0, 0), 1)
-        return PASS
+        w, cell = self.spec.w, self._cell
+
+        def comparisons():
+            for n in range(1, self.n_max + 1):
+                for j in range(self._lo, self._hi + 1):
+                    want = cell(n - 1, j + 1) + cell(n - 1, j - 1)
+                    if n >= w:
+                        want = want + self.omega * cell(n - w, j)
+                    yield f"(n={n}, j={j})", cell(n, j), want
+            yield "(0, 0)", self.value(0, 0), 1
+
+        return first_mismatch(comparisons())
 
 
 def count_paths(spec: PathSpec, n: int, j: int) -> OmegaPoly:
@@ -162,6 +165,6 @@ def compressed_series(j: int, order: int, band: int = 0, omega=W) -> TSeries:
     spec = PathSpec.banded(band, w=2) if band else PathSpec.quadrant(w=2)
     table = CountTable(spec, 2 * order + max(j, 0), omega)
     return TSeries(
-        [table.value(2 * n - j, j) if 2 * n - j >= 0 else _zero(omega) for n in range(order + 1)],
+        [table.value(2 * n - j, j) if 2 * n - j >= 0 else table._zero for n in range(order + 1)],
         order,
     )

@@ -45,6 +45,7 @@ their operands at the int weight 1.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import (
@@ -55,12 +56,11 @@ from .algebra import (
     W,
     _at_weight,
     _div_exact,
-    _one,
-    _zero,
+    _ring,
     binom,
     binom_general,
 )
-from .checks import PASS, CheckResult, fail
+from .checks import CheckResult, first_mismatch
 from .kernels import vdivexact
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
@@ -88,7 +88,7 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     division by 2(n+b) is exact in Z[w] and in Z; a remainder raises
     InexactDivision (a bug sentinel).
     """
-    zero, one = _zero(omega), _one(omega)
+    zero, one = _ring(omega)
     disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4 * one))  # D - 1, by power of t
     rhs = {0: 2 * b * one, a: (4 * a - 2 * b) * omega}  # R, by power of t
     mu = []
@@ -104,7 +104,7 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
 
 def _band_polys(a: int, b: int, n: int, omega=W) -> list:
     """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
-    one = _one(omega)
+    one = _ring(omega)[1]
     step = TPoly([one] + [0] * (a - 1) + [-omega])  # 1 - omega t^a
     family = [TPoly(()), TPoly([one])]  # P_(-1), P_0
     for _ in range(n):
@@ -297,8 +297,9 @@ def central_delannoy_series(order: int, omega=W) -> TSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    one = _ring(omega)[1]
     step, square = omega + 2, omega * omega
-    d = [_one(omega), step]
+    d = [one, step]
     for n in range(2, order + 1):
         d.append(_div_exact((2 * n - 1) * step * d[n - 1] - (n - 1) * square * d[n - 2], n))
     return TSeries(d[: order + 1], order)
@@ -369,20 +370,13 @@ def delannoy_recursion_check(horizon: int) -> CheckResult:
     """D(n,n+j) = omega D(n-1,n-1+j) + D(n,n+j-1) + D(n-1,n+j), symbolically."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    cache = {}
-
-    def d(n, k):
-        if (n, k) not in cache:
-            cache[(n, k)] = delannoy_number(n, k)
-        return cache[(n, k)]
-
-    for n in range(1, horizon + 1):
-        for j in range(horizon + 1):
-            lhs = d(n, n + j)
-            rhs = W * d(n - 1, n - 1 + j) + d(n, n + j - 1) + d(n - 1, n + j)
-            if lhs != rhs:
-                return fail(f"(n={n}, j={j})", lhs, rhs)
-    return PASS
+    d = functools.cache(lambda n, k: delannoy_number(n, k))
+    return first_mismatch(
+        (f"(n={n}, j={j})", d(n, n + j),
+         W * d(n - 1, n - 1 + j) + d(n, n + j - 1) + d(n - 1, n + j))
+        for n in range(1, horizon + 1)
+        for j in range(horizon + 1)
+    )
 
 
 def delannoy_s_bridge_check(bound: int) -> CheckResult:
@@ -401,23 +395,20 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
         raise ValueError("bound must be >= 1")
     d = {k: _d_neg_at1(k) for k in range(-1, bound + 2)}
     p = _band_polys(1, 1, bound, 1)
-    for n in range(1, bound + 1):
-        sn = _s_at1(n)
-        q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
-        if q is None:
-            raise InexactDivision(f"t^2 d_{n - 1}(-t) + d_{n + 1}(-t) not divisible by 1 - t")
-        quotient = TPoly(q)
-        if quotient != sn:
-            return fail(f"quotient identity at n={n}", quotient, sn)
-        rhs2 = d[n] - d[n - 1].shift(1)
-        if sn != rhs2:
-            return fail(f"difference identity at n={n}", sn, rhs2)
-        if p[n] != d[n]:
-            return fail(f"band-polynomial bridge at n={n}", p[n], d[n])
-        rhs4 = d[n - 1].shift(1) + d[n - 2].shift(1) + d[n]
-        if d[n - 1] != rhs4:
-            return fail(f"three-term recursion at n={n}", d[n - 1], rhs4)
-    return PASS
+
+    def comparisons():
+        for n in range(1, bound + 1):
+            sn = _s_at1(n)
+            q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
+            if q is None:
+                raise InexactDivision(f"t^2 d_{n - 1}(-t) + d_{n + 1}(-t) not divisible by 1 - t")
+            yield f"quotient identity at n={n}", TPoly(q), sn
+            yield f"difference identity at n={n}", sn, d[n] - d[n - 1].shift(1)
+            yield f"band-polynomial bridge at n={n}", p[n], d[n]
+            rhs = d[n - 1].shift(1) + d[n - 2].shift(1) + d[n]
+            yield f"three-term recursion at n={n}", d[n - 1], rhs
+
+    return first_mismatch(comparisons())
 
 
 def band_times_s(k: int, order: int) -> TSeries:
@@ -440,19 +431,16 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
         raise ValueError("band height must be >= 2 (no s polynomial of index -1)")
     if product is None:
         product = band_times_s(k, order)
-    coeffs = product.coeffs
-    skm2 = _s_at1(k - 2)
-    for m in range(k):
-        if coeffs[m] != skm2.coeff(m):
-            return fail(f"principal coefficient t^{m - k} (k={k})", coeffs[m], skm2.coeff(m))
 
-    col = compressed_series(k - 1, order + k - 1, band=k, omega=1)
-    for n in range(order + 1):
-        got = coeffs[k + n]
-        want = col.coeff(n + k - 1)
-        if got != want:
-            return fail(f"regular coefficient t^{n} (k={k})", got, want)
-    return PASS
+    def comparisons():
+        skm2 = _s_at1(k - 2)
+        for m in range(k):
+            yield f"principal coefficient t^{m - k} (k={k})", product.coeffs[m], skm2.coeff(m)
+        col = compressed_series(k - 1, order + k - 1, band=k, omega=1)
+        for n in range(order + 1):
+            yield f"regular coefficient t^{n} (k={k})", product.coeffs[k + n], col.coeff(n + k - 1)
+
+    return first_mismatch(comparisons())
 
 
 def gould_identity_check(k: int, m: int) -> CheckResult:
@@ -468,6 +456,4 @@ def gould_identity_check(k: int, m: int) -> CheckResult:
         Fraction(0),
     )
     rhs = Fraction(k + 1, k - 2 * m + 1) * binom(k - m, m) * 2 ** (k + 1 - 2 * m)
-    if lhs != rhs:
-        return fail(f"(k={k}, m={m})", lhs, rhs)
-    return PASS
+    return first_mismatch([(f"(k={k}, m={m})", lhs, rhs)])

@@ -5,10 +5,14 @@ lhs=<value>, rhs=<value>`; each planted wrong value below must be named
 with its index and both values.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from pathenum import hankel, motzkin, oracle, schroder
-from pathenum.algebra import OP_ONE, OP_ZERO, W, TSeries
+from pathenum import discrepancies, hankel, kernels, motzkin, oracle, schroder
+from pathenum.algebra import (
+    OP_ONE, OP_ZERO, W, InexactDivision, OmegaPoly, RationalGF, TPoly, TSeries,
+)
 from pathenum.checks import CheckResult
 from pathenum.hankel import HankelSpec, det_fraction_free, hankel_det
 from pathenum.matrices import SquareMatrix, TriMatrix
@@ -57,6 +61,24 @@ GUARDS = [
     (lambda: TriMatrix([[2]]).inverse_unit_lower(), ValueError,
      r"diagonal entry \(0,0\) is not 1"),
     (lambda: SquareMatrix([[1, 2]]), ValueError, "matrix must be square"),
+    # a weight is W or an int, in every builder
+    (lambda: motzkin.motzkin_series(3, OmegaPoly([3])), ValueError, "is neither W nor an int"),
+    (lambda: motzkin.inverse_motzkin_matrix(3, OmegaPoly([1, 1])), ValueError,
+     "is neither W nor an int"),
+    (lambda: CountTable(PathSpec.quadrant(), 3, OmegaPoly([3])), ValueError,
+     "is neither W nor an int"),
+    (lambda: schroder.central_delannoy_series(3, OmegaPoly([3])), ValueError,
+     "is neither W nor an int"),
+    # a table of negative size
+    (lambda: CountTable(PathSpec.quadrant(), -1), ValueError, "table size must be >= 0"),
+    (lambda: oracle.compressed_series(0, -1), ValueError, "table size must be >= 0"),
+    (lambda: motzkin.banded_motzkin_recursion_check(2, -1), ValueError, "table size must be >= 0"),
+    # algebra and kernels
+    (lambda: TSeries([W]).int_coeffs(), ValueError, "still depends on w"),
+    (lambda: TSeries([1], -1), ValueError, "truncation order must be >= 0"),
+    (lambda: TSeries([1, 2]).truncate(3), ValueError, "cannot extend a truncated series"),
+    (lambda: TSeries([1, 1]).shift_down(1), InexactDivision, r"coefficient of t\^0 is 1, not 0"),
+    (lambda: kernels.vdivexact_int([1], 0), ZeroDivisionError, "division by zero"),
 ]
 
 
@@ -163,3 +185,103 @@ def test_hankel_recursion_names_a_wrong_determinant(monkeypatch):
     assert lhs != rhs
     assert_fails(hankel.hankel_recursion_check(n), f"dimension {n}", lhs, rhs)
 
+
+
+def test_lemma_names_a_wrong_count(monkeypatch):
+    # the count to (2, 0) is first read by the count expansion at (i=2, j=0),
+    # whose right side is m[0,0] M_2 = M_2
+    monkeypatch.setattr(motzkin, "CountTable", planted_table(2))
+    m2 = motzkin.motzkin_series(2).coeff(2)
+    assert_fails(motzkin.verify_lemma(2), "count expansion at (i=2, j=0)", m2 + 1, m2)
+
+
+def test_delannoy_recursion_names_a_wrong_number(monkeypatch):
+    # D(2, 2) is first read as the left side at (n=2, j=0)
+    d = schroder.delannoy_number
+    rhs = W * d(1, 1) + d(2, 1) + d(1, 2)
+    plant(monkeypatch, schroder, "delannoy_number", (2, 2), lambda v: v + 1)
+    assert_fails(schroder.delannoy_recursion_check(2), "(n=2, j=0)", d(2, 2) + 1, rhs)
+
+
+def _bridge_cases():
+    d, s = schroder._d_neg_at1, schroder._s_at1
+    p2 = schroder._band_polys(1, 1, 3, 1)[2]
+    one = TPoly([1])
+    return [
+        # s_2 is read first by the quotient identity at n = 2
+        ("_s_at1", (2,), lambda v: v + 1, "quotient identity at n=2", s(2), s(2) + 1),
+        # d_1 enters the quotient identity first at n = 0, which is not checked
+        ("_d_neg_at1", (1,), lambda v: v + 1, "difference identity at n=1",
+         s(1), d(1) + 1 - d(0).shift(1)),
+        # the band polynomials are read only by the bridge itself
+        ("_band_polys", (1, 1, 3, 1), lambda ps: ps[:2] + [ps[2] + 1] + ps[3:],
+         "band-polynomial bridge at n=2", p2 + 1, d(2)),
+        # d_(-1) = 0 is read only by the three-term recursion at n = 1
+        ("_d_neg_at1", (-1,), lambda v: v + 1, "three-term recursion at n=1",
+         d(0), d(0).shift(1) + one.shift(1) + d(1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_bridge_names_each_identity(case, monkeypatch):
+    name, bad, corrupt, where, lhs, rhs = _bridge_cases()[case]
+    plant(monkeypatch, schroder, name, bad, corrupt)
+    assert_fails(schroder.delannoy_s_bridge_check(3), where, lhs, rhs)
+
+
+def test_gould_names_a_wrong_binomial(monkeypatch):
+    # C(1/2, 1) = 1/2 enters the left side of (k=2, m=1) times C(3, 1) = 3: 6 -> 9
+    plant(monkeypatch, schroder, "binom_general", (Fraction(1, 2), 1), lambda v: v + 1)
+    assert_fails(schroder.gould_identity_check(2, 1), "(k=2, m=1)", 9, 6)
+
+
+def planted_count(cell):
+    """CountTable, but with the count at cell = (n, j) one too large."""
+
+    class Planted(CountTable):
+        def value(self, n, j):
+            v = super().value(n, j)
+            return v + 1 if (n, j) == cell else v
+
+    return Planted
+
+
+@pytest.mark.parametrize(
+    "cell, where, bump",
+    [((5, -2), "(5,-2)", (1, 0)), ((5, 2), "mirror (5,2)", (0, 1))],
+)
+def test_grand_mirror_names_a_wrong_count(cell, where, bump, monkeypatch):
+    resolved = OmegaPoly([0, 20, 0, 10])
+    monkeypatch.setattr(discrepancies, "CountTable", planted_count(cell))
+    result = discrepancies._check_grand_mirror()
+    assert_fails(result, where, resolved + bump[0], resolved + bump[1])
+
+
+def test_banded4_tail_names_a_wrong_oracle_count(monkeypatch):
+    plant(monkeypatch, discrepancies, "oracle_series", (PathSpec.banded(4), 0, 9, 1),
+          lambda s: s + TPoly([1]).shift(8))
+    assert_fails(discrepancies._check_banded4_tail(), "oracle n=8,9", [323, 826], [322, 826])
+
+
+def test_banded4_tail_names_a_wrong_generating_function(monkeypatch):
+    def corrupt(gf):
+        return RationalGF(gf.num + TPoly([1]).shift(8), gf.den)
+
+    got = corrupt(motzkin.banded_motzkin_gf(4, 1)).expand(9).int_coeffs()[8:10]
+    plant(monkeypatch, discrepancies, "banded_motzkin_gf", (4, 1), corrupt)
+    result = discrepancies._check_banded4_tail()
+    assert_fails(result, "generating function n=8,9", got, [322, 826])
+
+
+def test_inverse_column_gf_names_a_wrong_column(monkeypatch):
+    want = schroder.inverse_schroder_column_gf(2, 8).int_coeffs()
+    plant(monkeypatch, discrepancies, "inverse_schroder_column_gf", (2, 8), lambda s: s + 1)
+    result = discrepancies._check_inverse_column_gf()
+    assert_fails(result, "validated form, column 2", [want[0] + 1] + want[1:], want)
+
+
+def test_aerated_hankel_delta_names_a_wrong_determinant(monkeypatch):
+    # the dimension-4 determinant is -1 in the period-6 pattern
+    real = discrepancies.det_fraction_free
+    monkeypatch.setattr(discrepancies, "det_fraction_free", lambda m: real(m) + (m.n == 4))
+    assert_fails(discrepancies._check_aerated_hankel_delta(), "dimension 4", 0, -1)
