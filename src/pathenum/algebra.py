@@ -39,7 +39,7 @@ A builder's weight is the symbolic W or an int.  The scalars a builder
 makes follow the weight: at an int weight every one is an int, so the same
 loops run over Z on Python ints with no polynomial wrapper.  _at_weight
 binds the weight in a polynomial given by its integer coefficients in the
-weight.
+weight, and _bind binds it in a scalar.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -308,6 +308,11 @@ def _at_weight(coeffs, omega):
 def _at(x, value: int):
     """The scalar x at w = value, as the same kind of scalar."""
     return OmegaPoly((x.evaluate(value),)) if isinstance(x, OmegaPoly) else x
+
+
+def _bind(x, omega):
+    """The scalar x with w bound to the weight omega: x itself at W, an int at an int weight."""
+    return x.evaluate(omega) if isinstance(x, OmegaPoly) and isinstance(omega, int) else x
 
 
 def _plain(x):

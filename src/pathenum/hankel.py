@@ -1,16 +1,36 @@
 """Exact Hankel determinants of weighted Motzkin numbers.
 
-hankel_det computes det(c[i+j]) of the sequence c from the leading
-coefficients of the subresultant polynomial remainder sequence of x^(2n)
-and sum_k c[k] x^(2n-1-k), over the integral domain Z[w], or over Z on
-plain ints at an integer weight.  Each remainder keeps only the top
-coefficients that the later leading coefficients read, so the sequence
-costs O(n^2) ring operations.  A zero leading minor (a degree gap) falls
-back to det_fraction_free, one fraction-free (Bareiss) elimination loop
-that swaps in a lower row at a zero pivot; leading_minor_dets applies it to
-each leading block.  Every interior division is exact, and a remainder
-raises InexactDivision since it can only mean an implementation bug.  The
-tests check both engines against a naive cofactor expansion at small
+At an integer weight, hankel_det computes det(c[i+j]) of the sequence c
+over Z, from the leading coefficients of the subresultant polynomial
+remainder sequence of x^(2n) and sum_k c[k] x^(2n-1-k).  Each remainder
+keeps only the top coefficients that the later leading coefficients read,
+so the sequence costs O(n^2) ring operations.  A zero leading minor (a
+degree gap) falls back to det_fraction_free, one fraction-free (Bareiss)
+elimination loop that swaps in a lower row at a zero pivot;
+leading_minor_dets applies it to each leading block.
+
+At the symbolic weight W, hankel_det evaluates that integer engine at the
+integer weights 0, 1, -1, 2, -2, ... and rebuilds the polynomial in w by
+Newton interpolation over Z, because the remainder sequence over Z[w]
+carries operands that keep growing.  The number of weights comes from a
+bound on the w-degree.  Write c[k] = alpha*M[k+s] + beta*M[k+s+1] as the
+k-th moment of q(Y) = (alpha + beta*Y) Y^s, where Y = w + X and X carries
+the aerated Catalan moments (choose where the level steps of a path go:
+M[m] = sum_h C(m, h) w^h Ctilde[m-h]).  The Pascal matrix
+L[i][l] = C(i, l) w^(i-l) is unit lower triangular and
+Hankel(c) = L Hankel(d) L^T, with d[k] = sum_l e[l] Ctilde[k+l] and e[l]
+the X-coefficients of q(w + X).  Every d[k] has w-degree at most
+D = max(deg alpha + s, deg beta + s + 1), so the determinant has w-degree
+at most n*D.  This is the invariance of Hankel determinants under the
+binomial transform (Layman, J. Integer Seq. 4 (2001), art. 01.1.5;
+Aigner, J. Combin. Theory Ser. A 87 (1999)).  n*D + 1 weights determine the
+polynomial, and one more is a check: its Newton coefficient must be 0, so
+a wrong bound cannot pass unnoticed.  The divided differences of an
+integer polynomial at integer weights are integers, so every division is
+exact, and every division of either engine raises InexactDivision on a
+remainder, since that can only mean an implementation bug.  The tests
+check the interpolated determinant against the remainder sequence run over
+Z[w], against Bareiss, and against a naive cofactor expansion at small
 dimensions.
 
 The determinant of (alpha*M[i+j] + beta*M[i+j+1]) has the closed form
@@ -25,11 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    InexactDivision,
     OP_ONE,
     OP_ZERO,
     OmegaPoly,
     W,
     _at_weight,
+    _bind,
     _div_exact,
     _one,
     _ring,
@@ -102,9 +124,13 @@ class HankelSpec:
 
 
 def _sequence(spec: HankelSpec, omega) -> list:
-    """c[k] = alpha*M[k+shift] + beta*M[k+shift+1] for k < 2n-1, at the weight omega."""
-    n, shift, alpha, beta = spec.n, spec.shift, spec.alpha, spec.beta
+    """c[k] = alpha*M[k+shift] + beta*M[k+shift+1] for k < 2n-1, at the weight omega.
+
+    alpha and beta are taken at the weight too, so at an int weight every c[k] is an int.
+    """
+    n, shift = spec.n, spec.shift
     mu = motzkin_series(2 * n - 1 + shift, omega)
+    alpha, beta = _bind(spec.alpha, omega), _bind(spec.beta, omega)
     return [alpha * mu.coeff(k + shift) + beta * mu.coeff(k + shift + 1) for k in range(2 * n - 1)]
 
 
@@ -121,6 +147,44 @@ def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
 def hankel_det(spec: HankelSpec, omega=W):
     """det(c[i+j]) for a HankelSpec at the weight omega, of the entries' kind.
 
+    At an int weight this is the remainder sequence (_remainder_det).  At W
+    it is the polynomial through the remainder sequence's values at the
+    integer weights 0, 1, -1, 2, -2, ..., one more than the degree bound
+    (_degree_bound) needs, read off its Newton form.
+    """
+    if isinstance(omega, int):
+        return _remainder_det(spec, omega)
+    _ring(omega)  # W, or ValueError
+    bound = _degree_bound(spec)
+    nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 2)]
+    coef = [_remainder_det(spec, x) for x in nodes]
+    # divided differences in place: coef[i] becomes f[x_0, ..., x_i]
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            coef[i] = _div_exact(coef[i] - coef[i - 1], nodes[i] - nodes[i - j])
+    if coef[-1]:
+        raise InexactDivision(
+            f"the determinant exceeds its degree bound {bound} in w: "
+            f"the check weight {nodes[-1]} gives Newton coefficient {coef[-1]}"
+        )
+    det = OP_ZERO  # Horner on the Newton form
+    for k in range(bound, -1, -1):
+        det = det * (W - nodes[k]) + coef[k]
+    return det
+
+
+def _degree_bound(spec: HankelSpec) -> int:
+    """n*D, a bound on the w-degree of det(c[i+j]): D = max(deg alpha + s, deg beta + s + 1).
+
+    Only the nonzero of alpha and beta count: a zero has degree -1 here.
+    """
+    s = spec.shift
+    return spec.n * max(as_opoly(spec.alpha).degree + s, as_opoly(spec.beta).degree + s + 1)
+
+
+def _remainder_det(spec: HankelSpec, omega):
+    """det(c[i+j]) at the weight omega by the cut subresultant remainder sequence.
+
     The subresultant remainder sequence of r_0 = x^(2n) and
     r_1 = sum_k c[k] x^(2n-1-k) has, while every degree step is one,
     r_(k+1) = prem(r_(k-1), r_k) / lc(r_(k-1))^2, and the leading minor of
@@ -128,7 +192,8 @@ def hankel_det(spec: HankelSpec, omega=W):
     coefficients of r_k reach lc(r_n), so each remainder is cut to those.
     A zero leading coefficient before r_n is a zero leading minor, where
     the sequence has a degree gap: the determinant is then taken by
-    Bareiss elimination of the matrix.
+    Bareiss elimination of the matrix.  hankel_det runs this at int weights
+    only; at W it is a cross-check of the tests.
     """
     n = spec.n
     b = _sequence(spec, omega)  # r_1, cut to its top 2n-1 coefficients
@@ -158,7 +223,7 @@ def hankel_closed(spec: HankelSpec, omega=W):
     """
     n, shift = spec.n, spec.shift
     if shift == 0:
-        return shifted_hankel_closed(n, spec.alpha, spec.beta, omega)
+        return shifted_hankel_closed(n, _bind(spec.alpha, omega), _bind(spec.beta, omega), omega)
     if (spec.alpha, spec.beta) != (1, 0):
         raise ValueError("the shifted closed forms are for (alpha, beta) = (1, 0)")
     if shift == 1:

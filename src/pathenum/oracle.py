@@ -162,8 +162,10 @@ def compressed_series(j: int, order: int, band: int = 0, omega=W) -> TSeries:
 
     With band > 0 the paths additionally stay strictly below height band.
     """
+    if j < 0:
+        raise ValueError("height must be nonnegative")
     spec = PathSpec.banded(band, w=2) if band else PathSpec.quadrant(w=2)
-    table = CountTable(spec, 2 * order + max(j, 0), omega)
+    table = CountTable(spec, 2 * order + j, omega)
     return TSeries(
         [table.value(2 * n - j, j) if 2 * n - j >= 0 else table._zero for n in range(order + 1)],
         order,

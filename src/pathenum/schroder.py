@@ -429,6 +429,8 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
     """
     if k < 2:
         raise ValueError("band height must be >= 2 (no s polynomial of index -1)")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if product is None:
         product = band_times_s(k, order)
 

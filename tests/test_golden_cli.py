@@ -187,6 +187,16 @@ ARGV = (
         ["verify", "all", "--k", "2"],
         ["verify", "all", "--max", "3", "--format", "json"],
     ]
+    # symbolic Hankel determinants rebuilt from integer evaluations: a degree
+    # bound of one per row, shift 2 (two per row), a node where alpha + beta*w
+    # vanishes (w = 2), a pure-beta gap at w = 0, and shift 1
+    + [
+        ["hankel", "--alpha", "1", "--beta", "1", "--n", "40", "--format", "json"],
+        ["hankel", "--shift", "2", "--n", "22", "--format", "csv"],
+        ["hankel", "--alpha", "2", "--beta", "-1", "--n", "25"],
+        ["hankel", "--alpha", "0", "--beta", "1", "--n", "30"],
+        ["hankel", "--shift", "1", "--n", "30", "--format", "json"],
+    ]
 )
 
 

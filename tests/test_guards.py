@@ -43,6 +43,7 @@ GUARDS = [
     (lambda: schroder.banded_schroder_gf(0), ValueError, "band height must be >= 1"),
     (lambda: schroder.banded_schroder_gf_via_s(0), ValueError, "band height must be >= 1"),
     (lambda: schroder.delannoy_recursion_check(0), ValueError, "horizon must be >= 1"),
+    (lambda: schroder.theorem_schroeder_check(2, -1), ValueError, "order must be nonnegative"),
     # oracle
     (lambda: PathSpec(0, "quadrant"), ValueError, "horizontal step length must be positive"),
     (lambda: PathSpec(1, "diagonal"), ValueError, "unknown mode 'diagonal'"),
@@ -52,10 +53,13 @@ GUARDS = [
      "path length must be nonnegative"),
     (lambda: oracle.oracle_series(PathSpec.quadrant(), 0, -1), ValueError,
      "order must be nonnegative"),
+    (lambda: oracle.compressed_series(-1, 3), ValueError, "height must be nonnegative"),
     # hankel
     (lambda: hankel.shifted_hankel_closed(-1, 1, 0), ValueError, "dimension must be nonnegative"),
     (lambda: hankel.second_hankel_closed(-1), ValueError, "dimension must be nonnegative"),
     (lambda: hankel.hankel_recursion_check(0), ValueError, "dimension must be >= 1"),
+    (lambda: hankel.hankel_det(HankelSpec(3), OmegaPoly([3])), ValueError,
+     "is neither W nor an int"),
     # matrices
     (lambda: TriMatrix([[1, 2]]), ValueError, "row 0 must have 1 entries, got 2"),
     (lambda: TriMatrix([[2]]).inverse_unit_lower(), ValueError,

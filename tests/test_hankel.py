@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathenum import algebra, hankel
@@ -246,9 +246,11 @@ class TestRemainderSequence:
         # surface as a remainder when a later remainder divides by lc(r_2)^2.
         # (A +1 planted in the sequence c itself cannot: the subresultant
         # divisions are exact for every input sequence, so only the
-        # closed-form cross-check catches that.)
+        # closed-form cross-check, and at W the degree check, catch that.)
+        # The remainder sequence is hankel_det at an int weight and a
+        # cross-check at W.
         spec = HankelSpec(8, alpha=1, beta=1)
-        assert hankel_det(spec, omega) == hankel_closed(spec, omega)
+        assert hankel._remainder_det(spec, omega) == hankel_closed(spec, omega)
         real, calls = hankel._div_exact, []
 
         def planted(a, b):
@@ -258,10 +260,9 @@ class TestRemainderSequence:
 
         monkeypatch.setattr(hankel, "_div_exact", planted)
         with pytest.raises(InexactDivision):
-            hankel_det(spec, omega)
+            hankel._remainder_det(spec, omega)
 
-    def test_planted_sequence_term_disagrees_with_closed_form(self, monkeypatch):
-        spec = HankelSpec(8, alpha=1, beta=1)
+    def _plant_sequence_term(self, monkeypatch):
         real = hankel._sequence
 
         def planted(spec, omega):
@@ -270,7 +271,21 @@ class TestRemainderSequence:
             return c
 
         monkeypatch.setattr(hankel, "_sequence", planted)
-        assert hankel_det(spec, W) != hankel_closed(spec, W)
+
+    def test_planted_sequence_term_disagrees_with_closed_form(self, monkeypatch):
+        # the remainder sequence, at an int weight and at W, takes any sequence
+        # without a remainder: only the closed form tells the wrong term
+        spec = HankelSpec(8, alpha=1, beta=1)
+        self._plant_sequence_term(monkeypatch)
+        assert hankel_det(spec, 3) != hankel_closed(spec, 3)
+        assert hankel._remainder_det(spec, W) != hankel_closed(spec, W)
+
+    def test_planted_sequence_term_exceeds_the_degree_bound(self, monkeypatch):
+        # a constant +1 in c[5] lifts the determinant's w-degree past n*D = 8
+        spec = HankelSpec(8, alpha=1, beta=1)
+        self._plant_sequence_term(monkeypatch)
+        with pytest.raises(InexactDivision, match="exceeds its degree bound 8 in w"):
+            hankel_det(spec, W)
 
     def _count_bareiss(self, monkeypatch):
         calls = []
@@ -292,10 +307,25 @@ class TestRemainderSequence:
         assert calls == [6]
 
     def test_normal_case_never_runs_bareiss(self, monkeypatch):
+        # at the int weight 2, (1, 1) has no zero leading minor below n = 20
         calls = self._count_bareiss(monkeypatch)
         spec = HankelSpec(20, alpha=1, beta=1)
-        assert hankel_det(spec, W) == shifted_hankel_closed(20, 1, 1)
+        assert hankel_det(spec, 2) == shifted_hankel_closed(20, 1, 1).evaluate(2)
         assert calls == []
+
+    def test_bareiss_never_sees_an_omega_poly(self, monkeypatch):
+        # At W, Bareiss runs only at the integer weights where the remainder
+        # sequence has a gap: w = 0, -1, -2 for (1, 1), n = 20.
+        real, seen = hankel.det_fraction_free, []
+
+        def counted(m):
+            seen.append({type(e) for row in m.rows for e in row})
+            return real(m)
+
+        monkeypatch.setattr(hankel, "det_fraction_free", counted)
+        spec = HankelSpec(20, alpha=1, beta=1)
+        assert hankel_det(spec, W) == shifted_hankel_closed(20, 1, 1)
+        assert seen == [{int}] * 3
 
     def test_integer_weight_builds_no_omega_poly(self, monkeypatch):
         # Every OmegaPoly operation and constructor goes through a kernel
@@ -314,3 +344,120 @@ class TestRemainderSequence:
     def test_shifted_closed_forms_need_the_plain_spec(self):
         with pytest.raises(ValueError):
             hankel_closed(HankelSpec(3, shift=1, alpha=2))
+
+
+# alpha or beta: an int, or a polynomial in w of degree <= 2
+hankel_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(OmegaPoly),
+)
+
+
+class TestInterpolation:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        shift=st.integers(0, 2),
+        alpha=hankel_scalars,
+        beta=hankel_scalars,
+    )
+    def test_matches_remainder_sequence_bareiss_closed_form_and_cofactor(
+        self, n, shift, alpha, beta
+    ):
+        assume(alpha or beta)
+        spec = HankelSpec(n, shift=shift, alpha=alpha, beta=beta)
+        det = hankel_det(spec, W)
+        assert type(det) is OmegaPoly
+        assert det.degree <= hankel._degree_bound(spec)
+        at_two = hankel_det(spec, 2)  # alpha and beta taken at the weight as well
+        assert type(at_two) is int and at_two == det.evaluate(2)
+        assert det == hankel._remainder_det(spec, W)
+        m = hankel_matrix(spec)
+        assert det == det_fraction_free(m)
+        if shift == 0 or (alpha, beta) == (1, 0):
+            assert det == hankel_closed(spec, W)
+            assert at_two == hankel_closed(spec, 2)
+        if n <= 6:
+            assert det == det_cofactor(m)
+
+    def _record_weights(self, monkeypatch):
+        real, weights = hankel._remainder_det, []
+
+        def recorded(spec, omega):
+            weights.append(omega)
+            return real(spec, omega)
+
+        monkeypatch.setattr(hankel, "_remainder_det", recorded)
+        return weights
+
+    @pytest.mark.parametrize(
+        "spec, per_row",
+        [
+            (HankelSpec(5), 0),
+            (HankelSpec(5, alpha=2, beta=-1), 1),
+            (HankelSpec(5, shift=2), 2),
+            (HankelSpec(5, alpha=OmegaPoly([0, 0, 1]), beta=1), 2),
+            (HankelSpec(5, shift=1, alpha=0, beta=OmegaPoly([1, 1])), 3),
+        ],
+    )
+    def test_remainder_sequence_runs_only_at_integer_weights(self, monkeypatch, spec, per_row):
+        # n*D + 1 weights fix the polynomial and one more checks it; the
+        # symbolic remainder sequence never runs
+        weights = self._record_weights(monkeypatch)
+        assert hankel_det(spec, W) == det_fraction_free(hankel_matrix(spec))
+        centred = [0] + [x * sign for x in range(1, 9) for sign in (1, -1)]
+        assert weights == centred[: 5 * per_row + 2]
+        assert all(type(x) is int for x in weights)
+        weights.clear()
+        assert hankel_det(spec, -2) == det_fraction_free(hankel_matrix(spec, -2))
+        assert weights == [-2]
+
+    def test_weight_where_alpha_and_beta_both_vanish(self):
+        # at w = 0 every c[k] is 0, so the remainder sequence falls back to
+        # Bareiss on the zero matrix
+        spec = HankelSpec(6, alpha=W, beta=W)
+        assert hankel_det(spec, 0) == 0
+        assert hankel_det(spec, W) == det_fraction_free(hankel_matrix(spec))
+        assert hankel_det(spec, W) == hankel_closed(spec, W)
+
+    def test_lowered_degree_bound_raises_inexact_division(self, monkeypatch):
+        # (1, 1) has degree exactly n in w: n - 1 misses the top coefficient
+        spec = HankelSpec(8, alpha=1, beta=1)
+        assert hankel_det(spec, W).degree == hankel._degree_bound(spec) == 8
+        real = hankel._degree_bound
+        monkeypatch.setattr(hankel, "_degree_bound", lambda spec: real(spec) - 1)
+        with pytest.raises(InexactDivision, match="exceeds its degree bound 7 in w"):
+            hankel_det(spec, W)
+
+    @pytest.mark.parametrize("which", [1, 3, 17, 44])
+    def test_planted_newton_division_raises_inexact_division(self, monkeypatch, which):
+        # a +1 in one divided difference; the remainder sequences at the ten
+        # weights run first, so the divisions after them are all Newton's
+        spec = HankelSpec(8, alpha=1, beta=1)
+        weights = self._record_weights(monkeypatch)
+        real, divisions = hankel._div_exact, []
+
+        def planted(a, b):
+            q = real(a, b)
+            if len(weights) < 10:
+                return q
+            divisions.append(b)
+            return q + 1 if len(divisions) == which else q
+
+        monkeypatch.setattr(hankel, "_div_exact", planted)
+        with pytest.raises(InexactDivision):
+            hankel_det(spec, W)
+        assert len(weights) == 10 and len(divisions) >= which
+
+    @pytest.mark.parametrize("node", range(3))
+    def test_planted_value_at_one_weight_raises_inexact_division(self, monkeypatch, node):
+        spec = HankelSpec(4, shift=1)  # D = 1: six weights
+        real, weights = hankel._remainder_det, []
+
+        def planted(spec, omega):
+            weights.append(omega)
+            return real(spec, omega) + (len(weights) == node + 1)
+
+        monkeypatch.setattr(hankel, "_remainder_det", planted)
+        with pytest.raises(InexactDivision):
+            hankel_det(spec, W)
