@@ -290,6 +290,12 @@ def _ring(omega) -> tuple:
     return OP_ZERO, OP_ONE
 
 
+def _symbolic(omega) -> bool:
+    """True at the weight W, False at an int weight; any other weight raises ValueError (_ring)."""
+    _ring(omega)
+    return not isinstance(omega, int)
+
+
 def _at_weight(coeffs, omega):
     """sum_l coeffs[l] omega^l, for integer coeffs and the weight W or an int.
 

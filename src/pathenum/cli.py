@@ -8,8 +8,9 @@ series, triangle, Hankel determinant and Hankel closed form is then
 computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
-disagreement was detected, 2 usage error, 141 the reader closed standard
-output before it was written.  All output is deterministic and large
+disagreement was detected, 2 usage error or a request too large for the
+available memory (one error line, no traceback), 141 the reader closed
+standard output before it was written.  All output is deterministic and large
 integers are printed in full decimal.
 
 Each seq family, band family, matrix kind and verify suite is declared
@@ -121,10 +122,10 @@ _SEQ = {
 
 # Each band family of seq banded, in the same form: its builder takes (k, order, omega).
 _BAND = {
-    "motzkin": ({}, lambda k, n, omega: motzkin.banded_motzkin_gf(k, omega).expand(n)),
+    "motzkin": ({}, lambda k, n, omega: schroder._banded_series(1, 2, k, n, omega)),
     "schroder": ({}, lambda k, n, omega: schroder.banded_schroder_series(k, n, omega)),
     "w-path": ({"w": 1},
-               lambda k, n, omega, w: schroder.banded_w_gf(k, _step(w), omega).expand(n)),
+               lambda k, n, omega, w: schroder._banded_series(_step(w), 2, k, n, omega)),
 }
 
 
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
         return globals()[f"_cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for a smaller size", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout: send the flush at exit to the null device

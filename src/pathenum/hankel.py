@@ -55,6 +55,7 @@ from .algebra import (
     _div_exact,
     _one,
     _ring,
+    _symbolic,
     _zero,
     as_opoly,
     binom,
@@ -140,8 +141,12 @@ def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
     At an integer weight, with int alpha and beta, every entry is an int, so
     Bareiss eliminates an integer matrix.
     """
-    c = _sequence(spec, omega)
-    return SquareMatrix([[c[i + j] for j in range(spec.n)] for i in range(spec.n)])
+    return _square(_sequence(spec, omega), spec.n)
+
+
+def _square(c: list, n: int) -> SquareMatrix:
+    """The n x n Hankel matrix (c[i+j]) of a sequence c of length at least 2n - 1."""
+    return SquareMatrix([[c[i + j] for j in range(n)] for i in range(n)])
 
 
 def hankel_det(spec: HankelSpec, omega=W):
@@ -152,9 +157,8 @@ def hankel_det(spec: HankelSpec, omega=W):
     integer weights 0, 1, -1, 2, -2, ..., one more than the degree bound
     (_degree_bound) needs, read off its Newton form.
     """
-    if isinstance(omega, int):
+    if not _symbolic(omega):
         return _remainder_det(spec, omega)
-    _ring(omega)  # W, or ValueError
     bound = _degree_bound(spec)
     nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 2)]
     coef = [_remainder_det(spec, x) for x in nodes]
@@ -192,18 +196,19 @@ def _remainder_det(spec: HankelSpec, omega):
     coefficients of r_k reach lc(r_n), so each remainder is cut to those.
     A zero leading coefficient before r_n is a zero leading minor, where
     the sequence has a degree gap: the determinant is then taken by
-    Bareiss elimination of the matrix.  hankel_det runs this at int weights
-    only; at W it is a cross-check of the tests.
+    Bareiss elimination of the Hankel matrix of the same sequence.
+    hankel_det runs this at int weights only; at W it is a cross-check of
+    the tests.
     """
     n = spec.n
-    b = _sequence(spec, omega)  # r_1, cut to its top 2n-1 coefficients
+    c = b = _sequence(spec, omega)  # r_1, cut to its top 2n-1 coefficients
     one = _one(*b)
     a = [one] + [_zero(one)] * (2 * n)  # r_0
     prev = one
     for _ in range(n - 1):
         g = b[0]
         if not g:
-            return det_fraction_free(hankel_matrix(spec, omega))
+            return det_fraction_free(_square(c, n))
         a0 = a[0]
         r0 = g * a[1] - a0 * b[1]
         a, b, prev = b, [

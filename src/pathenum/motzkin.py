@@ -1,14 +1,21 @@
 """Weighted Motzkin numbers: series, Riordan triangles, inverses, bands.
 
-The Motzkin series mu satisfies mu = 1 + w*t*mu + t^2*mu^2.  Its
-coefficients come from the linear recurrence that the square root of the
-discriminant (1 - w*t)^2 - 4*t^2 satisfies: an exact series in Z[w], one
-exact integer division per term, never a numeric root.  Series, row
+The Motzkin series mu satisfies mu = 1 + w*t*mu + t^2*mu^2.  At an
+integer weight its coefficients come from the linear recurrence that the
+square root of the discriminant (1 - w*t)^2 - 4*t^2 satisfies, one exact
+integer division per term, never a numeric root.  Series, row
 polynomials, columns and bands are the (1, 2) case of the step-family
 engine in the schroder module.  The grand (unrestricted-height) series is
 1/(1 - w*t - 2*t^2*mu); since 1 - w*t - 2*t^2*mu is that square root, it
 equals (1 - w*t - 2*t^2*mu) / ((1 - w*t)^2 - 4*t^2), and every grand column
 reduces to the same form (c0 + c1*mu) / D with short polynomials c0, c1.
+
+At the symbolic weight no series is computed over Z[w].  With A = 1 - w*t
+and y = t^2/A^2, mu = A^(-1) C(y) (C the Catalan series) and the grand
+series is A^(-1) (1 - 4y)^(-1/2), so the counts ending at height j, with
+or without the floor, have the form t^e A^(-c) G(y) with e = j and
+c = j + 1.  schroder._lift rebuilds them from their integer run at w = 0,
+one small product and one exact division per coefficient of Z[w].
 
 The inverse of the Motzkin triangle has one production construction (the
 band polynomials: row i holds the coefficients of P_i) and three
@@ -30,13 +37,21 @@ from .algebra import (
     W,
     _at_weight,
     _quotient,
-    _ring,
+    _symbolic,
     binom,
 )
 from .checks import CheckResult, first_mismatch
 from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
-from .schroder import _band_polys, _banded, _column, _count_triangle, _row_triangle, _series
+from .schroder import (
+    _band_polys,
+    _banded,
+    _column,
+    _count_triangle,
+    _lift,
+    _row_triangle,
+    _series,
+)
 
 
 def motzkin_series(order: int, omega=W) -> TSeries:
@@ -83,13 +98,17 @@ def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
 
     so the series is one product of mu with a short polynomial and one
     quotient by a quadratic.  The j lowest coefficients of c1 mu + c0
-    vanish identically, which shift_down re-checks.
+    vanish identically, which shift_down re-checks.  At W, g = A^(-1)
+    (1 - 4y)^(-1/2) with y = t^2 / A^2, so the column is t^j A^(-j-1) G(y),
+    lifted (_lift, e = j, c = j + 1) from its run at w = 0.
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
+    if _symbolic(omega):
+        return _lift(1, 2, j, j + 1, grand_column_gf(j, order, 0), order)
     family = _band_polys(1, 2, j, omega)
     below = family[j - 1] if j else TPoly(())
-    step = TPoly([_ring(omega)[1], -omega])  # A
+    step = TPoly([1, -omega])  # A
     den = step * step - TPoly([0, 0, 4])  # D
     c1 = (step * below - 2 * family[j]).shift(2)
     c0 = step * family[j] - (den + TPoly([0, 0, 2])) * below

@@ -5,10 +5,10 @@ steps.  One engine, parametrized by the step exponents (a, b) of the fixed
 point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
 step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
 and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
-t^2 -> t.  The series mu is built in linear time by one recurrence for all
-(a, b), read off the differential equation of the square root of the
-discriminant (1 - omega t^a)^2 - 4 t^b (see _series).  The column
-generating functions are expressed through the normalized band
+t^2 -> t.  At an int weight the series mu is built in linear time by one
+recurrence for all (a, b), read off the differential equation of the
+square root of the discriminant (1 - omega t^a)^2 - 4 t^b (see _series).
+The column generating functions are expressed through the normalized band
 polynomials, built by their three-term recursion
 
     P_n = (1 - omega t^a) P_(n-1) - t^b P_(n-2),  P_0 = 1, P_(-1) = 0
@@ -34,9 +34,26 @@ The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
 scalars they build follow the weight: OmegaPolys at W, plain ints at an
 int weight, with the constants 0 and 1 taken from the weight itself.  The
-same loops run over Z[w] and over Z, and every exact division keeps its
-remainder check for both.  The central Delannoy numbers behind seq
-delannoy come from their P-recurrence, one exact division per term.
+central Delannoy numbers behind seq delannoy come from their P-recurrence,
+one exact division per term.
+
+The series behind seq are not computed over Z[w] at all.  Put
+A = 1 - omega t^a and y = t^b / A^2.  Then mu = A^(-1) C(y), C the Catalan
+series, and P_k = A^k p_k(y) for the band continuants p_k (Flajolet,
+Discrete Math. 32 (1980)), so every series of an (a, b) family has the
+form t^e A^(-c) G(y).  Its value at w = 0 is t^e G(t^b), an int run of
+the same builder, and _lift reads G off it and writes the coefficient of
+t^n w^r as g_m C(c + 2m - 1 + r, r), n = e + b m + a r: one product by a
+small int and one exact division per coefficient.  At W each of these builders is that lift, with
+
+    _series, _banded_series    (any (a, b))   e = 0,            c = 1
+    _column                    (any (a, b))   e = (b - 1) j,    c = j + 1
+    grand_column_gf (motzkin)  (1, 2)         e = j,            c = j + 1
+    central_delannoy_series    (1, 1)         e = 0,            c = 1
+
+while the band polynomials, the rational generating functions and the
+triangles are still built over Z[w].  Every exact division, of the int
+runs and of the lift, keeps its remainder check.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all and build
@@ -50,6 +67,7 @@ from fractions import Fraction
 
 from .algebra import (
     InexactDivision,
+    OmegaPoly,
     RationalGF,
     TPoly,
     TSeries,
@@ -57,6 +75,7 @@ from .algebra import (
     _at_weight,
     _div_exact,
     _ring,
+    _symbolic,
     binom,
     binom_general,
 )
@@ -68,11 +87,42 @@ from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 ONE_MINUS_T = TPoly([1, -1])
 
 
+def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
+    """t^e (1 - w t^a)^(-c) G(t^b / (1 - w t^a)^2) over Z[w] to order, from its run q0 at w = 0.
+
+    q0 = t^e G(t^b): g_m is its coefficient of t^(e + b m), and a nonzero
+    coefficient off that lattice raises InexactDivision (a bug sentinel).
+    Since (1 - w t^a)^(-c-2m) = sum_r C(c+2m-1+r, r) w^r t^(a r), the
+    coefficient of t^n w^r is
+
+        g_m C(c+2m-1+r, r),  where n = e + b m + a r.
+
+    Each is the one before it in r times (c+2m-1+r) / r: one product by a
+    small int and one exact division.
+    """
+    rows = [[0] * ((n - e) // a + 1) if n >= e else [] for n in range(order + 1)]
+    for n, g in enumerate(q0.coeffs):
+        if not g:
+            continue
+        m, off = divmod(n - e, b)
+        if m < 0 or off:
+            raise InexactDivision(f"coefficient {g} of t^{n} at w = 0 is off the lattice {e} + {b}m")
+        s, term = c + 2 * m - 1, g
+        for r, at in enumerate(range(n, order + 1, a)):
+            if r:
+                term = _div_exact(term * (s + r), r)
+            rows[at][r] = term
+    return TSeries([OmegaPoly(row) for row in rows], order)
+
+
 def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     """Coefficients of mu = 1 + omega t^a mu + t^b mu^2, in linear time.
 
-    With A = 1 - omega t^a, the root s = A - 2 t^b mu of the discriminant
-    D = A^2 - 4 t^b satisfies 2 D s' = D' s.  Put u = t^b mu = (A - s)/2:
+    At W, mu = (1 - w t^a)^(-1) C(t^b / (1 - w t^a)^2), C the Catalan
+    series, and it is lifted (_lift, e = 0, c = 1) from its run at w = 0.
+    At an int weight, with A = 1 - omega t^a, the root s = A - 2 t^b mu of
+    the discriminant D = A^2 - 4 t^b satisfies 2 D s' = D' s.  Put
+    u = t^b mu = (A - s)/2:
 
         2 D u' - D' u = 2b t^(b-1) A - 4 t^b A',
 
@@ -82,19 +132,17 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
         R = 2b + (4a - 2b) omega t^a,
 
     where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms.
-    The loop runs on scalars of the weight's kind: at W each product of a
-    coefficient of mu with a monomial in w is a shift and a scale
-    (kernels.vmul), and at an int weight every coefficient is an int.  The
-    division by 2(n+b) is exact in Z[w] and in Z; a remainder raises
-    InexactDivision (a bug sentinel).
+    Every coefficient is an int.  The division by 2(n+b) is exact; a
+    remainder raises InexactDivision (a bug sentinel).
     """
-    zero, one = _ring(omega)
-    disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4 * one))  # D - 1, by power of t
-    rhs = {0: 2 * b * one, a: (4 * a - 2 * b) * omega}  # R, by power of t
+    if _symbolic(omega):
+        return _lift(a, b, 0, 1, _series(a, b, order, 0), order)
+    disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4))  # D - 1, by power of t
+    rhs = {0: 2 * b, a: (4 * a - 2 * b) * omega}  # R, by power of t
     mu = []
     for n in range(order + 1):
         m = n + b
-        total = rhs.get(n, zero)
+        total = rhs.get(n, 0)
         for i, d in disc:
             if i <= n:
                 total = total + (3 * i - 2 * m) * d * mu[n - i]
@@ -117,8 +165,11 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
 
     The j lowest coefficients of the numerator vanish identically, which
     shift_down re-checks.  The index alignment (no offset) is calibrated
-    against the oracle.
+    against the oracle.  At W the column is t^((b-1) j) (1 - w t^a)^(-j-1)
+    G(y), lifted (_lift) from its run at w = 0.
     """
+    if _symbolic(omega):
+        return _lift(a, b, (b - 1) * j, j + 1, _column(a, b, j, order, 0), order)
     mu = _series(a, b, order + j, omega)
     if not j:
         return mu  # P_0 = 1, P_(-1) = 0
@@ -130,6 +181,17 @@ def _banded(a: int, b: int, k: int, omega=W) -> RationalGF:
     """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
     family = _band_polys(a, b, k, omega)
     return RationalGF(family[k - 1], family[k])
+
+
+def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
+    """The expansion of P_(k-1) / P_k to order.
+
+    At W it is (1 - w t^a)^(-1) p_(k-1)(y) / p_k(y), lifted (_lift, e = 0,
+    c = 1) from its run at w = 0.
+    """
+    if _symbolic(omega):
+        return _lift(a, b, 0, 1, _banded_series(a, b, k, order, 0), order)
+    return _banded(a, b, k, omega).expand(order)
 
 
 def _row_triangle(n: int, rows: list) -> TriMatrix:
@@ -212,7 +274,7 @@ def banded_schroder_series(k: int, order: int, omega=W) -> TSeries:
     """Compressed banded w=2 counts at height 0."""
     if k < 1:
         raise ValueError("band height must be >= 1")
-    return _banded(1, 1, k, omega).expand(order)
+    return _banded_series(1, 1, k, order, omega)
 
 
 def schroder_matrix_compressed(n: int, omega=W) -> TriMatrix:
@@ -291,15 +353,18 @@ def central_delannoy_series(order: int, omega=W) -> TSeries:
         n D_n = (omega + 2)(2n - 1) D_(n-1) - omega^2 (n - 1) D_(n-2),
         D_0 = 1,  D_1 = omega + 2.
 
-    Each term is one exact division by n, in Z[w] or in Z; a remainder
-    raises InexactDivision (a bug sentinel).  delannoy_number, the closed
-    sum, is the cross-check.
+    Each term is one exact division by n; a remainder raises
+    InexactDivision (a bug sentinel).  At W the series is
+    1 / sqrt((1 - w t)^2 - 4t) = (1 - w t)^(-1) G(t / (1 - w t)^2), lifted
+    (_lift, e = 0, c = 1) from the central binomials at w = 0.
+    delannoy_number, the closed sum, is the cross-check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    one = _ring(omega)[1]
+    if _symbolic(omega):
+        return _lift(1, 1, 0, 1, central_delannoy_series(order, 0), order)
     step, square = omega + 2, omega * omega
-    d = [one, step]
+    d = [1, step]
     for n in range(2, order + 1):
         d.append(_div_exact((2 * n - 1) * step * d[n - 1] - (n - 1) * square * d[n - 2], n))
     return TSeries(d[: order + 1], order)

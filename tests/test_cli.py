@@ -108,6 +108,19 @@ class TestSeq:
         assert run("seq", "motzkin", "--N", "3", "--omega", "pi", capsys=capsys)[0] == 2
         assert run("seq", "delannoy", "--N", "3", "--j", "2", capsys=capsys)[0] == 2
 
+    def test_memory_error_exits_two_with_one_line(self, monkeypatch, capsys):
+        # a request too large for memory is refused like a usage error, not
+        # reported as a mathematical disagreement (exit 1) with a traceback
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.motzkin, "motzkin_column_gf", exhausted)
+        code, out, err = run("seq", "motzkin", "--N", "3", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -197,6 +197,18 @@ ARGV = (
         ["hankel", "--alpha", "0", "--beta", "1", "--n", "30"],
         ["hankel", "--shift", "1", "--n", "30", "--format", "json"],
     ]
+    # symbolic series lifted from their run at w = 0: orders below a column's
+    # offset e and at it, the w-path lattice (a, b) = (4, 2), a band on the
+    # (2, 2) lattice, and the (1, 1) Delannoy lattice at order 0
+    + [
+        ["seq", "motzkin", "--N", "0", "--j", "3"],
+        ["seq", "w-path", "--w", "4", "--j", "3", "--N", "14", "--format", "json"],
+        ["seq", "banded", "--family", "w-path", "--w", "2", "--k", "3", "--N", "20",
+         "--format", "csv"],
+        ["seq", "grand-motzkin", "--N", "2", "--j", "5"],
+        ["seq", "schroder-compressed", "--N", "12", "--j", "4", "--format", "json"],
+        ["seq", "delannoy", "--N", "0"],
+    ]
 )
 
 

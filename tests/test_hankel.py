@@ -306,6 +306,23 @@ class TestRemainderSequence:
         assert hankel_det(HankelSpec(6, alpha=0, beta=1), 1) == 1
         assert calls == [6]
 
+    def test_gap_reuses_the_sequence_it_holds(self, monkeypatch):
+        # c[0] = M_1(0) = 0 opens a gap at the first step; Bareiss takes the
+        # matrix of the sequence already built, with no second Motzkin series
+        spec = HankelSpec(5, shift=1)
+        want = det_fraction_free(hankel_matrix(spec, 0))
+        real, orders = hankel.motzkin_series, []
+
+        def counted(order, omega):
+            orders.append(order)
+            return real(order, omega)
+
+        monkeypatch.setattr(hankel, "motzkin_series", counted)
+        bareiss = self._count_bareiss(monkeypatch)
+        assert hankel._remainder_det(spec, 0) == want
+        assert orders == [10]
+        assert bareiss == [5]
+
     def test_normal_case_never_runs_bareiss(self, monkeypatch):
         # at the int weight 2, (1, 1) has no zero leading minor below n = 20
         calls = self._count_bareiss(monkeypatch)

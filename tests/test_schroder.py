@@ -1,12 +1,17 @@
 """General-w paths, compressed Schroeder structure, Delannoy bridges, band theorem."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathenum import schroder
 from pathenum.algebra import OP_ONE, InexactDivision, OmegaPoly, TPoly, TSeries, W
-from pathenum.motzkin import banded_motzkin_gf, inverse_motzkin_poly, motzkin_series
+from pathenum.motzkin import (
+    banded_motzkin_gf,
+    grand_column_gf,
+    inverse_motzkin_poly,
+    motzkin_series,
+)
 from pathenum.oracle import (
     CountTable,
     IndexOutOfTriangle,
@@ -502,3 +507,82 @@ class TestGould:
     def test_precondition(self):
         with pytest.raises(ValueError):
             gould_identity_check(3, 2)
+
+
+LIFT_FAMILIES = [(1, 2), (1, 1), (2, 2), (3, 2), (4, 2)]
+
+
+def _lift_cases(a, b, j, k):
+    """The builders lifted at W on the lattice (a, b), at height j and band k.
+
+    name -> (build(order, omega), e, c, oracle(order)), the oracle being the
+    same counts read off a CountTable at W.
+    """
+    if b == 1:  # compressed w = 2: t^n of column j counts the paths to (2n + j, j)
+        def central(order):
+            table = CountTable(PathSpec.grand(2), 2 * order)
+            return TSeries([table.value(2 * n, 0) for n in range(order + 1)], order)
+
+        return {
+            "series": (lambda o, om: schroder._series(1, 1, o, om), 0, 1,
+                       lambda o: compressed_series(0, o)),
+            "column": (lambda o, om: schroder._column(1, 1, j, o, om), 0, j + 1,
+                       lambda o: TSeries(compressed_series(j, o + j).coeffs[j:], o)),
+            "banded": (lambda o, om: schroder._banded_series(1, 1, k, o, om), 0, 1,
+                       lambda o: compressed_series(0, o, band=k)),
+            "delannoy": (lambda o, om: central_delannoy_series(o, om), 0, 1, central),
+        }
+    cases = {
+        "series": (lambda o, om: schroder._series(a, 2, o, om), 0, 1,
+                   lambda o: oracle_series(PathSpec.quadrant(a), 0, o)),
+        "column": (lambda o, om: schroder._column(a, 2, j, o, om), j, j + 1,
+                   lambda o: oracle_series(PathSpec.quadrant(a), j, o)),
+        "banded": (lambda o, om: schroder._banded_series(a, 2, k, o, om), 0, 1,
+                   lambda o: oracle_series(PathSpec.banded(k, a), 0, o)),
+    }
+    if a == 1:
+        cases["grand"] = (lambda o, om: grand_column_gf(j, o, om), j, j + 1,
+                          lambda o: oracle_series(PathSpec.grand(), j, o))
+    return cases
+
+
+class TestLift:
+    """At W each series builder is lifted from its int run at w = 0 (_lift)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(LIFT_FAMILIES), j=st.integers(0, 5), k=st.integers(1, 8),
+           order=st.integers(0, 40))
+    @example(family=(1, 2), j=5, k=1, order=2)  # an order below e = j
+    @example(family=(4, 2), j=5, k=8, order=40)
+    def test_matches_oracle_and_int_runs(self, family, j, k, order):
+        for name, (build, _, _, oracle) in _lift_cases(*family, j, k).items():
+            got = build(order, W)
+            assert all(isinstance(x, OmegaPoly) for x in got.coeffs), name
+            assert got == oracle(order), name
+            for x in range(-3, 6):
+                assert got.eval_omega(x).int_coeffs() == list(build(order, x).coeffs), (name, x)
+
+    def test_off_lattice_coefficient_raises_inexact_division(self):
+        q0 = schroder._series(1, 2, 6, 0)
+        planted = TSeries(q0.coeffs[:3] + (1,) + q0.coeffs[4:], 6)  # t^3 is off 0 + 2m
+        with pytest.raises(InexactDivision):
+            schroder._lift(1, 2, 0, 1, planted, 6)
+        below = TSeries([1] + [0] * 6, 6)  # t^0 lies below e = 2
+        with pytest.raises(InexactDivision):
+            schroder._lift(1, 2, 2, 3, below, 6)
+
+    def test_planted_binomial_step_raises_inexact_division(self, monkeypatch):
+        # g C(s+r, r) = g C(s+r-1, r-1) (s+r) / r; a +1 on the product leaves
+        # a remainder at the first r >= 2
+        q0 = schroder._series(1, 2, 10, 0)
+        real = schroder._div_exact
+        monkeypatch.setattr(schroder, "_div_exact", lambda a, k: real(a + 1, k))
+        with pytest.raises(InexactDivision):
+            schroder._lift(1, 2, 0, 1, q0, 10)
+
+    @pytest.mark.parametrize("family", LIFT_FAMILIES)
+    def test_c_off_by_one_fails_the_oracle(self, family):
+        for name, (build, e, c, oracle) in _lift_cases(*family, 3, 4).items():
+            q0, want = build(12, 0), oracle(12)
+            assert schroder._lift(*family, e, c, q0, 12) == want, name
+            assert schroder._lift(*family, e, c + 1, q0, 12) != want, name
