@@ -4,10 +4,11 @@ At an integer weight, hankel_det computes det(c[i+j]) of the sequence c
 over Z, from the leading coefficients of the subresultant polynomial
 remainder sequence of x^(2n) and sum_k c[k] x^(2n-1-k).  Each remainder
 keeps only the top coefficients that the later leading coefficients read,
-so the sequence costs O(n^2) ring operations.  A zero leading minor (a
-degree gap) falls back to det_fraction_free, one fraction-free (Bareiss)
-elimination loop that swaps in a lower row at a zero pivot;
-leading_minor_dets applies it to each leading block.
+so the sequence costs O(n^2) ring operations, and each step divides its
+whole cut row by lc(r_(k-1))^2 in one exact-division pass (_div_row).  A
+zero leading minor (a degree gap) falls back to det_fraction_free, one
+fraction-free (Bareiss) elimination loop that swaps in a lower row at a
+zero pivot; leading_minor_dets applies it to each leading block.
 
 At the symbolic weight W, hankel_det evaluates that integer engine at the
 integer weights 0, 1, -1, 2, -2, ... and rebuilds the polynomial in w by
@@ -25,10 +26,26 @@ at most n*D.  This is the invariance of Hankel determinants under the
 binomial transform (Layman, J. Integer Seq. 4 (2001), art. 01.1.5;
 Aigner, J. Combin. Theory Ser. A 87 (1999)).  n*D + 1 weights determine the
 polynomial, and one more is a check: its Newton coefficient must be 0, so
-a wrong bound cannot pass unnoticed.  The divided differences of an
-integer polynomial at integer weights are integers, so every division is
-exact, and every division of either engine raises InexactDivision on a
-remainder, since that can only mean an implementation bug.  The tests
+a wrong bound cannot pass unnoticed.
+
+When exactly one of alpha, beta is nonzero and constant in w, half the
+weights do.  A Motzkin path of length m has as many level steps as m has
+parity, so M[m](-w) = (-1)^m M[m](w), and the determinant is w^e R(w^2)
+with e = n*s mod 2 (beta = 0) or n*(s+1) mod 2 (alpha = 0).  R is then
+interpolated in u = w^2 from the weights x = e, e+1, ..., each value
+divided by x^e, and the check weight is negative: its Newton coefficient
+tests the parity as well as the degree bound.
+
+A weight where the remainder sequence meets a gap is skipped for the next
+unused one, so the symbolic engine pays no Bareiss elimination there; at
+most bound + 2 weights are skipped per determinant, and after that a gap
+weight is taken by Bareiss, since a spec such as (alpha, beta) = (-w, 1),
+whose c[0] is 0, has a gap at every weight.
+
+The divided differences of an integer polynomial at integer weights (or
+at their squares) are integers, so every division is exact, and every
+division of either engine raises InexactDivision on a remainder, since
+that can only mean an implementation bug.  The tests
 check the interpolated determinant against the remainder sequence run over
 Z[w], against Bareiss, and against a naive cofactor expansion at small
 dimensions.
@@ -43,6 +60,7 @@ of the shifted matrices, at the weight, from integer coefficients alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .algebra import (
     InexactDivision,
@@ -155,26 +173,66 @@ def hankel_det(spec: HankelSpec, omega=W):
     At an int weight this is the remainder sequence (_remainder_det).  At W
     it is the polynomial through the remainder sequence's values at the
     integer weights 0, 1, -1, 2, -2, ..., one more than the degree bound
-    (_degree_bound) needs, read off its Newton form.
+    (_degree_bound) needs, read off its Newton form.  For a parity spec
+    (_parity) the determinant is w^e R(w^2): R is interpolated in u = w^2
+    from the values at x = e, e+1, ..., each divided by x^e, and the check
+    weight is negative, so that it tests the parity as well as the bound.
+    A weight where the remainder sequence meets a gap is skipped for the
+    next unused one, at most bound + 2 times; after that, Bareiss takes it.
     """
     if not _symbolic(omega):
         return _remainder_det(spec, omega)
-    bound = _degree_bound(spec)
-    nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 2)]
-    coef = [_remainder_det(spec, x) for x in nodes]
+    bound, e = _degree_bound(spec), _parity(spec)
+    if e is None:
+        size, weights = bound + 2, ((k + 1) // 2 * (1 if k % 2 else -1) for k in count())
+    else:
+        size, weights = (bound - e) // 2 + 2, count(e)
+    nodes, coef, skips = [], [], bound + 2
+    for x in weights:
+        if e is not None and len(nodes) == size - 1:
+            x = -x  # the check weight
+        value = _remainder_det(spec, x, skip_gap=skips > 0)
+        if value is None:
+            skips -= 1
+            continue
+        nodes.append(x)
+        coef.append(value if e is None else _div_exact(value, x**e))
+        if len(nodes) == size:
+            break
+    check = nodes[-1]
+    if e is not None:
+        nodes = [x * x for x in nodes]
     # divided differences in place: coef[i] becomes f[x_0, ..., x_i]
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
+    for j in range(1, size):
+        for i in range(size - 1, j - 1, -1):
             coef[i] = _div_exact(coef[i] - coef[i - 1], nodes[i] - nodes[i - j])
     if coef[-1]:
+        shape = "" if e is None else f" or is not w^{e} R(w^2)"
         raise InexactDivision(
-            f"the determinant exceeds its degree bound {bound} in w: "
-            f"the check weight {nodes[-1]} gives Newton coefficient {coef[-1]}"
+            f"the determinant exceeds its degree bound {bound} in w{shape}: "
+            f"the check weight {check} gives Newton coefficient {coef[-1]}"
         )
+    var = W if e is None else W * W
     det = OP_ZERO  # Horner on the Newton form
-    for k in range(bound, -1, -1):
-        det = det * (W - nodes[k]) + coef[k]
-    return det
+    for k in range(size - 2, -1, -1):
+        det = det * (var - nodes[k]) + coef[k]
+    return det * W if e else det
+
+
+def _parity(spec: HankelSpec):
+    """e with det(c[i+j]) = w^e R(w^2), or None if the spec has no such parity.
+
+    A Motzkin path of length m has as many level steps as m has parity, so
+    M[m](-w) = (-1)^m M[m](w).  When exactly one of alpha, beta is nonzero
+    and constant in w, c[k](-w) = (-1)^(k+t) c[k](w) with t = s (beta = 0)
+    or s + 1 (alpha = 0), so det(-w) = (-1)^(n*t) det(w), and e = n*t mod 2.
+    """
+    degrees = as_opoly(spec.alpha).degree, as_opoly(spec.beta).degree
+    if degrees == (0, -1):
+        return spec.n * spec.shift % 2
+    if degrees == (-1, 0):
+        return spec.n * (spec.shift + 1) % 2
+    return None
 
 
 def _degree_bound(spec: HankelSpec) -> int:
@@ -186,19 +244,20 @@ def _degree_bound(spec: HankelSpec) -> int:
     return spec.n * max(as_opoly(spec.alpha).degree + s, as_opoly(spec.beta).degree + s + 1)
 
 
-def _remainder_det(spec: HankelSpec, omega):
+def _remainder_det(spec: HankelSpec, omega, skip_gap: bool = False):
     """det(c[i+j]) at the weight omega by the cut subresultant remainder sequence.
 
     The subresultant remainder sequence of r_0 = x^(2n) and
     r_1 = sum_k c[k] x^(2n-1-k) has, while every degree step is one,
     r_(k+1) = prem(r_(k-1), r_k) / lc(r_(k-1))^2, and the leading minor of
     dimension k is (-1)^(k(k-1)/2) lc(r_k).  Only the top 2(n-k)+1
-    coefficients of r_k reach lc(r_n), so each remainder is cut to those.
+    coefficients of r_k reach lc(r_n), so each remainder is cut to those,
+    and each cut row is divided by lc(r_(k-1))^2 at once (_div_row).
     A zero leading coefficient before r_n is a zero leading minor, where
     the sequence has a degree gap: the determinant is then taken by
-    Bareiss elimination of the Hankel matrix of the same sequence.
-    hankel_det runs this at int weights only; at W it is a cross-check of
-    the tests.
+    Bareiss elimination of the Hankel matrix of the same sequence, or,
+    with skip_gap, not at all (None).  hankel_det runs this at int weights
+    only; at W it is a cross-check of the tests.
     """
     n = spec.n
     c = b = _sequence(spec, omega)  # r_1, cut to its top 2n-1 coefficients
@@ -208,14 +267,30 @@ def _remainder_det(spec: HankelSpec, omega):
     for _ in range(n - 1):
         g = b[0]
         if not g:
-            return det_fraction_free(_square(c, n))
+            return None if skip_gap else det_fraction_free(_square(c, n))
         a0 = a[0]
         r0 = g * a[1] - a0 * b[1]
-        a, b, prev = b, [
-            _div_exact(g * (g * a[i + 2] - a0 * b[i + 2]) - r0 * b[i + 1], prev)
-            for i in range(len(b) - 2)
-        ], g * g
+        a, b, prev = b, _div_row(
+            [g * (g * a[i + 2] - a0 * b[i + 2]) - r0 * b[i + 1] for i in range(len(b) - 2)],
+            prev,
+        ), g * g
     return -b[0] if n * (n - 1) // 2 % 2 else b[0]
+
+
+def _div_row(row: list, d) -> list:
+    """The exact quotients x / d of a row; InexactDivision on any remainder.
+
+    Ints divide by divmod in one pass; OmegaPolys entry by entry (_div_exact).
+    """
+    if isinstance(d, OmegaPoly):
+        return [_div_exact(x, d) for x in row]
+    quotients = []
+    for x in row:
+        q, r = divmod(x, d)
+        if r:
+            raise InexactDivision(f"{x} not divisible by {d}")
+        quotients.append(q)
+    return quotients
 
 
 def hankel_closed(spec: HankelSpec, omega=W):
@@ -256,6 +331,8 @@ def shifted_hankel_closed(n: int, alpha, beta, omega=W):
 
 def shifted_hankel_binomial(n: int, alpha, beta) -> OmegaPoly:
     """Same determinant as sum_k C(n-k,k)(-1)^k beta^(2k) (alpha+beta*w)^(n-2k)."""
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
     alpha, beta = as_opoly(alpha), as_opoly(beta)
     core = alpha + beta * W
     acc = OP_ZERO

@@ -209,6 +209,17 @@ ARGV = (
         ["seq", "schroder-compressed", "--N", "12", "--j", "4", "--format", "json"],
         ["seq", "delannoy", "--N", "0"],
     ]
+    # symbolic Hankel determinants interpolated in w^2: odd exponent e = 1
+    # (pure beta, shift 1), shift 2, a pure beta of -2, a degree bound of 0,
+    # and (1, 1) at n = 20, whose gap weights 0, -1, -2 are skipped
+    + [
+        ["hankel", "--alpha", "0", "--beta", "1", "--n", "23", "--format", "json"],
+        ["hankel", "--shift", "1", "--n", "21"],
+        ["hankel", "--shift", "2", "--n", "17", "--format", "csv"],
+        ["hankel", "--alpha", "0", "--beta", "-2", "--n", "13"],
+        ["hankel", "--alpha", "3", "--beta", "0", "--n", "9", "--format", "json"],
+        ["hankel", "--alpha", "1", "--beta", "1", "--n", "20"],
+    ]
 )
 
 

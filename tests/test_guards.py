@@ -57,6 +57,8 @@ GUARDS = [
     # hankel
     (lambda: hankel.shifted_hankel_closed(-1, 1, 0), ValueError, "dimension must be nonnegative"),
     (lambda: hankel.second_hankel_closed(-1), ValueError, "dimension must be nonnegative"),
+    (lambda: hankel.shifted_hankel_binomial(-1, 1, 0), ValueError,
+     "dimension must be nonnegative"),
     (lambda: hankel.hankel_recursion_check(0), ValueError, "dimension must be >= 1"),
     (lambda: hankel.hankel_det(HankelSpec(3), OmegaPoly([3])), ValueError,
      "is neither W nor an int"),

@@ -213,6 +213,18 @@ def test_random_alpha_beta_spot_check():
             assert minors[n - 1] == shifted_hankel_closed(n, a, b)
 
 
+def _plant_sequence_term(monkeypatch):
+    """A +1 in c[5] of every sequence that hankel builds."""
+    real = hankel._sequence
+
+    def planted(spec, omega):
+        c = real(spec, omega)
+        c[5] = c[5] + 1
+        return c
+
+    monkeypatch.setattr(hankel, "_sequence", planted)
+
+
 # (shift, alpha, beta) as the CLI accepts them: a shift only with (1, 0)
 hankel_specs = st.one_of(
     st.tuples(st.just(0), st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[1] or t[2]),
@@ -242,48 +254,47 @@ class TestRemainderSequence:
 
     @pytest.mark.parametrize("omega", [W, 3], ids=["symbolic", "weight-3"])
     def test_planted_remainder_raises_inexact_division(self, monkeypatch, omega):
-        # The third quotient is a coefficient of r_2; a +1 planted there must
-        # surface as a remainder when a later remainder divides by lc(r_2)^2.
-        # (A +1 planted in the sequence c itself cannot: the subresultant
-        # divisions are exact for every input sequence, so only the
-        # closed-form cross-check, and at W the degree check, catch that.)
-        # The remainder sequence is hankel_det at an int weight and a
-        # cross-check at W.
+        # The first row division gives r_2; a +1 planted in its third
+        # coefficient must surface as a remainder when a later remainder
+        # divides by lc(r_2)^2.  (A +1 planted in the sequence c itself
+        # cannot: the subresultant divisions are exact for every input
+        # sequence, so only the closed-form cross-check, and at W the degree
+        # check, catch that.)  The remainder sequence is hankel_det at an int
+        # weight and a cross-check at W.
         spec = HankelSpec(8, alpha=1, beta=1)
         assert hankel._remainder_det(spec, omega) == hankel_closed(spec, omega)
-        real, calls = hankel._div_exact, []
+        real, calls = hankel._div_row, []
 
-        def planted(a, b):
-            calls.append(b)
-            q = real(a, b)
-            return q + 1 if len(calls) == 3 else q
+        def planted(row, d):
+            calls.append(d)
+            q = real(row, d)
+            if len(calls) == 1:
+                q[2] = q[2] + 1
+            return q
 
-        monkeypatch.setattr(hankel, "_div_exact", planted)
+        monkeypatch.setattr(hankel, "_div_row", planted)
         with pytest.raises(InexactDivision):
             hankel._remainder_det(spec, omega)
 
-    def _plant_sequence_term(self, monkeypatch):
-        real = hankel._sequence
-
-        def planted(spec, omega):
-            c = real(spec, omega)
-            c[5] = c[5] + 1
-            return c
-
-        monkeypatch.setattr(hankel, "_sequence", planted)
+    @pytest.mark.parametrize("omega", [W, 3], ids=["symbolic", "weight-3"])
+    def test_row_division_raises_on_any_remainder(self, omega):
+        one = OP_ONE if omega is W else 1
+        assert hankel._div_row([6 * one, -4 * one, 0 * one], 2 * one) == [3, -2, 0]
+        with pytest.raises(InexactDivision):
+            hankel._div_row([6 * one, 5 * one, 4 * one], 2 * one)
 
     def test_planted_sequence_term_disagrees_with_closed_form(self, monkeypatch):
         # the remainder sequence, at an int weight and at W, takes any sequence
         # without a remainder: only the closed form tells the wrong term
         spec = HankelSpec(8, alpha=1, beta=1)
-        self._plant_sequence_term(monkeypatch)
+        _plant_sequence_term(monkeypatch)
         assert hankel_det(spec, 3) != hankel_closed(spec, 3)
         assert hankel._remainder_det(spec, W) != hankel_closed(spec, W)
 
     def test_planted_sequence_term_exceeds_the_degree_bound(self, monkeypatch):
         # a constant +1 in c[5] lifts the determinant's w-degree past n*D = 8
         spec = HankelSpec(8, alpha=1, beta=1)
-        self._plant_sequence_term(monkeypatch)
+        _plant_sequence_term(monkeypatch)
         with pytest.raises(InexactDivision, match="exceeds its degree bound 8 in w"):
             hankel_det(spec, W)
 
@@ -331,8 +342,10 @@ class TestRemainderSequence:
         assert calls == []
 
     def test_bareiss_never_sees_an_omega_poly(self, monkeypatch):
-        # At W, Bareiss runs only at the integer weights where the remainder
-        # sequence has a gap: w = 0, -1, -2 for (1, 1), n = 20.
+        # At W, a gap weight is skipped for the next one: for (1, 1), n = 20,
+        # the gaps w = 0, -1, -2 run no Bareiss at all.  Only once the skip
+        # budget is spent does Bareiss take a gap weight, at an int
+        # (TestParity::test_all_gap_spec_falls_back_to_bareiss).
         real, seen = hankel.det_fraction_free, []
 
         def counted(m):
@@ -342,7 +355,7 @@ class TestRemainderSequence:
         monkeypatch.setattr(hankel, "det_fraction_free", counted)
         spec = HankelSpec(20, alpha=1, beta=1)
         assert hankel_det(spec, W) == shifted_hankel_closed(20, 1, 1)
-        assert seen == [{int}] * 3
+        assert seen == []
 
     def test_integer_weight_builds_no_omega_poly(self, monkeypatch):
         # Every OmegaPoly operation and constructor goes through a kernel
@@ -398,36 +411,50 @@ class TestInterpolation:
             assert det == det_cofactor(m)
 
     def _record_weights(self, monkeypatch):
-        real, weights = hankel._remainder_det, []
+        # (weight, value) of each remainder run; None where a gap was skipped
+        real, calls = hankel._remainder_det, []
 
-        def recorded(spec, omega):
-            weights.append(omega)
-            return real(spec, omega)
+        def recorded(spec, omega, skip_gap=False):
+            assert type(omega) is int
+            value = real(spec, omega, skip_gap)
+            calls.append((omega, value))
+            return value
 
         monkeypatch.setattr(hankel, "_remainder_det", recorded)
-        return weights
+        return calls
 
     @pytest.mark.parametrize(
-        "spec, per_row",
+        "spec, weights, gaps",
         [
-            (HankelSpec(5), 0),
-            (HankelSpec(5, alpha=2, beta=-1), 1),
-            (HankelSpec(5, shift=2), 2),
-            (HankelSpec(5, alpha=OmegaPoly([0, 0, 1]), beta=1), 2),
-            (HankelSpec(5, shift=1, alpha=0, beta=OmegaPoly([1, 1])), 3),
+            # parity specs: x = e, e+1, ... for R(x^2), then a negative check weight
+            pytest.param(HankelSpec(5), [0, -1], [], id="spec0-0"),
+            pytest.param(HankelSpec(5, shift=2), [0, 1, 2, 3, 4, 5, -6], [], id="spec2-2"),
+            pytest.param(HankelSpec(5, shift=1), [1, 2, 3, 4, -5], [1], id="shift1-e1"),
+            pytest.param(HankelSpec(4, shift=1), [0, 1, 2, 3, 4, -5], [0, 1], id="shift1-e0"),
+            pytest.param(HankelSpec(3, alpha=0, beta=1), [1, 2, 3, -4], [1], id="beta-e1"),
+            # any other spec: 0, 1, -1, 2, -2, ..., the last one the check weight
+            pytest.param(HankelSpec(5, alpha=2, beta=-1),
+                         [0, 1, -1, 2, -2, 3, -3, 4, -4, 5], [1, 2, 3], id="spec1-1"),
+            pytest.param(HankelSpec(5, alpha=OmegaPoly([0, 0, 1]), beta=1),
+                         [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7], [0, -1], id="spec3-2"),
+            pytest.param(HankelSpec(5, shift=1, alpha=0, beta=OmegaPoly([1, 1])),
+                         [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9], [-1],
+                         id="spec4-3"),
         ],
     )
-    def test_remainder_sequence_runs_only_at_integer_weights(self, monkeypatch, spec, per_row):
-        # n*D + 1 weights fix the polynomial and one more checks it; the
-        # symbolic remainder sequence never runs
-        weights = self._record_weights(monkeypatch)
+    def test_remainder_sequence_runs_only_at_integer_weights(
+        self, monkeypatch, spec, weights, gaps
+    ):
+        # the remainder sequence runs at the int weights of the schedule, and a
+        # gap weight is skipped for the next one; the symbolic remainder
+        # sequence never runs
+        calls = self._record_weights(monkeypatch)
         assert hankel_det(spec, W) == det_fraction_free(hankel_matrix(spec))
-        centred = [0] + [x * sign for x in range(1, 9) for sign in (1, -1)]
-        assert weights == centred[: 5 * per_row + 2]
-        assert all(type(x) is int for x in weights)
-        weights.clear()
+        assert [x for x, _ in calls] == weights
+        assert [x for x, value in calls if value is None] == gaps
+        calls.clear()
         assert hankel_det(spec, -2) == det_fraction_free(hankel_matrix(spec, -2))
-        assert weights == [-2]
+        assert [x for x, _ in calls] == [-2]
 
     def test_weight_where_alpha_and_beta_both_vanish(self):
         # at w = 0 every c[k] is 0, so the remainder sequence falls back to
@@ -448,33 +475,136 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("which", [1, 3, 17, 44])
     def test_planted_newton_division_raises_inexact_division(self, monkeypatch, which):
-        # a +1 in one divided difference; the remainder sequences at the ten
-        # weights run first, so the divisions after them are all Newton's
+        # a +1 in one divided difference; the thirteen remainder runs (ten
+        # weights and the gaps 0, -1, -2 skipped) divide by rows (_div_row)
+        # and never here, so every division here is Newton's
         spec = HankelSpec(8, alpha=1, beta=1)
-        weights = self._record_weights(monkeypatch)
+        calls = self._record_weights(monkeypatch)
         real, divisions = hankel._div_exact, []
 
         def planted(a, b):
             q = real(a, b)
-            if len(weights) < 10:
-                return q
+            assert len(calls) == 13
             divisions.append(b)
             return q + 1 if len(divisions) == which else q
 
         monkeypatch.setattr(hankel, "_div_exact", planted)
         with pytest.raises(InexactDivision):
             hankel_det(spec, W)
-        assert len(weights) == 10 and len(divisions) >= which
+        assert [x for x, value in calls if value is None] == [0, -1, -2]
+        assert len(divisions) >= which
 
-    @pytest.mark.parametrize("node", range(3))
+    @pytest.mark.parametrize("node", range(4))
     def test_planted_value_at_one_weight_raises_inexact_division(self, monkeypatch, node):
-        spec = HankelSpec(4, shift=1)  # D = 1: six weights
-        real, weights = hankel._remainder_det, []
+        # D = 1 and parity e = 0: R(u) of degree 2 from the weights 2, 3, 4
+        # (0 and 1 are gaps), and the check weight -5
+        spec = HankelSpec(4, shift=1)
+        real, values = hankel._remainder_det, []
 
-        def planted(spec, omega):
-            weights.append(omega)
-            return real(spec, omega) + (len(weights) == node + 1)
+        def planted(spec, omega, skip_gap=False):
+            value = real(spec, omega, skip_gap)
+            if value is None:
+                return value
+            values.append(omega)
+            return value + (len(values) == node + 1)
 
         monkeypatch.setattr(hankel, "_remainder_det", planted)
         with pytest.raises(InexactDivision):
             hankel_det(spec, W)
+        assert values == [2, 3, 4, -5]
+
+
+# the one nonzero of alpha, beta: an int in [-3, 3] or a constant OmegaPoly
+parity_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(lambda a: OmegaPoly([a])),
+).filter(bool)
+
+
+class TestParity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        shift=st.integers(0, 2),
+        scalar=parity_scalars,
+        pure_beta=st.booleans(),
+    )
+    def test_matches_remainder_sequence_and_bareiss(self, n, shift, scalar, pure_beta):
+        alpha, beta = (0, scalar) if pure_beta else (scalar, 0)
+        spec = HankelSpec(n, shift=shift, alpha=alpha, beta=beta)
+        e = hankel._parity(spec)
+        assert e == n * (shift + pure_beta) % 2
+        det = hankel_det(spec, W)
+        assert det == hankel._remainder_det(spec, W)
+        assert det == det_fraction_free(hankel_matrix(spec))
+        # det = w^e R(w^2)
+        assert all(k % 2 == e for k, a in enumerate(det.coeffs) if a)
+
+    @pytest.mark.parametrize(
+        "spec, e",
+        [
+            (HankelSpec(5), 0),
+            (HankelSpec(5, shift=1), 1),
+            (HankelSpec(4, shift=1, alpha=OmegaPoly([-2])), 0),
+            (HankelSpec(3, shift=2, alpha=0, beta=2), 1),
+            (HankelSpec(3, shift=1, alpha=0, beta=1), 0),
+            (HankelSpec(3, alpha=1, beta=1), None),
+            (HankelSpec(3, alpha=W, beta=0), None),
+            (HankelSpec(3, alpha=0, beta=OmegaPoly([0, 1])), None),
+        ],
+    )
+    def test_parity_exponent(self, spec, e):
+        assert hankel._parity(spec) == e
+
+    @pytest.mark.parametrize(
+        "spec", [HankelSpec(8, shift=1), HankelSpec(7, alpha=0, beta=1)], ids=["e0", "e1"]
+    )
+    def test_planted_sequence_term_raises_inexact_division(self, monkeypatch, spec):
+        # a constant +1 in c[5] breaks det(-w) = (-1)^e det(w); the negative
+        # check weight's Newton coefficient (or the division by x^e) shows it
+        _plant_sequence_term(monkeypatch)
+        with pytest.raises(InexactDivision):
+            hankel_det(spec, W)
+
+    def test_parity_break_at_the_check_weight_raises(self, monkeypatch):
+        # the check weight is negative: a value there of the wrong parity,
+        # (-1)^(e+1) det(|x|), must not pass
+        spec = HankelSpec(6, shift=2)
+        real, checked = hankel._remainder_det, []
+
+        def mirrored(spec, omega, skip_gap=False):
+            if omega < 0:
+                checked.append(omega)
+                return -real(spec, -omega, skip_gap)
+            return real(spec, omega, skip_gap)
+
+        monkeypatch.setattr(hankel, "_remainder_det", mirrored)
+        with pytest.raises(InexactDivision):
+            hankel_det(spec, W)
+        assert checked == [-7]
+
+    @pytest.mark.parametrize("n, want", [(2, -1), (3, 0), (4, 1), (6, -1)])
+    def test_all_gap_spec_falls_back_to_bareiss(self, monkeypatch, n, want):
+        # (-w, 1) has c[0] = -w + M_1 = 0: every weight is a gap.  At most
+        # bound + 2 are skipped, then Bareiss takes each gap weight, at an int.
+        spec = HankelSpec(n, alpha=-W, beta=1)
+        size = hankel._degree_bound(spec) + 2
+        real, runs = hankel._remainder_det, []
+
+        def counted(spec, omega, skip_gap=False):
+            runs.append(omega)
+            assert len(runs) <= 2 * size, "the gap skip has no budget"
+            return real(spec, omega, skip_gap)
+
+        monkeypatch.setattr(hankel, "_remainder_det", counted)
+        bareiss, seen = hankel.det_fraction_free, []
+
+        def typed(m):
+            seen.append({type(e) for row in m.rows for e in row})
+            return bareiss(m)
+
+        monkeypatch.setattr(hankel, "det_fraction_free", typed)
+        det = hankel_det(spec, W)
+        assert len(runs) == 2 * size
+        assert seen == [{int}] * size
+        assert det == bareiss(hankel_matrix(spec)) == want
