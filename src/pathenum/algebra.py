@@ -14,8 +14,8 @@ an OmegaPoly, all are coerced to OmegaPoly (_scalar_rows).  The ring
 operations are written once for both kinds: zero tests are truthiness, the
 constants 0 and 1 of a computation come from its weight or its operands
 (_zero, _one), and an exact division raises InexactDivision on a remainder
-for either kind (_div_exact).  Every isinstance test on a scalar's kind is
-in this module.
+for either kind (_div_exact, and _div_row for a whole row in one pass).
+Every isinstance test on a scalar's kind is in this module.
 
 There are no floating-point numbers and no numeric roots anywhere:
 generating functions are produced from their algebraic or recursive
@@ -279,6 +279,22 @@ def _div_exact(a, b):
     if r:
         raise InexactDivision(f"{a} not divisible by {b}")
     return q
+
+
+def _div_row(row: list, d) -> list:
+    """The exact quotients x / d of a row; InexactDivision on any remainder.
+
+    Ints divide by divmod in one pass; OmegaPolys entry by entry (_div_exact).
+    """
+    if isinstance(d, OmegaPoly):
+        return [_div_exact(x, d) for x in row]
+    quotients = []
+    for x in row:
+        q, r = divmod(x, d)
+        if r:
+            raise InexactDivision(f"{x} not divisible by {d}")
+        quotients.append(q)
+    return quotients
 
 
 def _ring(omega) -> tuple:
@@ -594,7 +610,9 @@ class TSeries:
         return TSeries(_quotient((_one(self._c[0]),), self._c, self.order), self.order)
 
     def shift_down(self, k: int) -> "TSeries":
-        """Divide by t^k; the k lowest coefficients must be exactly zero."""
+        """Divide by t^k, 0 <= k <= order; the k lowest coefficients must be exactly zero."""
+        if not 0 <= k <= self.order:
+            raise ValueError(f"cannot divide a series of order {self.order} by t^{k}")
         for i in range(k):
             if self._c[i]:
                 raise InexactDivision(f"coefficient of t^{i} is {self._c[i]}, not 0")

@@ -172,12 +172,9 @@ def _cmd_hankel(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
-    shift = args.shift
-    if shift and (args.alpha != 1 or args.beta != 0):
-        raise UsageError("--shift is only meaningful with the default (alpha, beta) = (1, 0)")
     if (args.alpha, args.beta) == (0, 0):
         raise UsageError("alpha and beta cannot both be zero")
-    spec = hankel.HankelSpec(n, shift=shift, alpha=args.alpha, beta=args.beta)
+    spec = hankel.HankelSpec(n, shift=args.shift, alpha=args.alpha, beta=args.beta)
     omega = _weight(args)
     det, closed = hankel.hankel_det(spec, omega), hankel.hankel_closed(spec, omega)
     agree = det == closed

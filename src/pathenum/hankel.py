@@ -50,11 +50,29 @@ check the interpolated determinant against the remainder sequence run over
 Z[w], against Bareiss, and against a naive cofactor expansion at small
 dimensions.
 
-The determinant of (alpha*M[i+j] + beta*M[i+j+1]) has the closed form
-sum_i (-beta)^(n-i) alpha^i m[n,i] over the inverse-triangle entries m;
-that polynomial form is used here rather than any radical expression, so
-results stay exact in Z[w].  hankel_closed builds it, and the closed forms
-of the shifted matrices, at the weight, from integer coefficients alone.
+hankel_closed is a third construction, one closed form for every spec:
+Christoffel's formula (Szego, Orthogonal Polynomials, Thm 2.5;
+Krattenthaler, Lin. Alg. Appl. 411 (2005)).  The weighted Motzkin numbers
+are the moments of the monic orthogonal polynomials p_0 = 1,
+p_(m+1) = (x - w) p_m - p_(m-1), and c(m, j) = [x^j] p_m is the entry
+(m, j) of the inverse Motzkin triangle (inverse_motzkin_entry), the paper's
+link from the inverse matrix to the Hankel determinants.  c[k] is the k-th
+moment of q(x) = (alpha + beta*x) x^s, and Christoffel's theorem gives
+det(c[i+j]) from p_n, ..., p_(n+s) at the roots of q.  In integral form,
+with alpha != 0,
+
+    det = (-1)^(n(s+1)) det(M') / (-alpha)^s,
+
+where row i <= s of M' is c(n+i, 0), ..., c(n+i, s-1) (0 past the diagonal),
+followed by h_i = sum_k c(n+i, k) (-alpha)^k beta^(n+s-k).  That is
+beta^(s-i) (-1)^(n+i) times the shift-0 closed form
+D_m = sum_k (-beta)^(m-k) alpha^k c(m, k) at m = n+i (shifted_hankel_closed).
+When alpha = 0, q = beta x^(s+1), so the spec is taken as (s+1, beta, 0).
+The division by (-alpha)^s is exact and raises InexactDivision on a
+remainder.  Every value is a polynomial in Z[w], built at the weight from
+integer coefficients alone, with no radicals.  second_hankel_closed and
+shifted_hankel_binomial are further closed forms of shift 1 and shift 0,
+kept as references of the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -71,6 +89,7 @@ from .algebra import (
     _at_weight,
     _bind,
     _div_exact,
+    _div_row,
     _one,
     _ring,
     _symbolic,
@@ -277,46 +296,43 @@ def _remainder_det(spec: HankelSpec, omega, skip_gap: bool = False):
     return -b[0] if n * (n - 1) // 2 % 2 else b[0]
 
 
-def _div_row(row: list, d) -> list:
-    """The exact quotients x / d of a row; InexactDivision on any remainder.
-
-    Ints divide by divmod in one pass; OmegaPolys entry by entry (_div_exact).
-    """
-    if isinstance(d, OmegaPoly):
-        return [_div_exact(x, d) for x in row]
-    quotients = []
-    for x in row:
-        q, r = divmod(x, d)
-        if r:
-            raise InexactDivision(f"{x} not divisible by {d}")
-        quotients.append(q)
-    return quotients
-
-
 def hankel_closed(spec: HankelSpec, omega=W):
     """The closed form of det(c[i+j]) for a HankelSpec, at the weight omega.
 
-    Shift 0 is shifted_hankel_closed; shift 1 is second_hankel_closed; shift
-    2 is 1 + sum_(d<=n) second_hankel_closed(d)^2 (hankel_recursion_check).
-    The shifted forms are for (alpha, beta) = (1, 0) only.  At an int
-    weight each term is built from its integer coefficients as an int.
+    Christoffel's formula (Szego, Orthogonal Polynomials, Thm 2.5;
+    Krattenthaler, Lin. Alg. Appl. 411 (2005)) over the rows n .. n+s of the
+    inverse Motzkin triangle, c(m, j) = inverse_motzkin_entry(m, j) (0 for
+    j > m), with alpha and beta bound at the weight first:
+
+        det = (-1)^(n(s+1)) det(M') / (-alpha)^s,
+
+    where row i <= s of M' is c(n+i, 0), ..., c(n+i, s-1), h_i, with
+    h_i = sum_k c(n+i, k) (-alpha)^k beta^(n+s-k)
+        = beta^(s-i) (-1)^(n+i) shifted_hankel_closed(n+i, alpha, beta).
+    alpha = 0 is the spec (s+1, beta, 0), since (alpha + beta x) x^s =
+    beta x^(s+1); where alpha and beta both vanish at the weight, every
+    c[k] is 0 and so is the determinant.  The division by (-alpha)^s is
+    exact (_div_exact): a remainder means a wrong formula.  At an int
+    weight every term is built from its integer coefficients as an int.
     """
-    n, shift = spec.n, spec.shift
-    if shift == 0:
-        return shifted_hankel_closed(n, _bind(spec.alpha, omega), _bind(spec.beta, omega), omega)
-    if (spec.alpha, spec.beta) != (1, 0):
-        raise ValueError("the shifted closed forms are for (alpha, beta) = (1, 0)")
-    if shift == 1:
-        return second_hankel_closed(n, omega)
-    acc = _ring(omega)[1]
-    for d in range(1, n + 1):
-        a = second_hankel_closed(d, omega)
-        acc = acc + a * a
-    return acc
+    n, s = spec.n, spec.shift
+    alpha, beta = _bind(spec.alpha, omega), _bind(spec.beta, omega)
+    zero = _ring(omega)[0]
+    if not alpha and not beta:
+        return zero
+    if not alpha:  # (alpha + beta x) x^s = beta x^(s+1)
+        s, alpha, beta = s + 1, beta, 0
+    rows = [[inverse_motzkin_entry(n + i, j, omega) if j <= n + i else zero for j in range(s)]
+            + [beta ** (s - i) * (-1) ** (n + i) * shifted_hankel_closed(n + i, alpha, beta, omega)]
+            for i in range(s + 1)]
+    return _div_exact((-1) ** (n * (s + 1)) * det_fraction_free(SquareMatrix(rows)), (-alpha) ** s)
 
 
 def shifted_hankel_closed(n: int, alpha, beta, omega=W):
-    """Closed form sum_i (-beta)^(n-i) alpha^i m[n,i] for det(alpha*M + beta*M'), at omega."""
+    """Closed form sum_i (-beta)^(n-i) alpha^i m[n,i] for det(alpha*M + beta*M'), at omega.
+
+    A term whose power of -beta is 0 is skipped, so beta = 0 costs one term.
+    """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     acc, apow = _ring(omega)
@@ -324,7 +340,8 @@ def shifted_hankel_closed(n: int, alpha, beta, omega=W):
     for _ in range(n):
         bpows.append(bpows[-1] * (-beta))
     for i in range(n + 1):
-        acc = acc + bpows[n - i] * apow * inverse_motzkin_entry(n, i, omega)
+        if bpows[n - i]:
+            acc = acc + bpows[n - i] * apow * inverse_motzkin_entry(n, i, omega)
         apow = apow * alpha
     return acc
 

@@ -235,6 +235,8 @@ def w_p_poly(n: int, w: int) -> TPoly:
     """Normalized t^n p_n(t) = sum_j C(n-j,j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if w < 1:
+        raise ValueError("horizontal step length must be positive")
     return _band_polys(w, 2, n)[n]
 
 
@@ -249,6 +251,8 @@ def w_column_gf(j: int, w: int, order: int, omega=W) -> TSeries:
     """Quadrant counts ending at height j: coefficient of t^n counts paths to (n, j)."""
     if j < 0:
         raise ValueError("height must be nonnegative")
+    if w < 1:
+        raise ValueError("horizontal step length must be positive")
     return _column(w, 2, j, order, omega)
 
 
@@ -267,6 +271,8 @@ def banded_w_gf(k: int, w: int, omega=W) -> RationalGF:
     """Counts below height k as P_(k-1)/P_k; t^n counts paths to (n, 0)."""
     if k < 1:
         raise ValueError("band height must be >= 1")
+    if w < 1:
+        raise ValueError("horizontal step length must be positive")
     return _banded(w, 2, k, omega)
 
 
@@ -478,6 +484,8 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
 
 def band_times_s(k: int, order: int) -> TSeries:
     """S s_(k-1) through t^(order+k), S the weight-1 compressed banded series of band k."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return banded_schroder_gf(k).expand(order + k) * _s_at1(k - 1)
 
 

@@ -216,7 +216,9 @@ class TestHankel:
         assert "agree: true" in out
 
     def test_bad_combo(self, capsys):
-        assert run("hankel", "--shift", "1", "--alpha", "2", "--n", "3", capsys=capsys)[0] == 2
+        # every shift takes any (alpha, beta); only (0, 0) is refused
+        code, out, _ = run("hankel", "--shift", "1", "--alpha", "2", "--n", "3", capsys=capsys)
+        assert (code, out.endswith("agree: true\n")) == (0, True)
         assert run("hankel", "--alpha", "0", "--beta", "0", "--n", "3", capsys=capsys)[0] == 2
 
 
@@ -359,9 +361,10 @@ class TestUsageErrorText:
 
     The cases also pin the order of the checks: seq rejects an unread flag
     (k, w, j, family) before --N, --N before --j, and --j before the family's
-    own checks; verify checks every given flag (max, k, N) against every
-    selected suite before any suite runs.  argparse's own errors are left
-    out, because their usage text depends on the terminal width.
+    own checks; hankel checks --n before (alpha, beta); verify checks every
+    given flag (max, k, N) against every selected suite before any suite
+    runs.  argparse's own errors are left out, because their usage text
+    depends on the terminal width.
     """
 
     @pytest.mark.parametrize(
@@ -392,8 +395,7 @@ class TestUsageErrorText:
             # matrix and hankel
             (["matrix", "grand", "--n", "0"], "--n must be >= 1"),
             (["hankel", "--n", "-2", "--shift", "1", "--alpha", "3"], "--n must be >= 1"),
-            (["hankel", "--n", "3", "--shift", "2", "--beta", "1"],
-             "--shift is only meaningful with the default (alpha, beta) = (1, 0)"),
+            (["hankel", "--n", "0", "--alpha", "0", "--beta", "0"], "--n must be >= 1"),
             (["hankel", "--n", "3", "--alpha", "0", "--beta", "0"],
              "alpha and beta cannot both be zero"),
             # verify: flags in the order max, k, N, each against every selected suite

@@ -1,9 +1,10 @@
 """Golden CLI outputs: stdout and exit code, byte for byte, for a fixed argv list.
 
 The golden file pins every `seq` family (with column heights), the banded
-families, every `matrix` kind, `hankel` at shifts 0-2, every `verify` suite
-(at small and at default bounds), the typo ledger, symbolic and integer
-weights, and the plain, csv and json formats.  To re-record it after an
+families, every `matrix` kind, `hankel` at shifts 0-2 (with (alpha, beta) =
+(1, 0) and with other pairs), every `verify` suite (at small and at default
+bounds), the typo ledger, symbolic and integer weights, and the plain, csv
+and json formats.  To re-record it after an
 intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -158,7 +159,7 @@ ARGV = (
     ]
     # the Hankel remainder sequence: a degree gap (a zero leading minor, so
     # the Bareiss fallback runs), a symbolic size past the workload's, a
-    # shift-2 sum of squares at a weight, and the aerated weight zero
+    # shift 2 at a weight, and the aerated weight zero
     + [
         ["hankel", "--n", "6", "--alpha", "0", "--beta", "1", "--omega", "1"],
         ["hankel", "--n", "24", "--alpha", "2", "--beta", "-1", "--format", "json"],
@@ -219,6 +220,16 @@ ARGV = (
         ["hankel", "--alpha", "0", "--beta", "-2", "--n", "13"],
         ["hankel", "--alpha", "3", "--beta", "0", "--n", "9", "--format", "json"],
         ["hankel", "--alpha", "1", "--beta", "1", "--n", "20"],
+    ]
+    # shifted specs other than (1, 0), each with a closed form by Christoffel's
+    # formula: both scalars nonzero, beta = 0 at a weight, and alpha = 0 (taken
+    # as shift + 1, so shift 1 with (0, 1) prints what shift 2 prints above)
+    + [
+        ["hankel", "--shift", "2", "--alpha", "2", "--beta", "-1", "--n", "12", "--format", "json"],
+        ["hankel", "--shift", "1", "--alpha", "1", "--beta", "1", "--n", "15"],
+        ["hankel", "--shift", "2", "--alpha", "0", "--beta", "3", "--n", "8", "--format", "csv"],
+        ["hankel", "--shift", "1", "--alpha", "-2", "--beta", "0", "--n", "9", "--omega", "3"],
+        ["hankel", "--shift", "1", "--alpha", "0", "--beta", "1", "--n", "17", "--format", "csv"],
     ]
 )
 

@@ -84,7 +84,19 @@ GUARDS = [
     (lambda: TSeries([1], -1), ValueError, "truncation order must be >= 0"),
     (lambda: TSeries([1, 2]).truncate(3), ValueError, "cannot extend a truncated series"),
     (lambda: TSeries([1, 1]).shift_down(1), InexactDivision, r"coefficient of t\^0 is 1, not 0"),
+    (lambda: TSeries([0, 0]).shift_down(3), ValueError,
+     r"cannot divide a series of order 1 by t\^3"),
     (lambda: kernels.vdivexact_int([1], 0), ZeroDivisionError, "division by zero"),
+    # the w-path builders, like w_series, take no step length below 1 (a step
+    # 1 - omega t^a with a <= 0 would be read as a = 1), and band_times_s no
+    # negative order; listed last, so that the ids above keep their numbers
+    (lambda: schroder.w_p_poly(3, 0), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder.w_p_poly(3, -4), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder.w_column_gf(1, 0, 4), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder.w_column_gf(1, -1, 4), ValueError,
+     "horizontal step length must be positive"),
+    (lambda: schroder.banded_w_gf(3, 0), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder.band_times_s(2, -1), ValueError, "order must be nonnegative"),
 ]
 
 

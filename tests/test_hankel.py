@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathenum import algebra, hankel
@@ -225,11 +225,10 @@ def _plant_sequence_term(monkeypatch):
     monkeypatch.setattr(hankel, "_sequence", planted)
 
 
-# (shift, alpha, beta) as the CLI accepts them: a shift only with (1, 0)
-hankel_specs = st.one_of(
-    st.tuples(st.just(0), st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[1] or t[2]),
-    st.tuples(st.sampled_from([1, 2]), st.just(1), st.just(0)),
-)
+# (shift, alpha, beta) as the CLI accepts them: any shift with any alpha, beta in [-3, 3]
+hankel_specs = st.tuples(
+    st.integers(0, 2), st.integers(-3, 3), st.integers(-3, 3)
+).filter(lambda t: t[1] or t[2])
 
 
 class TestRemainderSequence:
@@ -372,8 +371,9 @@ class TestRemainderSequence:
             assert hankel_det(spec, 2) == hankel_closed(spec, 2)
 
     def test_shifted_closed_forms_need_the_plain_spec(self):
-        with pytest.raises(ValueError):
-            hankel_closed(HankelSpec(3, shift=1, alpha=2))
+        # a shifted spec other than (1, 0) has a closed form as well
+        for spec in [HankelSpec(3, shift=1, alpha=2), HankelSpec(4, shift=2, alpha=0, beta=3)]:
+            assert hankel_closed(spec) == hankel_det(spec)
 
 
 # alpha or beta: an int, or a polynomial in w of degree <= 2
@@ -404,9 +404,8 @@ class TestInterpolation:
         assert det == hankel._remainder_det(spec, W)
         m = hankel_matrix(spec)
         assert det == det_fraction_free(m)
-        if shift == 0 or (alpha, beta) == (1, 0):
-            assert det == hankel_closed(spec, W)
-            assert at_two == hankel_closed(spec, 2)
+        assert det == hankel_closed(spec, W)
+        assert at_two == hankel_closed(spec, 2)
         if n <= 6:
             assert det == det_cofactor(m)
 
@@ -512,6 +511,53 @@ class TestInterpolation:
         with pytest.raises(InexactDivision):
             hankel_det(spec, W)
         assert values == [2, 3, 4, -5]
+
+
+class TestChristoffel:
+    """hankel_closed: Christoffel's formula over rows n .. n+s of the inverse triangle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        shift=st.integers(0, 2),
+        alpha=hankel_scalars,
+        beta=hankel_scalars,
+        omega=st.one_of(st.just(W), st.integers(-3, 4)),
+    )
+    # weights where alpha and beta both vanish: every c[k] is 0, and so is the
+    # determinant (alpha = w + 1 would otherwise divide by (-alpha)^s = 0)
+    @example(n=5, shift=1, alpha=OmegaPoly([1, 1]), beta=0, omega=-1)
+    @example(n=4, shift=2, alpha=W, beta=OmegaPoly([0, 0, 2]), omega=0)
+    def test_polynomial_scalars_match_hankel_det(self, n, shift, alpha, beta, omega):
+        assume(alpha or beta)
+        spec = HankelSpec(n, shift=shift, alpha=alpha, beta=beta)
+        closed = hankel_closed(spec, omega)
+        assert closed == hankel_det(spec, omega)
+        assert type(closed) is (OmegaPoly if omega is W else int)
+
+    @pytest.mark.parametrize("omega", [W, 2], ids=["symbolic", "weight-2"])
+    @pytest.mark.parametrize(
+        "spec, i, j",
+        # beta != 0: every row of M'
+        [(HankelSpec(6, shift=2, alpha=2, beta=-1), i, j) for i in range(3) for j in range(2)]
+        + [(HankelSpec(5, shift=1, alpha=OmegaPoly([1, 1]), beta=1), i, 0) for i in range(2)]
+        # beta = 0 (also alpha = 0, taken as (s + 1, beta, 0)): h_i = 0 for
+        # i < s, so only the rows above the last one change det(M')
+        + [(HankelSpec(7, shift=2), i, j) for i in range(2) for j in range(2)]
+        + [(HankelSpec(4, shift=1, alpha=0, beta=3), i, j) for i in range(2) for j in range(2)],
+    )
+    def test_planted_entry_raises_or_disagrees(self, monkeypatch, spec, i, j, omega):
+        # a +1 in c(n+i, j), j < s, read by M' and by the terms of h_i alike
+        want = hankel_det(spec, omega)
+        real, at = hankel.inverse_motzkin_entry, (spec.n + i, j)
+        monkeypatch.setattr(
+            hankel, "inverse_motzkin_entry", lambda m, k, om: real(m, k, om) + ((m, k) == at)
+        )
+        try:
+            got = hankel_closed(spec, omega)
+        except InexactDivision:
+            return
+        assert got != want
 
 
 # the one nonzero of alpha, beta: an int in [-3, 3] or a constant OmegaPoly
