@@ -122,10 +122,10 @@ _SEQ = {
 
 # Each band family of seq banded, in the same form: its builder takes (k, order, omega).
 _BAND = {
-    "motzkin": ({}, lambda k, n, omega: schroder._banded_series(1, 2, k, n, omega)),
+    "motzkin": ({}, lambda k, n, omega: motzkin.banded_motzkin_series(k, n, omega)),
     "schroder": ({}, lambda k, n, omega: schroder.banded_schroder_series(k, n, omega)),
     "w-path": ({"w": 1},
-               lambda k, n, omega, w: schroder._banded_series(_step(w), 2, k, n, omega)),
+               lambda k, n, omega, w: schroder.banded_w_series(k, _step(w), n, omega)),
 }
 
 

@@ -144,7 +144,8 @@ def leading_minor_dets(m: SquareMatrix) -> list:
 class HankelSpec:
     """Hankel matrix spec: entry (i,j) = alpha*M[i+j+shift] + beta*M[i+j+shift+1].
 
-    alpha and beta are scalars: ints, or OmegaPolys.
+    n and shift are ints; alpha and beta are scalars: ints, or OmegaPolys.
+    Any other type raises ValueError here, before a determinant is started.
     """
 
     n: int
@@ -153,10 +154,15 @@ class HankelSpec:
     beta: int | OmegaPoly = 0
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"dimension must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.shift not in (0, 1, 2):
+        if not isinstance(self.shift, int) or self.shift not in (0, 1, 2):
             raise ValueError("shift must be 0, 1 or 2")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not isinstance(value, (int, OmegaPoly)):
+                raise ValueError(f"{name} must be an int or an OmegaPoly, got {value!r}")
         if not self.alpha and not self.beta:
             raise ValueError("alpha and beta cannot both be zero")
 

@@ -45,11 +45,12 @@ from .matrices import TriMatrix
 from .oracle import CountTable, IndexOutOfTriangle, PathSpec
 from .schroder import (
     _band_polys,
+    _band_triangle,
     _banded,
+    _banded_series,
     _column,
     _count_triangle,
     _lift,
-    _row_triangle,
     _series,
 )
 
@@ -80,8 +81,8 @@ def motzkin_column_gf(j: int, order: int, omega=W) -> TSeries:
     The engine's column of order order+j counts paths to (n, j); its j lowest
     coefficients vanish, and dropping them re-indexes it by j.
     """
-    if j < 0:
-        raise ValueError("height must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return _column(1, 2, j, order + j, omega).shift_down(j)
 
 
@@ -104,6 +105,8 @@ def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
     """
     if j < 0:
         raise ValueError("height must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if _symbolic(omega):
         return _lift(1, 2, j, j + 1, grand_column_gf(j, order, 0), order)
     family = _band_polys(1, 2, j, omega)
@@ -151,7 +154,7 @@ def inverse_motzkin_matrix(n: int, omega=W) -> TriMatrix:
     substitution and the closed-form entries inverse_motzkin_entry are the
     cross-checks.
     """
-    return _row_triangle(n, _band_polys(1, 2, n - 1, omega))
+    return _band_triangle(1, 2, n, omega)
 
 
 def inverse_motzkin_poly(k: int) -> TPoly:
@@ -159,8 +162,6 @@ def inverse_motzkin_poly(k: int) -> TPoly:
 
     Equals sum_l C(k-l, l) (-1)^l t^(2l) (1 - w t)^(k-2l); constant term 1.
     """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
     return _band_polys(1, 2, k)[k]
 
 
@@ -168,11 +169,14 @@ def banded_motzkin_gf(k: int, omega=W) -> RationalGF:
     """Counts of Motzkin paths staying strictly below height k, as num/den.
 
     Numerator and denominator are the inverse-triangle row polynomials of
-    index k-1 and k.
+    index k-1 and k.  banded_motzkin_series expands it.
     """
-    if k < 1:
-        raise ValueError("band height must be >= 1")
     return _banded(1, 2, k, omega)
+
+
+def banded_motzkin_series(k: int, order: int, omega=W) -> TSeries:
+    """The expansion of banded_motzkin_gf(k, omega) to order; at W by the lift, not the quotient."""
+    return _banded_series(1, 2, k, order, omega)
 
 
 def _dot(row, values, offset: int):

@@ -30,6 +30,14 @@ inversion), Delannoy numbers and polynomials, and the band theorem linking
 the band generating function to the top-of-band column (the Laurent split
 of t^(-k) S s_(k-1)) also live here.
 
+The engine checks its own parameters, each where it is used, with
+ValueError: the step length a >= 1 in _series and _band_polys, the index
+n >= 0 in _band_polys, the height j >= 0 and the order >= 0 in _column,
+and the band height k >= 1 in _banded.  The family builders below are
+bare calls into it, so a direct caller of the engine gets the same checks
+as a caller of a builder.  The exponent b is not checked: every caller
+passes the constant 1 or 2.
+
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
 scalars they build follow the weight: OmegaPolys at W, plain ints at an
@@ -135,6 +143,8 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     Every coefficient is an int.  The division by 2(n+b) is exact; a
     remainder raises InexactDivision (a bug sentinel).
     """
+    if a < 1:
+        raise ValueError("horizontal step length must be positive")
     if _symbolic(omega):
         return _lift(a, b, 0, 1, _series(a, b, order, 0), order)
     disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4))  # D - 1, by power of t
@@ -152,6 +162,10 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
 
 def _band_polys(a: int, b: int, n: int, omega=W) -> list:
     """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if a < 1:
+        raise ValueError("horizontal step length must be positive")
     one = _ring(omega)[1]
     step = TPoly([one] + [0] * (a - 1) + [-omega])  # 1 - omega t^a
     family = [TPoly(()), TPoly([one])]  # P_(-1), P_0
@@ -168,6 +182,10 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
     against the oracle.  At W the column is t^((b-1) j) (1 - w t^a)^(-j-1)
     G(y), lifted (_lift) from its run at w = 0.
     """
+    if j < 0:
+        raise ValueError("height must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if _symbolic(omega):
         return _lift(a, b, (b - 1) * j, j + 1, _column(a, b, j, order, 0), order)
     mu = _series(a, b, order + j, omega)
@@ -179,6 +197,8 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
 
 def _banded(a: int, b: int, k: int, omega=W) -> RationalGF:
     """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
+    if k < 1:
+        raise ValueError("band height must be >= 1")
     family = _band_polys(a, b, k, omega)
     return RationalGF(family[k - 1], family[k])
 
@@ -194,14 +214,18 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
     return _banded(a, b, k, omega).expand(order)
 
 
-def _row_triangle(n: int, rows: list) -> TriMatrix:
-    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in rows[i].
+def _band_triangle(a: int, b: int, n: int, omega, row=lambda p, q: p) -> TriMatrix:
+    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in row(P_i, P_(i-1)).
 
-    The coefficients are read with TPoly.coeff, which pads with zeros: a top
-    coefficient can vanish at an int weight (P_1 = 1 - omega t at omega = 0).
+    P is the (a, b) band family, P_(-1) = 0; the dimension is checked before
+    it is built.  The coefficients are read with TPoly.coeff, which pads with
+    zeros: a top coefficient can vanish at an int weight (P_1 = 1 - omega t
+    at omega = 0).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    family = _band_polys(a, b, n - 1, omega)
+    rows = [row(p, q) for q, p in zip([TPoly(())] + family, family)]
     return TriMatrix([[rows[i].coeff(i - j) for j in range(i + 1)] for i in range(n)])
 
 
@@ -221,8 +245,6 @@ def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
 
 def w_series(w: int, order: int) -> TSeries:
     """Quadrant path counts at height 0, from mu = 1 + omega t^w mu + t^2 mu^2."""
-    if w < 1:
-        raise ValueError("horizontal step length must be positive")
     return _series(w, 2, order)
 
 
@@ -233,26 +255,16 @@ def schroder_series(order: int) -> TSeries:
 
 def w_p_poly(n: int, w: int) -> TPoly:
     """Normalized t^n p_n(t) = sum_j C(n-j,j) (-1)^j t^(2j) (1 - omega t^w)^(n-2j)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if w < 1:
-        raise ValueError("horizontal step length must be positive")
     return _band_polys(w, 2, n)[n]
 
 
 def compressed_p_poly(n: int) -> TPoly:
     """w=2 band polynomial after t^2 -> t: sum_j C(n-j,j)(-1)^j t^j (1-omega t)^(n-2j)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     return _band_polys(1, 1, n)[n]
 
 
 def w_column_gf(j: int, w: int, order: int, omega=W) -> TSeries:
     """Quadrant counts ending at height j: coefficient of t^n counts paths to (n, j)."""
-    if j < 0:
-        raise ValueError("height must be nonnegative")
-    if w < 1:
-        raise ValueError("horizontal step length must be positive")
     return _column(w, 2, j, order, omega)
 
 
@@ -262,24 +274,21 @@ def compressed_column_gf(j: int, order: int, omega=W) -> TSeries:
     Coefficient of t^n is the compressed-triangle entry (n+j, j), i.e. the
     count of quadrant w=2 paths to (2n+j, j); calibrated against the oracle.
     """
-    if j < 0:
-        raise ValueError("height must be nonnegative")
     return _column(1, 1, j, order, omega)
 
 
 def banded_w_gf(k: int, w: int, omega=W) -> RationalGF:
     """Counts below height k as P_(k-1)/P_k; t^n counts paths to (n, 0)."""
-    if k < 1:
-        raise ValueError("band height must be >= 1")
-    if w < 1:
-        raise ValueError("horizontal step length must be positive")
     return _banded(w, 2, k, omega)
+
+
+def banded_w_series(k: int, w: int, order: int, omega=W) -> TSeries:
+    """The expansion of banded_w_gf(k, w, omega) to order; at W by the lift, not the quotient."""
+    return _banded_series(w, 2, k, order, omega)
 
 
 def banded_schroder_series(k: int, order: int, omega=W) -> TSeries:
     """Compressed banded w=2 counts at height 0."""
-    if k < 1:
-        raise ValueError("band height must be >= 1")
     return _banded_series(1, 1, k, order, omega)
 
 
@@ -324,8 +333,7 @@ def inverse_schroder_matrix(n: int, omega=W) -> TriMatrix:
     schroder_matrix_compressed by forward substitution and the closed-form
     entries inverse_schroder_entry are the cross-checks.
     """
-    family = _band_polys(1, 1, n - 1, omega)
-    return _row_triangle(n, [p - q.shift(1) for q, p in zip([TPoly(())] + family, family)])
+    return _band_triangle(1, 1, n, omega, lambda p, q: p - q.shift(1))
 
 
 def inverse_schroder_column_gf(k: int, order: int) -> TSeries:

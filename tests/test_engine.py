@@ -36,6 +36,8 @@ from pathenum.motzkin import (
     grand_column_gf,
     inverse_motzkin_entry,
     inverse_motzkin_matrix,
+    banded_motzkin_gf,
+    banded_motzkin_series,
     motzkin_column_gf,
     motzkin_matrix,
     motzkin_series,
@@ -46,6 +48,8 @@ from pathenum.schroder import (
     _banded,
     _column,
     _series,
+    banded_w_gf,
+    banded_w_series,
     inverse_schroder_entry,
     inverse_schroder_matrix,
     schroder_matrix_compressed,
@@ -101,6 +105,14 @@ def test_compressed_engine_matches_compressed_oracle(j, k, order):
     oracle_column = compressed_series(j, order + j)
     assert list(column.coeffs) == [oracle_column.coeff(n + j) for n in range(order + 1)]
     assert _banded(1, 1, k).expand(order) == compressed_series(0, order, band=k)
+
+
+@fuzz
+@given(w=steps, k=bands, order=orders, omega=st.sampled_from([W, -2, 0, 1, 3]))
+def test_banded_series_are_the_banded_gf_expansions(w, k, order, omega):
+    # the series builders take the lift at W; the gf expands by the quotient
+    assert banded_motzkin_series(k, order, omega) == banded_motzkin_gf(k, omega).expand(order)
+    assert banded_w_series(k, w, order, omega) == banded_w_gf(k, w, omega).expand(order)
 
 
 @fuzz

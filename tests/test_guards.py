@@ -97,6 +97,23 @@ GUARDS = [
      "horizontal step length must be positive"),
     (lambda: schroder.banded_w_gf(3, 0), ValueError, "horizontal step length must be positive"),
     (lambda: schroder.band_times_s(2, -1), ValueError, "order must be nonnegative"),
+    # the step-family engine checks its own parameters, for every caller
+    (lambda: schroder._series(0, 2, 4), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder._band_polys(0, 2, 3), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder._band_polys(1, 2, -1), ValueError, "index must be nonnegative"),
+    (lambda: schroder._column(1, 2, -1, 4), ValueError, "height must be nonnegative"),
+    (lambda: schroder._column(1, 1, 2, -1, 1), ValueError, "order must be nonnegative"),
+    (lambda: schroder._banded(1, 2, 0), ValueError, "band height must be >= 1"),
+    (lambda: schroder._banded_series(1, 2, 0, 4, 1), ValueError, "band height must be >= 1"),
+    # a HankelSpec holds only what the determinant can use
+    (lambda: HankelSpec(3, alpha=1.5), ValueError, "alpha must be an int or an OmegaPoly, got 1.5"),
+    (lambda: HankelSpec(3, beta="x"), ValueError, "beta must be an int or an OmegaPoly, got 'x'"),
+    (lambda: HankelSpec(2.5), ValueError, "dimension must be an int, got 2.5"),
+    (lambda: HankelSpec(2, shift=1.0), ValueError, "shift must be 0, 1 or 2"),
+    # a negative order is named before any work, at W and at an int weight
+    (lambda: motzkin.motzkin_column_gf(1, -1), ValueError, "order must be nonnegative"),
+    (lambda: motzkin.grand_column_gf(1, -1), ValueError, "order must be nonnegative"),
+    (lambda: motzkin.grand_column_gf(1, -1, 2), ValueError, "order must be nonnegative"),
 ]
 
 
