@@ -35,6 +35,15 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
+Over Z[w], every sum of products is fused: _sum_products hands all the
+pairs of coefficient vectors to one kernels.vdot, which accumulates the
+products into one list and normalizes once, so the sum builds one OmegaPoly
+instead of one per product and one per partial sum.  Each coefficient of
+_convolve and each step of _quotient is one such sum, and so are the
+oracle's table cells at W, the products of TriMatrix, the Bareiss update
+and the verify suites' dot products.  Over Z the loops stay plain int
+arithmetic, which a fused call would only slow down.
+
 A builder's weight is the symbolic W or an int.  The scalars a builder
 makes follow the weight: at an int weight every one is an int, so the same
 loops run over Z on Python ints with no polynomial wrapper.  _at_weight
@@ -55,6 +64,7 @@ from .kernels import (
     vadd,
     vdivexact,
     vdivexact_int,
+    vdot,
     veval,
     vmul,
     vneg,
@@ -368,12 +378,29 @@ def _ints(values) -> list:
     return out
 
 
+def _sum_products(pairs) -> OmegaPoly:
+    """sum x*y over pairs of scalars, as one OmegaPoly; an int is coerced (as_opoly).
+
+    One kernels.vdot accumulates every product, so no OmegaPoly is built per
+    product or per partial sum.
+    """
+    return _raw(vdot((as_opoly(x)._c, as_opoly(y)._c) for x, y in pairs))
+
+
 def _convolve(a, b, length: int) -> list:
     """The first `length` coefficients of the product of coefficient tuples a and b.
 
-    Zero coefficients of either operand are skipped.
+    Over Z[w] each coefficient is one fused sum (_sum_products); over Z,
+    zero coefficients of either operand are skipped.
     """
-    out = [_zero(*a[:1], *b[:1])] * length
+    zero = _zero(*a[:1], *b[:1])
+    if zero is OP_ZERO:
+        a, b = tuple(map(as_opoly, a)), tuple(map(as_opoly, b))
+        return [
+            _sum_products((a[i], b[n - i]) for i in range(max(0, n - len(b) + 1), min(len(a), n + 1)))
+            for n in range(length)
+        ]
+    out = [zero] * length
     for i in range(min(len(a), length)):
         x = a[i]
         if not x:
@@ -391,20 +418,25 @@ def _quotient(num, den, order: int) -> list:
     den[0] must be +1 or -1, so it is its own inverse and every coefficient
     stays in Z[w]:
     q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
-    Any other constant term, a zero denominator's included, raises
-    NonUnitConstant.
+    Over Z[w] the sum is one fused sum (_sum_products).  Any other constant
+    term, a zero denominator's included, raises NonUnitConstant.
     """
     zero = _zero(*num[:1], *den[:1])
+    if zero is OP_ZERO:
+        den = tuple(map(as_opoly, den))
     d0 = den[0] if den else zero
     if d0 != 1 and d0 != -1:
         raise NonUnitConstant(f"constant term {d0} of the denominator is not +1 or -1")
     out = [zero] * (order + 1)
     for n in range(order + 1):
         acc = num[n] if n < len(num) else zero
-        for k in range(1, min(n, len(den) - 1) + 1):
-            dk = den[k]
-            if dk:
-                acc = acc - dk * out[n - k]
+        if zero is OP_ZERO:
+            acc = acc - _sum_products((den[k], out[n - k]) for k in range(1, min(n, len(den) - 1) + 1))
+        else:
+            for k in range(1, min(n, len(den) - 1) + 1):
+                dk = den[k]
+                if dk:
+                    acc = acc - dk * out[n - k]
         out[n] = d0 * acc
     return out
 

@@ -3,7 +3,9 @@
 A coefficient vector is a list of arbitrary-precision ints, index i holding
 the coefficient of the i-th power.  Normal form: no trailing zeros, the zero
 polynomial is the empty list.  OmegaPoly arithmetic in pathenum.algebra is
-built on these functions.
+built on these functions.  A sum of products is one call to vdot, which
+accumulates every product into one list and normalizes once, instead of a
+vmul and a vadd, each with its own result list, per term.
 """
 
 
@@ -57,6 +59,37 @@ def vmul(a, b):
         for j, bj in enumerate(b):
             res[i + j] += ai * bj
     return res
+
+
+def vdot(pairs):
+    """Sum of the products a*b over an iterable of pairs of normalized vectors.
+
+    Every product is added into one accumulator list, zero coefficients of
+    the shorter factor are skipped (and +-1 ones add or subtract without a
+    multiplication), and the total is normalized once.
+    """
+    acc = []
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(a) + len(b) - 1
+        if len(acc) < n:
+            acc.extend([0] * (n - len(acc)))
+        for i, x in enumerate(a):
+            if x == 1:
+                for j, y in enumerate(b, i):
+                    acc[j] += y
+            elif x == -1:
+                for j, y in enumerate(b, i):
+                    acc[j] -= y
+            elif x:
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
 
 def vscale(a, k):

@@ -37,6 +37,7 @@ from .algebra import (
     W,
     _at_weight,
     _quotient,
+    _sum_products,
     _symbolic,
     binom,
 )
@@ -180,8 +181,8 @@ def banded_motzkin_series(k: int, order: int, omega=W) -> TSeries:
 
 
 def _dot(row, values, offset: int):
-    """sum_k row[k] * values[offset + k], symbolically."""
-    return sum((x * values[offset + k] for k, x in enumerate(row)), OP_ZERO)
+    """sum_k row[k] * values[offset + k], symbolically, as one fused sum."""
+    return _sum_products((x, values[offset + k]) for k, x in enumerate(row))
 
 
 def verify_lemma(bound: int) -> CheckResult:

@@ -12,15 +12,17 @@ Each mode is one height window of the table, and a count outside it is zero.
 Everything is computed cell-by-cell from the step recursion, independently
 of all closed forms, so these counts can adjudicate any formula in the
 package.  The weight is symbolic (W) by default and every cell is an
-OmegaPoly; an integer weight, passed as omega, is bound before the first
-cell, so the table is counted over Z and every cell is an int.
+OmegaPoly, built as one fused sum of its three step terms (a single
+kernels.vdot, no OmegaPoly per term); an integer weight, passed as omega,
+is bound before the first cell, so the table is counted over Z in plain int
+arithmetic and every cell is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OmegaPoly, TSeries, W, _ring
+from .algebra import OP_ZERO, OmegaPoly, TSeries, W, _ring, _sum_products
 from .checks import CheckResult, first_mismatch
 
 GRAND = "grand"
@@ -90,6 +92,14 @@ class CountTable:
             horiz = cols[x - w] if x >= w else None
             cur = cols[x]
             for y in range(height):
+                if zero is OP_ZERO:  # one fused sum: 1*up + 1*down + omega*horizontal
+                    steps = [(one, prev[y + 1])] if y + 1 < height else []
+                    if y >= 1:
+                        steps.append((one, prev[y - 1]))
+                    if horiz is not None:
+                        steps.append((omega, horiz[y]))
+                    cur[y] = _sum_products(steps)
+                    continue
                 acc = zero
                 if y + 1 < height:
                     acc = acc + prev[y + 1]

@@ -72,9 +72,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 
 from .algebra import (
     InexactDivision,
+    OP_ONE,
     OmegaPoly,
     RationalGF,
     TPoly,
@@ -83,6 +85,7 @@ from .algebra import (
     _at_weight,
     _div_exact,
     _ring,
+    _sum_products,
     _symbolic,
     binom,
     binom_general,
@@ -358,7 +361,8 @@ def delannoy_number(n: int, k: int, omega=W):
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    return _at_weight([binom(k, l) * binom(n + k - l, k) for l in range(min(n, k) + 1)], omega)
+    # 0 <= l <= min(n, k): every index is in range, so math.comb, not binom
+    return _at_weight([comb(k, l) * comb(n + k - l, k) for l in range(min(n, k) + 1)], omega)
 
 
 def central_delannoy_series(order: int, omega=W) -> TSeries:
@@ -392,10 +396,11 @@ def delannoy_poly(k: int, omega=W) -> TPoly:
     if k < 0:
         raise ValueError("index must be nonnegative")
     cols = [[0] * (k // 2 + 1) for _ in range(k + 1)]  # [t power][omega power]
+    # l <= k/2 and a <= k - 2l: every index is in range, so math.comb, not binom
     for l in range(k // 2 + 1):
-        c = binom(k - l, l)
+        c = comb(k - l, l)
         for a in range(k - 2 * l + 1):
-            cols[l + a][l] += c * binom(k - 2 * l, a)
+            cols[l + a][l] += c * comb(k - 2 * l, a)
     return TPoly([_at_weight(v, omega) for v in cols])
 
 
@@ -452,7 +457,7 @@ def delannoy_recursion_check(horizon: int) -> CheckResult:
     d = functools.cache(lambda n, k: delannoy_number(n, k))
     return first_mismatch(
         (f"(n={n}, j={j})", d(n, n + j),
-         W * d(n - 1, n - 1 + j) + d(n, n + j - 1) + d(n - 1, n + j))
+         _sum_products(((W, d(n - 1, n - 1 + j)), (OP_ONE, d(n, n + j - 1)), (OP_ONE, d(n - 1, n + j)))))
         for n in range(1, horizon + 1)
         for j in range(horizon + 1)
     )

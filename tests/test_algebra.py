@@ -18,7 +18,9 @@ from pathenum.algebra import (
     TPoly,
     TSeries,
     W,
+    _convolve,
     _div_exact,
+    _quotient,
     binom_general,
 )
 from conftest import random_opoly
@@ -319,3 +321,51 @@ class TestPowers:
                     product = product * x
                 with pytest.raises(ValueError):
                     x**-1
+
+
+def naive_convolve(a, b, length):
+    out = [0] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def naive_quotient(num, den, order):
+    out = []
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else 0
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc = acc - den[k] * out[n - k]
+        out.append(den[0] * acc)
+    return out
+
+
+# one operand of ints, the other of OmegaPolys, with zeros among both
+int_rows = st.lists(st.sampled_from([0, 0, 1, -1, 2, -7, 10**15]), max_size=6)
+poly_rows = st.lists(opolys, max_size=6)
+
+
+class TestMixedKinds:
+    @settings(max_examples=150, deadline=None)
+    @given(int_rows, poly_rows, st.integers(0, 12), st.booleans())
+    def test_convolve_is_the_double_loop(self, ints, polys, length, ints_first):
+        a, b = (ints, polys) if ints_first else (polys, ints)
+        got = _convolve(tuple(a), tuple(b), length)
+        assert got == naive_convolve(a, b, length)
+        if a and b:  # an OmegaPoly among the operands: every coefficient is one
+            assert all(isinstance(c, OmegaPoly) for c in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_rows, poly_rows, st.sampled_from([1, -1]), st.integers(0, 10), st.booleans())
+    def test_quotient_is_the_recursion(self, ints, polys, unit, order, ints_num):
+        # the numerator of one kind, the denominator (a container: one kind) of the other
+        if ints_num:
+            num, den = ints, [OmegaPoly([unit])] + polys
+        else:
+            num, den = polys, [unit] + ints
+        got = _quotient(tuple(num), tuple(den), order)
+        assert got == naive_quotient(num, den, order)
+        if polys:
+            assert all(isinstance(c, OmegaPoly) for c in got)

@@ -363,7 +363,7 @@ class TestRemainderSequence:
             raise AssertionError("an OmegaPoly was built at an integer weight")
 
         for name in ("vnorm", "vadd", "vsub", "vneg", "vmul", "vscale", "vdivexact",
-                     "vdivexact_int", "veval"):
+                     "vdivexact_int", "veval", "vdot"):
             monkeypatch.setattr(algebra, name, forbidden)
         monkeypatch.setattr(algebra, "_raw", forbidden)
         for shift, alpha, beta in [(0, 1, 1), (0, 2, -1), (0, 0, 1), (1, 1, 0), (2, 1, 0)]:

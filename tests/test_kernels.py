@@ -3,8 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathenum import kernels
+
+# normalized vectors: signed coefficients, zeros inside, monomials, the empty one
+vectors = st.one_of(
+    st.lists(st.integers(-10**12, 10**12), max_size=7).map(kernels.vnorm),
+    st.lists(st.sampled_from([0, 0, 1, -1, 3]), max_size=7).map(kernels.vnorm),
+    st.tuples(st.integers(0, 5), st.integers(-9, 9)).map(
+        lambda m: kernels.vnorm([0] * m[0] + [m[1]])),
+)
 
 
 def test_vnorm_strips_trailing_zeros():
@@ -45,3 +55,35 @@ def test_vdivexact_undoes_vmul_on_random_inputs():
             noisy = list(prod) or [0]
             noisy[rng.randrange(len(noisy))] += 1
             assert kernels.vdivexact(kernels.vnorm(noisy), b) is None, trial
+
+
+def fold_vdot(pairs):
+    acc = []
+    for a, b in pairs:
+        acc = kernels.vadd(acc, kernels.vmul(a, b))
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(vectors, vectors), max_size=12))
+def test_vdot_is_the_fold_of_vadd_over_vmul(pairs):
+    got = kernels.vdot(pairs)
+    assert got == fold_vdot(pairs)
+    assert got == kernels.vnorm(got)  # normalized: no trailing zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors, vectors, st.lists(st.tuples(vectors, vectors), max_size=4))
+def test_vdot_of_a_cancelling_total_is_empty(a, b, rest):
+    # rest, a*b, then the negation of both: every coefficient cancels
+    pairs = rest + [(a, b)] + [(kernels.vneg(x), y) for x, y in rest] + [(a, kernels.vneg(b))]
+    assert kernels.vdot(pairs) == []
+
+
+def test_vdot_edge_cases():
+    assert kernels.vdot([]) == []
+    assert kernels.vdot([([], [1, 2]), ([3], [])]) == []
+    assert kernels.vdot([([2, 0, 1], [1, 1])]) == kernels.vmul([2, 0, 1], [1, 1])
+    assert kernels.vdot([([0, 1], [5]), ([1], [0, -5]), ([1], [7])]) == [7]
+    assert kernels.vdot([([1, 1], [1, -1]), ([-1], [1, 0, -1])]) == []
+    assert kernels.vdot(iter([([0, 0, -1], [2, 3])])) == [0, 0, -2, -3]  # any iterable

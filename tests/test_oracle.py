@@ -136,6 +136,22 @@ class TestInvariants:
         assert result.detail == ""
 
 
+@pytest.mark.parametrize("mode", ["grand", "quadrant", "banded"])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_symbolic_table_at_x_is_the_int_table(mode, w):
+    # the fused cells at W against the plain int loop, cell by cell
+    spec = PathSpec.banded(3, w) if mode == "banded" else PathSpec(w, mode)
+    n = 12
+    symbolic = CountTable(spec, n)
+    lo, hi = (-n, n) if mode == "grand" else (0, 2 if mode == "banded" else n)
+    for x in (-2, 0, 1, 3):
+        table = CountTable(spec, n, x)
+        for m in range(n + 1):
+            for j in range(lo, hi + 1):
+                assert symbolic.value(m, j).evaluate(x) == table.value(m, j), (x, m, j)
+                assert type(table.value(m, j)) is int
+
+
 def test_check_results_carry_counterexamples():
     from pathenum.checks import PASS, fail
 
