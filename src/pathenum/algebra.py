@@ -35,14 +35,14 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-Over Z[w], every sum of products is fused: _sum_products hands all the
+Over Z[w], the sums of products are fused: _sum_products hands all the
 pairs of coefficient vectors to one kernels.vdot, which accumulates the
 products into one list and normalizes once, so the sum builds one OmegaPoly
 instead of one per product and one per partial sum.  Each coefficient of
 _convolve and each step of _quotient is one such sum, and so are the
-oracle's table cells at W, the products of TriMatrix, the Bareiss update
-and the verify suites' dot products.  Over Z the loops stay plain int
-arithmetic, which a fused call would only slow down.
+oracle's table cells at W, the Bareiss update and the verify suites' dot
+products.  Over Z the loops stay plain int arithmetic, which a fused call
+would only slow down.
 
 A builder's weight is the symbolic W or an int.  The scalars a builder
 makes follow the weight: at an int weight every one is an int, so the same

@@ -127,10 +127,9 @@ def det_fraction_free(m: SquareMatrix):
         pivot = rows[k][k]
         for i in range(k + 1, n):
             rik = rows[i][k]
-            minus_rik = -rik
             for j in range(k + 1, n):
                 if symbolic:  # the same two products as one fused sum
-                    elt = _sum_products(((pivot, rows[i][j]), (minus_rik, rows[k][j])))
+                    elt = _sum_products(((pivot, rows[i][j]), (-rik, rows[k][j])))
                 else:
                     elt = pivot * rows[i][j] - rik * rows[k][j]
                 rows[i][j] = _div_exact(elt, prev) if k else elt

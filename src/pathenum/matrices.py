@@ -1,12 +1,8 @@
-"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight).
-
-Over Z[w] each entry of a TriMatrix product or inverse is one fused sum of
-products (algebra._sum_products); over Z the loops are plain int arithmetic.
-"""
+"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight)."""
 
 from __future__ import annotations
 
-from .algebra import OP_ZERO, _at, _ints, _one, _scalar_rows, _sum_products, _zero
+from .algebra import _at, _ints, _one, _scalar_rows, _zero
 
 
 def _corner(rows) -> tuple:
@@ -50,12 +46,6 @@ class TriMatrix:
         if not isinstance(other, TriMatrix) or self.n != other.n:
             return NotImplemented
         zero = _zero(*_corner(self.rows), *_corner(other.rows))
-        if zero is OP_ZERO:
-            return TriMatrix(
-                [[_sum_products((row[k], other.rows[k][j]) for k in range(j, i + 1))
-                  for j in range(i + 1)]
-                 for i, row in enumerate(self.rows)]
-            )
         out = []
         for i in range(self.n):
             row = []
@@ -86,9 +76,6 @@ class TriMatrix:
         for i in range(n):
             inv[i][i] = one
             for j in range(i - 1, -1, -1):
-                if zero is OP_ZERO:
-                    inv[i][j] = -_sum_products((self.rows[i][k], inv[k][j]) for k in range(j, i))
-                    continue
                 acc = zero
                 for k in range(j, i):
                     a = self.rows[i][k]
