@@ -35,14 +35,17 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-Over Z[w], the sums of products are fused: _sum_products hands all the
+Over Z[w], four sums of products are fused: _sum_products hands all the
 pairs of coefficient vectors to one kernels.vdot, which accumulates the
 products into one list and normalizes once, so the sum builds one OmegaPoly
-instead of one per product and one per partial sum.  Each coefficient of
-_convolve and each step of _quotient is one such sum, and so are the
-oracle's table cells at W, the Bareiss update and the verify suites' dot
-products.  Over Z the loops stay plain int arithmetic, which a fused call
-would only slow down.
+instead of one per product and one per partial sum.  The four are each
+coefficient of _convolve, the oracle's table cells at W (CountTable), the
+dot products of motzkin._dot and the right-hand sides of
+schroder.delannoy_recursion_check.  _quotient and the Bareiss update run
+one plain loop for both kinds: over Z[w] no workload runs the first, and
+the second makes a handful of updates, too few for a fused sum to pay.
+Over Z the loops stay plain int arithmetic, which a fused call would only
+slow down.
 
 A builder's weight is the symbolic W or an int.  The scalars a builder
 makes follow the weight: at an int weight every one is an int, so the same
@@ -418,25 +421,23 @@ def _quotient(num, den, order: int) -> list:
     den[0] must be +1 or -1, so it is its own inverse and every coefficient
     stays in Z[w]:
     q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
-    Over Z[w] the sum is one fused sum (_sum_products).  Any other constant
-    term, a zero denominator's included, raises NonUnitConstant.
+    One loop serves both kinds and skips the zero coefficients of den.  It
+    makes no fused sum, since no CLI command divides series over Z[w]; the
+    four fused sums of products are _convolve, the CountTable cells at W,
+    motzkin._dot and schroder.delannoy_recursion_check.  Any other
+    constant term, a zero denominator's included, raises NonUnitConstant.
     """
     zero = _zero(*num[:1], *den[:1])
-    if zero is OP_ZERO:
-        den = tuple(map(as_opoly, den))
     d0 = den[0] if den else zero
     if d0 != 1 and d0 != -1:
         raise NonUnitConstant(f"constant term {d0} of the denominator is not +1 or -1")
     out = [zero] * (order + 1)
     for n in range(order + 1):
         acc = num[n] if n < len(num) else zero
-        if zero is OP_ZERO:
-            acc = acc - _sum_products((den[k], out[n - k]) for k in range(1, min(n, len(den) - 1) + 1))
-        else:
-            for k in range(1, min(n, len(den) - 1) + 1):
-                dk = den[k]
-                if dk:
-                    acc = acc - dk * out[n - k]
+        for k in range(1, min(n, len(den) - 1) + 1):
+            dk = den[k]
+            if dk:
+                acc = acc - dk * out[n - k]
         out[n] = d0 * acc
     return out
 

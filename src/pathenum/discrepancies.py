@@ -108,8 +108,3 @@ REGISTRY = (
         check=_check_aerated_hankel_delta,
     ),
 )
-
-
-def run_all() -> list:
-    """(key, CheckResult) for every registered discrepancy."""
-    return [(d.key, d.check()) for d in REGISTRY]

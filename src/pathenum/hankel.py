@@ -92,7 +92,6 @@ from .algebra import (
     _div_row,
     _one,
     _ring,
-    _sum_products,
     _symbolic,
     _zero,
     as_opoly,
@@ -112,7 +111,6 @@ def det_fraction_free(m: SquareMatrix):
     if n == 0:
         return 1
     rows = [list(r) for r in m.rows]
-    symbolic = _zero(rows[0][0]) is OP_ZERO
     sign = 1
     prev = None  # the previous pivot; the first step divides by nothing
     for k in range(n):
@@ -128,10 +126,7 @@ def det_fraction_free(m: SquareMatrix):
         for i in range(k + 1, n):
             rik = rows[i][k]
             for j in range(k + 1, n):
-                if symbolic:  # the same two products as one fused sum
-                    elt = _sum_products(((pivot, rows[i][j]), (-rik, rows[k][j])))
-                else:
-                    elt = pivot * rows[i][j] - rik * rows[k][j]
+                elt = pivot * rows[i][j] - rik * rows[k][j]
                 rows[i][j] = _div_exact(elt, prev) if k else elt
         prev = pivot
     return pivot if sign == 1 else -pivot

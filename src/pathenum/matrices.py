@@ -86,13 +86,6 @@ class TriMatrix:
                 inv[i][j] = -acc
         return TriMatrix(inv)
 
-    def is_identity(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x != (1 if i == j else 0):
-                    return False
-        return True
-
     def eval_omega(self, x: int) -> "TriMatrix":
         """Specialize the weight w to an integer; the entries keep their kind."""
         return TriMatrix([[_at(e, x) for e in row] for row in self.rows])

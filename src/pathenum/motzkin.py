@@ -18,19 +18,17 @@ c = j + 1.  schroder._lift rebuilds them from their integer run at w = 0,
 one small product and one exact division per coefficient of Z[w].
 
 The inverse of the Motzkin triangle has one production construction (the
-band polynomials: row i holds the coefficients of P_i) and three
-cross-checks: a Gegenbauer-type double-binomial sum, a three-term recurrence
-with exact integer divisions, and plain triangular inversion.  The row
-polynomials of the inverse supply numerator and denominator of the
-generating function of path counts confined to 0 <= y < k.
+band polynomials: row i holds the coefficients of P_i) and two
+cross-checks: a Gegenbauer-type double-binomial sum and plain triangular
+inversion.  The tests add a third, a three-term recurrence with exact
+integer divisions.  The row polynomials of the inverse supply numerator
+and denominator of the generating function of path counts confined to
+0 <= y < k.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    OP_ONE,
-    OP_ZERO,
-    OmegaPoly,
     RationalGF,
     TPoly,
     TSeries,
@@ -129,22 +127,6 @@ def inverse_motzkin_entry(i: int, j: int, omega=W):
     for l in range(d // 2 + 1):
         coeffs[d - 2 * l] = (-1) ** (d - l) * binom(i - l, d - l) * binom(d - l, l)
     return _at_weight(coeffs, omega)
-
-
-def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:
-    """Entry (i, j) of the inverse triangle by the three-term recurrence.
-
-    (i-j)*m[i,j] = -w*i*m[i-1,j] - (i+j)*m[i-2,j], starting from m[i,j] =
-    delta(i,j) for j >= i.  Every division by (i-j) must be exact in Z[w];
-    a remainder raises InexactDivision (it would mean a bug, not bad input).
-    """
-    if j < 0 or j > i:
-        raise IndexOutOfTriangle(f"column {j} outside triangle row {i}")
-    prev2, prev = OP_ZERO, OP_ONE  # m[j-1, j], m[j, j]
-    for r in range(j + 1, i + 1):
-        rhs = -(r * (W * prev)) - (r + j) * prev2
-        prev2, prev = prev, rhs.exact_div_int(r - j)
-    return prev
 
 
 def inverse_motzkin_matrix(n: int, omega=W) -> TriMatrix:

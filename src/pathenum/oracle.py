@@ -40,13 +40,20 @@ class IndexOutOfTriangle(IndexError):
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Path family: horizontal step length w plus a height constraint."""
+    """Path family: horizontal step length w plus a height constraint.
+
+    w and band are ints; any other type raises ValueError here, before a
+    table is started.
+    """
 
     w: int
     mode: str
     band: int = 0
 
     def __post_init__(self):
+        for name, value in (("horizontal step length", self.w), ("band height", self.band)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.w < 1:
             raise ValueError("horizontal step length must be positive")
         if self.mode not in (GRAND, QUADRANT, BANDED):

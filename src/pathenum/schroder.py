@@ -425,31 +425,6 @@ def banded_schroder_gf(k: int) -> RationalGF:
     return RationalGF(_d_neg_at1(k - 1), _d_neg_at1(k))
 
 
-def banded_schroder_gf_via_s(k: int) -> RationalGF:
-    """Weight-1 compressed banded counts assembled from the s polynomials.
-
-    Numerator:   (1-t) sum_i t^(2i) (-1)^i s_(k-2-2i) + [k odd] (-1)^((k-1)/2) t^(k-1)
-    Denominator: (1-t) sum_i t^(2i) (-1)^i s_(k-1-2i) + [k even] (-1)^(k/2) t^k
-    """
-    if k < 1:
-        raise ValueError("band height must be >= 1")
-
-    def assemble(top: int, tail_deg: int, tail_on: bool, tail_sign: int) -> TPoly:
-        acc = TPoly(())
-        i = 0
-        while top - 2 * i >= 0:
-            acc = acc + _s_at1(top - 2 * i).shift(2 * i) * ((-1) ** i)
-            i += 1
-        acc = ONE_MINUS_T * acc
-        if tail_on:
-            acc = acc + TPoly([tail_sign]).shift(tail_deg)
-        return acc
-
-    num = assemble(k - 2, k - 1, k % 2 == 1, (-1) ** ((k - 1) // 2))
-    den = assemble(k - 1, k, k % 2 == 0, (-1) ** (k // 2))
-    return RationalGF(num, den)
-
-
 def delannoy_recursion_check(horizon: int) -> CheckResult:
     """D(n,n+j) = omega D(n-1,n-1+j) + D(n,n+j-1) + D(n-1,n+j), symbolically."""
     if horizon < 1:

@@ -2,12 +2,61 @@ import random
 
 import pytest
 
-from pathenum.algebra import OmegaPoly
+from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, W
+from pathenum.matrices import TriMatrix
+from pathenum.oracle import IndexOutOfTriangle
+from pathenum.schroder import inverse_schroder_poly
 
 
 def random_opoly(rng: random.Random, max_deg: int = 4, max_abs: int = 9) -> OmegaPoly:
     deg = rng.randint(0, max_deg)
     return OmegaPoly([rng.randint(-max_abs, max_abs) for _ in range(deg + 1)])
+
+
+def identity(n: int) -> TriMatrix:
+    """The n x n identity, as an int TriMatrix (equal to its OmegaPoly form)."""
+    return TriMatrix([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
+
+
+def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:
+    """Entry (i, j) of the inverse Motzkin triangle by the three-term recurrence.
+
+    (i-j)*m[i,j] = -w*i*m[i-1,j] - (i+j)*m[i-2,j], starting from m[i,j] =
+    delta(i,j) for j >= i.  Every division by (i-j) must be exact in Z[w];
+    a remainder raises InexactDivision (it would mean a bug, not bad input).
+    """
+    if j < 0 or j > i:
+        raise IndexOutOfTriangle(f"column {j} outside triangle row {i}")
+    prev2, prev = OP_ZERO, OP_ONE  # m[j-1, j], m[j, j]
+    for r in range(j + 1, i + 1):
+        rhs = -(r * (W * prev)) - (r + j) * prev2
+        prev2, prev = prev, rhs.exact_div_int(r - j)
+    return prev
+
+
+def banded_schroder_gf_via_s(k: int) -> RationalGF:
+    """Weight-1 compressed banded counts assembled from the s polynomials.
+
+    Numerator:   (1-t) sum_i t^(2i) (-1)^i s_(k-2-2i) + [k odd] (-1)^((k-1)/2) t^(k-1)
+    Denominator: (1-t) sum_i t^(2i) (-1)^i s_(k-1-2i) + [k even] (-1)^(k/2) t^k
+    """
+    if k < 1:
+        raise ValueError("band height must be >= 1")
+
+    def assemble(top: int, tail_deg: int, tail_on: bool, tail_sign: int) -> TPoly:
+        acc = TPoly(())
+        i = 0
+        while top - 2 * i >= 0:
+            acc = acc + inverse_schroder_poly(top - 2 * i, 1).shift(2 * i) * ((-1) ** i)
+            i += 1
+        acc = TPoly([1, -1]) * acc
+        if tail_on:
+            acc = acc + TPoly([tail_sign]).shift(tail_deg)
+        return acc
+
+    num = assemble(k - 2, k - 1, k % 2 == 1, (-1) ** ((k - 1) // 2))
+    den = assemble(k - 1, k, k % 2 == 0, (-1) ** (k // 2))
+    return RationalGF(num, den)
 
 
 @pytest.fixture

@@ -16,8 +16,9 @@ def test_required_records_present():
 
 
 def test_all_checks_pass():
-    for key, result in discrepancies.run_all():
-        assert result, (key, result.detail)
+    for d in discrepancies.REGISTRY:
+        result = d.check()
+        assert result, (d.key, result.detail)
 
 
 def test_grand_mirror_oracle_value():

@@ -17,6 +17,7 @@ from pathenum.checks import CheckResult
 from pathenum.hankel import HankelSpec, det_fraction_free, hankel_det
 from pathenum.matrices import SquareMatrix, TriMatrix
 from pathenum.oracle import CountTable, PathSpec
+from conftest import banded_schroder_gf_via_s
 
 GUARDS = [
     # motzkin
@@ -41,7 +42,7 @@ GUARDS = [
     (lambda: schroder.central_delannoy_series(-1), ValueError, "order must be nonnegative"),
     (lambda: schroder.delannoy_poly(-1), ValueError, "index must be nonnegative"),
     (lambda: schroder.banded_schroder_gf(0), ValueError, "band height must be >= 1"),
-    (lambda: schroder.banded_schroder_gf_via_s(0), ValueError, "band height must be >= 1"),
+    (lambda: banded_schroder_gf_via_s(0), ValueError, "band height must be >= 1"),
     (lambda: schroder.delannoy_recursion_check(0), ValueError, "horizon must be >= 1"),
     (lambda: schroder.theorem_schroeder_check(2, -1), ValueError, "order must be nonnegative"),
     # oracle
@@ -114,6 +115,12 @@ GUARDS = [
     (lambda: motzkin.motzkin_column_gf(1, -1), ValueError, "order must be nonnegative"),
     (lambda: motzkin.grand_column_gf(1, -1), ValueError, "order must be nonnegative"),
     (lambda: motzkin.grand_column_gf(1, -1, 2), ValueError, "order must be nonnegative"),
+    # a PathSpec holds only ints, so count_paths never meets a float in the table
+    (lambda: PathSpec(1.5, "quadrant"), ValueError, "horizontal step length must be an int, got 1.5"),
+    (lambda: PathSpec.banded(2.5), ValueError, "band height must be an int, got 2.5"),
+    (lambda: PathSpec.grand("2"), ValueError, "horizontal step length must be an int, got '2'"),
+    (lambda: oracle.count_paths(PathSpec.quadrant(2.0), 4, 0), ValueError,
+     "horizontal step length must be an int, got 2.0"),
 ]
 
 
