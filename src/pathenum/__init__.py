@@ -29,7 +29,6 @@ from .oracle import (
     CountTable,
     IndexOutOfTriangle,
     PathSpec,
-    compress_schroder,
     count_paths,
     oracle_series,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TSeries",
     "W",
     "binom_general",
-    "compress_schroder",
     "count_paths",
     "oracle_series",
 ]

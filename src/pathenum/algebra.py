@@ -125,9 +125,6 @@ class OmegaPoly:
         """Degree in w; -1 for the zero polynomial."""
         return len(self._c) - 1
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __bool__(self):
         return bool(self._c)
 
@@ -223,10 +220,6 @@ class OmegaPoly:
     def to_json(self) -> list:
         """JSON value: coefficients as decimal strings, ascending powers."""
         return [str(c) for c in self._c]
-
-    @classmethod
-    def from_json(cls, data) -> "OmegaPoly":
-        return cls(int(s) for s in data)
 
 
 def _raw(coeffs) -> OmegaPoly:
@@ -466,16 +459,10 @@ class TPoly:
     def degree(self) -> int:
         return len(self._c) - 1
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def coeff(self, n: int):
         if 0 <= n < len(self._c):
             return self._c[n]
         return _zero(*self._c[:1])
-
-    def constant(self):
-        return self.coeff(0)
 
     def __add__(self, other):
         other = _as_tpoly(other)
@@ -676,10 +663,6 @@ class TSeries:
     def to_json(self) -> dict:
         """Each coefficient as a polynomial in w (an int as a constant one)."""
         return {"coeffs": [as_opoly(c).to_json() for c in self._c], "order": self.order}
-
-    @classmethod
-    def from_json(cls, data) -> "TSeries":
-        return cls([OmegaPoly.from_json(c) for c in data["coeffs"]], data["order"])
 
 
 def _as_tseries(x, order):

@@ -20,11 +20,6 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.ok
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "pass"
-        return f"FAIL: {self.detail}"
-
 
 PASS = CheckResult(True)
 

@@ -162,18 +162,6 @@ def oracle_series(spec: PathSpec, j: int, order: int, omega=W) -> TSeries:
     return TSeries([table.value(n, j) for n in range(order + 1)], order)
 
 
-def compress_schroder(n: int, j: int) -> OmegaPoly:
-    """Entry (n, j) of the compressed horizontal-step-2 triangle.
-
-    Compression removes the parity zeros of the w=2 quadrant table (the
-    substitution t^2 -> t); entry (n, j) is the count of quadrant paths to
-    (2n - j, j).
-    """
-    if j < 0 or j > n:
-        raise IndexOutOfTriangle(f"column {j} outside triangle row {n}")
-    return count_paths(PathSpec.quadrant(w=2), 2 * n - j, j)
-
-
 def compressed_series(j: int, order: int, band: int = 0, omega=W) -> TSeries:
     """Compressed w=2 column series: t^n coefficient counts paths to (2n-j, j).
 

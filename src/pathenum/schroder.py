@@ -31,12 +31,12 @@ the band generating function to the top-of-band column (the Laurent split
 of t^(-k) S s_(k-1)) also live here.
 
 The engine checks its own parameters, each where it is used, with
-ValueError: the step length a >= 1 in _series and _band_polys, the index
-n >= 0 in _band_polys, the height j >= 0 and the order >= 0 in _column,
-and the band height k >= 1 in _banded.  The family builders below are
-bare calls into it, so a direct caller of the engine gets the same checks
-as a caller of a builder.  The exponent b is not checked: every caller
-passes the constant 1 or 2.
+ValueError: the step length, an int a >= 1, in _series and _band_polys,
+the index n >= 0 in _band_polys, the height j >= 0 and the order >= 0 in
+_column, and the band height k >= 1 in _banded.  The family builders
+below are bare calls into it, so a direct caller of the engine gets the
+same checks as a caller of a builder.  The exponent b is not checked:
+every caller passes the constant 1 or 2.
 
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
@@ -146,6 +146,8 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     Every coefficient is an int.  The division by 2(n+b) is exact; a
     remainder raises InexactDivision (a bug sentinel).
     """
+    if not isinstance(a, int):
+        raise ValueError(f"horizontal step length must be an int, got {a!r}")
     if a < 1:
         raise ValueError("horizontal step length must be positive")
     if _symbolic(omega):
@@ -167,6 +169,8 @@ def _band_polys(a: int, b: int, n: int, omega=W) -> list:
     """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if not isinstance(a, int):
+        raise ValueError(f"horizontal step length must be an int, got {a!r}")
     if a < 1:
         raise ValueError("horizontal step length must be positive")
     one = _ring(omega)[1]
@@ -419,10 +423,11 @@ def _s_at1(n: int) -> TPoly:
 
 
 def banded_schroder_gf(k: int) -> RationalGF:
-    """Weight-1 compressed banded counts as d_(k-1)(-t) / d_k(-t)."""
-    if k < 1:
-        raise ValueError("band height must be >= 1")
-    return RationalGF(_d_neg_at1(k - 1), _d_neg_at1(k))
+    """Weight-1 compressed banded counts as P_(k-1)/P_k, the band that seq banded prints.
+
+    verify bridge checks these P_n against the Delannoy polynomials: P_n = d_n(-t).
+    """
+    return _banded(1, 1, k, 1)
 
 
 def delannoy_recursion_check(horizon: int) -> CheckResult:
@@ -471,7 +476,7 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
 
 
 def band_times_s(k: int, order: int) -> TSeries:
-    """S s_(k-1) through t^(order+k), S the weight-1 compressed banded series of band k."""
+    """S s_(k-1) through t^(order+k), S = banded_schroder_gf(k), the engine's band at weight 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return banded_schroder_gf(k).expand(order + k) * _s_at1(k - 1)

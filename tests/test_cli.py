@@ -11,7 +11,7 @@ import types
 import pytest
 
 from pathenum import cli, schroder
-from pathenum.algebra import RationalGF
+from pathenum.algebra import RationalGF, TPoly
 from pathenum.checks import fail
 
 PLANTED = fail("a planted failure", 0, 1)
@@ -239,6 +239,20 @@ class TestVerify:
         assert "regular coefficients: 1 7 36" in out
         assert products == [1]
         assert expansions == [1]
+
+    def test_theorem_schroeder_reads_the_engine_band(self, monkeypatch, capsys):
+        # a +t in the numerator of the engine's (1, 1) band, the band that
+        # seq banded --family schroder prints, must fail the theorem
+        real = schroder._banded
+
+        def planted(a, b, k, omega):
+            gf = real(a, b, k, omega)
+            return RationalGF(gf.num + TPoly([0, 1]), gf.den) if (a, b) == (1, 1) else gf
+
+        monkeypatch.setattr(schroder, "_banded", planted)
+        code, out, _ = run("verify", "theorem-schroeder", "--k", "4", "--N", "12", capsys=capsys)
+        assert code == 1
+        assert out.startswith("FAIL theorem-schroeder (k=4, order 12): first mismatch at ")
 
     def test_bridge_builds_each_family_once(self, monkeypatch, capsys):
         families = count_calls(monkeypatch, cli.schroder, "_band_polys")

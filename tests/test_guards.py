@@ -121,6 +121,10 @@ GUARDS = [
     (lambda: PathSpec.grand("2"), ValueError, "horizontal step length must be an int, got '2'"),
     (lambda: oracle.count_paths(PathSpec.quadrant(2.0), 4, 0), ValueError,
      "horizontal step length must be an int, got 2.0"),
+    # the step-family engine rejects a step length that is not an int, in PathSpec's words
+    (lambda: schroder.w_series(1.5, 4), ValueError, "horizontal step length must be an int, got 1.5"),
+    (lambda: schroder.w_p_poly(3, 1.5), ValueError, "horizontal step length must be an int, got 1.5"),
+    (lambda: schroder.banded_w_gf(2, 1.5), ValueError, "horizontal step length must be an int, got 1.5"),
 ]
 
 

@@ -654,3 +654,50 @@ class TestParity:
         assert len(runs) == 2 * size
         assert seen == [{int}] * size
         assert det == bareiss(hankel_matrix(spec)) == want
+
+
+# what a library caller might put in a HankelSpec field: ints in and out of
+# range, bools, floats, None, strings and polynomials in w
+loose_fields = st.one_of(
+    st.integers(-3, 6),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, -1.5]),
+    st.none(),
+    st.sampled_from(["", "2", "w"]),
+    st.lists(st.integers(-2, 2), max_size=3).map(OmegaPoly),
+)
+# and as the weight: W, ints, bools, floats, None and polynomials other than W
+loose_weights = st.one_of(
+    st.just(W),
+    st.integers(-3, 4),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=3).map(OmegaPoly).filter(lambda p: p != W),
+)
+
+
+class TestInputContract:
+    """hankel_det and hankel_closed return the weight's kind of scalar or raise ValueError."""
+
+    # each field and the weight are drawn half from their own domain, so that
+    # about one example in ten builds a spec at a weight the engines take
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 6), loose_fields),
+        shift=st.one_of(st.integers(0, 2), loose_fields),
+        alpha=st.one_of(hankel_scalars, loose_fields),
+        beta=st.one_of(hankel_scalars, loose_fields),
+        omega=st.one_of(st.just(W), st.integers(-3, 4), loose_weights),
+    )
+    @example(n=3, shift=1, alpha=2, beta=0, omega=OmegaPoly([3]))
+    @example(n=2, shift=0, alpha=1, beta=1, omega=1.0)
+    @example(n=True, shift=True, alpha=W, beta=False, omega=True)
+    def test_value_of_the_weights_kind_or_value_error(self, n, shift, alpha, beta, omega):
+        kind = OmegaPoly if omega is W else int
+        for engine in (hankel_det, hankel_closed):
+            try:
+                value = engine(HankelSpec(n, shift=shift, alpha=alpha, beta=beta), omega)
+            except ValueError:
+                continue
+            assert isinstance(value, kind), (engine.__name__, value)

@@ -6,13 +6,14 @@ from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, W
 from pathenum.oracle import (
     BandViolation,
     CountTable,
-    IndexOutOfTriangle,
     PathSpec,
-    compress_schroder,
     compressed_series,
     count_paths,
     oracle_series,
 )
+
+
+SCHRODER = PathSpec.quadrant(w=2)
 
 
 def nonneg_coeffs(p: OmegaPoly) -> bool:
@@ -60,31 +61,27 @@ class TestOracleSeries:
 
 
 class TestCompressSchroder:
+    """Entry (n, j) of the compressed triangle: the w=2 quadrant count at (2n - j, j)."""
+
     def test_corner_value(self):
-        assert compress_schroder(4, 0).evaluate(1) == 90
+        assert count_paths(SCHRODER, 8, 0).evaluate(1) == 90
 
     def test_diagonal_is_one(self):
         for n in range(8):
-            assert compress_schroder(n, n) == OP_ONE
+            assert count_paths(SCHRODER, n, n) == OP_ONE
 
     def test_row_three(self):
-        assert [compress_schroder(3, j).evaluate(1) for j in range(4)] == [22, 16, 6, 1]
+        assert [count_paths(SCHRODER, 6 - j, j).evaluate(1) for j in range(4)] == [22, 16, 6, 1]
 
     def test_low_entries_symbolic(self):
         # compressed column 0 is S(2n, 0): 1, 1+w, 2+3w+w^2, ...
-        assert compress_schroder(1, 0) == 1 + W
-        assert compress_schroder(2, 0) == OmegaPoly([2, 3, 1])
-
-    def test_outside_triangle(self):
-        with pytest.raises(IndexOutOfTriangle):
-            compress_schroder(3, 4)
-        with pytest.raises(IndexOutOfTriangle):
-            compress_schroder(3, -1)
+        assert count_paths(SCHRODER, 2, 0) == 1 + W
+        assert count_paths(SCHRODER, 4, 0) == OmegaPoly([2, 3, 1])
 
     def test_compressed_series_matches_entries(self):
         s = compressed_series(1, 6)
         for n in range(1, 7):
-            assert s.coeff(n) == compress_schroder(n, 1)
+            assert s.coeff(n) == count_paths(SCHRODER, 2 * n - 1, 1)
 
 
 class TestInvariants:
