@@ -35,17 +35,17 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-Over Z[w], four sums of products are fused: _sum_products hands all the
+Over Z[w], three sums of products are fused: _sum_products hands all the
 pairs of coefficient vectors to one kernels.vdot, which accumulates the
 products into one list and normalizes once, so the sum builds one OmegaPoly
-instead of one per product and one per partial sum.  The four are each
-coefficient of _convolve, the oracle's table cells at W (CountTable), the
-dot products of motzkin._dot and the right-hand sides of
-schroder.delannoy_recursion_check.  _quotient and the Bareiss update run
-one plain loop for both kinds: over Z[w] no workload runs the first, and
-the second makes a handful of updates, too few for a fused sum to pay.
-Over Z the loops stay plain int arithmetic, which a fused call would only
-slow down.
+instead of one per product and one per partial sum.  The three are the
+oracle's table cells at W (CountTable), the dot products of motzkin._dot
+(first-return among them) and the right-hand sides of
+schroder.delannoy_recursion_check.  _convolve, _quotient and the Bareiss
+update run one plain loop for both kinds: over Z[w] no workload runs the
+first two, and the third makes a handful of updates, too few for a fused
+sum to pay.  Over Z the loops stay plain int arithmetic, which a fused
+call would only slow down.
 
 A builder's weight is the symbolic W or an int.  The scalars a builder
 makes follow the weight: at an int weight every one is an int, so the same
@@ -386,17 +386,10 @@ def _sum_products(pairs) -> OmegaPoly:
 def _convolve(a, b, length: int) -> list:
     """The first `length` coefficients of the product of coefficient tuples a and b.
 
-    Over Z[w] each coefficient is one fused sum (_sum_products); over Z,
-    zero coefficients of either operand are skipped.
+    One loop serves both kinds and skips the zero coefficients of either
+    operand.
     """
-    zero = _zero(*a[:1], *b[:1])
-    if zero is OP_ZERO:
-        a, b = tuple(map(as_opoly, a)), tuple(map(as_opoly, b))
-        return [
-            _sum_products((a[i], b[n - i]) for i in range(max(0, n - len(b) + 1), min(len(a), n + 1)))
-            for n in range(length)
-        ]
-    out = [zero] * length
+    out = [_zero(*a[:1], *b[:1])] * length
     for i in range(min(len(a), length)):
         x = a[i]
         if not x:
@@ -416,7 +409,7 @@ def _quotient(num, den, order: int) -> list:
     q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
     One loop serves both kinds and skips the zero coefficients of den.  It
     makes no fused sum, since no CLI command divides series over Z[w]; the
-    four fused sums of products are _convolve, the CountTable cells at W,
+    three fused sums of products are the CountTable cells at W,
     motzkin._dot and schroder.delannoy_recursion_check.  Any other
     constant term, a zero denominator's included, raises NonUnitConstant.
     """
@@ -512,7 +505,9 @@ class TPoly:
         return hash(self._c)
 
     def shift(self, k: int) -> "TPoly":
-        """Multiply by t^k (k >= 0)."""
+        """Multiply by t^k, k >= 0."""
+        if k < 0:
+            raise ValueError(f"cannot multiply a polynomial by t^{k}")
         if not self._c:
             return self
         return TPoly((_zero(self._c[0]),) * k + self._c)

@@ -225,8 +225,7 @@ def banded_motzkin_recursion_check(k: int, horizon: int) -> CheckResult:
 
 def first_return_check(horizon: int) -> CheckResult:
     """M_{n+2} - w M_{n+1} = sum_{i<=n} M_i M_{n-i}, symbolically, n <= horizon."""
-    mu = motzkin_series(horizon + 2)
-    sq = mu.truncate(horizon) ** 2
+    mu = motzkin_series(horizon + 2).coeffs
     return first_mismatch(
-        (f"n={n}", mu.coeff(n + 2) - W * mu.coeff(n + 1), sq.coeff(n)) for n in range(horizon + 1)
+        (f"n={n}", mu[n + 2] - W * mu[n + 1], _dot(mu[n::-1], mu, 0)) for n in range(horizon + 1)
     )

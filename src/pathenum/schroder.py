@@ -8,31 +8,28 @@ and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
 t^2 -> t.  At an int weight the series mu is built in linear time by one
 recurrence for all (a, b), read off the differential equation of the
 square root of the discriminant (1 - omega t^a)^2 - 4 t^b (see _series).
-The column generating functions are expressed through the normalized band
-polynomials, built by their three-term recursion
+One recurrence on coefficient lists (_band_rows),
 
-    P_n = (1 - omega t^a) P_(n-1) - t^b P_(n-2),  P_0 = 1, P_(-1) = 0
+    X_m = (1 - omega t^a) X_(m-1) - t^b X_(m-2),  X_0 = 1,
 
-(the continuants of the band's continued fraction, constant term 1): the
-column ending at height j is (mu P_j - P_(j-1)) / t^j, one product of mu
-with a short polynomial, and the counts confined to 0 <= y < k have
-generating function P_(k-1)/P_k.  The band polynomials are also the rows
-of both inverse triangles, the entry (i, j) being the coefficient of
-t^(i-j) in
-
-    P_i                   of the (1, 2) family, for the inverse Motzkin triangle,
-    P_i - t P_(i-1)       of the (1, 1) family, for the inverse compressed
-                          Schroeder triangle,
-
-with triangular inversion of the count triangles as the cross-check.  The
-compressed triangle, the closed form of its inverse (via Lagrange
-inversion), Delannoy numbers and polynomials, and the band theorem linking
-the band generating function to the top-of-band column (the Laurent split
-of t^(-k) S s_(k-1)) also live here.
+builds the band polynomials and both inverse triangles; only its start
+differs.  From X_(-1) = 0 it gives the normalized band polynomials P_m
+(the continuants of the band's continued fraction): the column ending at
+height j is (mu P_j - P_(j-1)) / t^j, one product of mu with a short
+polynomial, and the counts confined to 0 <= y < k have generating function
+P_(k-1)/P_k.  From X_(-1) = 1 it gives P_m - t^b P_(m-1), which solves the
+same recurrence.  The entry (i, j) of the inverse Motzkin triangle is the
+coefficient of t^(i-j) in P_i of the (1, 2) family, and that of the
+inverse compressed Schroeder triangle in P_i - t P_(i-1) of the (1, 1)
+family, with triangular inversion of the count triangles as the
+cross-check.  The compressed triangle, the closed form of its inverse (via
+Lagrange inversion), Delannoy numbers and polynomials, and the band
+theorem linking the band generating function to the top-of-band column
+(the Laurent split of t^(-k) S s_(k-1)) also live here.
 
 The engine checks its own parameters, each where it is used, with
-ValueError: the step length, an int a >= 1, in _series and _band_polys,
-the index n >= 0 in _band_polys, the height j >= 0 and the order >= 0 in
+ValueError: the step length, an int a >= 1, in _series and _band_rows,
+the index n >= 0 in _band_rows, the height j >= 0 and the order >= 0 in
 _column, and the band height k >= 1 in _banded.  The family builders
 below are bare calls into it, so a direct caller of the engine gets the
 same checks as a caller of a builder.  The exponent b is not checked:
@@ -165,20 +162,34 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     return TSeries(mu, order)
 
 
-def _band_polys(a: int, b: int, n: int, omega=W) -> list:
-    """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
+def _band_rows(a: int, b: int, n: int, omega, start: int) -> list:
+    """Coefficient lists of X_m = (1 - omega t^a) X_(m-1) - t^b X_(m-2), m <= n, X_(-1) = start.
+
+    X_0 = 1, and X_m keeps a m + 1 entries, so a top coefficient that vanishes
+    at an int weight still pads it; that needs b <= 2a, and b <= a if start is 1.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not isinstance(a, int):
         raise ValueError(f"horizontal step length must be an int, got {a!r}")
     if a < 1:
         raise ValueError("horizontal step length must be positive")
-    one = _ring(omega)[1]
-    step = TPoly([one] + [0] * (a - 1) + [-omega])  # 1 - omega t^a
-    family = [TPoly(()), TPoly([one])]  # P_(-1), P_0
+    zero, one = _ring(omega)
+    rows = [[one] * start, [one]]  # X_(-1), X_0
     for _ in range(n):
-        family.append(step * family[-1] - family[-2].shift(b))
-    return family[1:]
+        below, row = rows[-2:]
+        nxt = row + [zero] * a
+        for k, x in enumerate(row):
+            nxt[k + a] -= omega * x
+        for k, x in enumerate(below):
+            nxt[k + b] -= x
+        rows.append(nxt)
+    return rows[1:]
+
+
+def _band_polys(a: int, b: int, n: int, omega=W) -> list:
+    """[P_0, ..., P_n] by P_m = (1 - omega t^a) P_(m-1) - t^b P_(m-2), P_(-1) = 0."""
+    return [TPoly(row) for row in _band_rows(a, b, n, omega, 0)]
 
 
 def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
@@ -221,19 +232,11 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
     return _banded(a, b, k, omega).expand(order)
 
 
-def _band_triangle(a: int, b: int, n: int, omega, row=lambda p, q: p) -> TriMatrix:
-    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in row(P_i, P_(i-1)).
-
-    P is the (a, b) band family, P_(-1) = 0; the dimension is checked before
-    it is built.  The coefficients are read with TPoly.coeff, which pads with
-    zeros: a top coefficient can vanish at an int weight (P_1 = 1 - omega t
-    at omega = 0).
-    """
+def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
+    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    family = _band_polys(a, b, n - 1, omega)
-    rows = [row(p, q) for q, p in zip([TPoly(())] + family, family)]
-    return TriMatrix([[rows[i].coeff(i - j) for j in range(i + 1)] for i in range(n)])
+    return TriMatrix([row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start))])
 
 
 def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
@@ -335,12 +338,12 @@ def inverse_schroder_poly(n: int, omega=W) -> TPoly:
 def inverse_schroder_matrix(n: int, omega=W) -> TriMatrix:
     """Inverse of the n x n compressed triangle, read off the band polynomials.
 
-    Row i holds the coefficients of P_i - t P_(i-1) of the (1, 1) family
-    (P_(-1) = 0): entry (i, j) is the coefficient of t^(i-j).  Inverting
-    schroder_matrix_compressed by forward substitution and the closed-form
-    entries inverse_schroder_entry are the cross-checks.
+    Row i holds the coefficients of P_i - t P_(i-1) of the (1, 1) family,
+    X_i of _band_rows from X_(-1) = 1: entry (i, j) is the coefficient of
+    t^(i-j).  Inverting schroder_matrix_compressed by forward substitution
+    and the closed-form entries inverse_schroder_entry are the cross-checks.
     """
-    return _band_triangle(1, 1, n, omega, lambda p, q: p - q.shift(1))
+    return _band_triangle(1, 1, n, omega, 1)
 
 
 def inverse_schroder_column_gf(k: int, order: int) -> TSeries:

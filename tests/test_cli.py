@@ -10,8 +10,8 @@ import types
 
 import pytest
 
-from pathenum import cli, schroder
-from pathenum.algebra import RationalGF, TPoly
+from pathenum import algebra, cli, schroder
+from pathenum.algebra import W, OmegaPoly, RationalGF, TPoly
 from pathenum.checks import fail
 
 PLANTED = fail("a planted failure", 0, 1)
@@ -187,6 +187,30 @@ class TestMatrix:
 
     def test_bad_dimension(self, capsys):
         assert run("matrix", "motzkin", "--n", "0", capsys=capsys)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "motzkin-inverse", "--n", "12"),
+    ("matrix", "schroder-inverse", "--n", "12"),
+    ("verify", "first-return", "--N", "20"),
+])
+def test_no_polynomial_or_series_product_over_z_w(argv, monkeypatch, capsys):
+    # both inverse triangles come from the band recurrence and first-return
+    # from fused dots, so none of them multiplies TPolys or TSeries over Z[w];
+    # TPoly.__mul__ and TSeries.__mul__ look _convolve up at each call
+    symbolic = []
+    real = algebra._convolve
+
+    def counted(a, b, length):
+        if any(isinstance(x, OmegaPoly) for x in (*a, *b)):
+            symbolic.append((a, b))
+        return real(a, b, length)
+
+    monkeypatch.setattr(algebra, "_convolve", counted)
+    assert run(*argv, capsys=capsys)[0] == 0
+    assert symbolic == []
+    TPoly([W]) * TPoly([W])  # the wrapper sees a product over Z[w]
+    assert len(symbolic) == 1
 
 
 class TestHankel:

@@ -125,6 +125,9 @@ GUARDS = [
     (lambda: schroder.w_series(1.5, 4), ValueError, "horizontal step length must be an int, got 1.5"),
     (lambda: schroder.w_p_poly(3, 1.5), ValueError, "horizontal step length must be an int, got 1.5"),
     (lambda: schroder.banded_w_gf(2, 1.5), ValueError, "horizontal step length must be an int, got 1.5"),
+    # TPoly.shift takes no negative power of t, as TSeries.shift_down takes none
+    (lambda: TPoly([1, 2]).shift(-1), ValueError, r"cannot multiply a polynomial by t\^-1"),
+    (lambda: TPoly(()).shift(-2), ValueError, r"cannot multiply a polynomial by t\^-2"),
 ]
 
 
