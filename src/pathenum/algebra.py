@@ -35,16 +35,16 @@ RationalGF.expand (num/den), and one read-out of w-free values as ints
 outer factor, so its cost is linear in the truncation order.  TPoly has no
 division; the package's one polynomial long division is kernels.vdivexact.
 
-Over Z[w], three sums of products are fused: _sum_products hands all the
+Over Z[w], two sums of products are fused: _sum_products hands all the
 pairs of coefficient vectors to one kernels.vdot, which accumulates the
 products into one list and normalizes once, so the sum builds one OmegaPoly
-instead of one per product and one per partial sum.  The three are the
-oracle's table cells at W (CountTable), the dot products of motzkin._dot
-(first-return among them) and the right-hand sides of
-schroder.delannoy_recursion_check.  _convolve, _quotient and the Bareiss
-update run one plain loop for both kinds: over Z[w] no workload runs the
-first two, and the third makes a handful of updates, too few for a fused
-sum to pay.  Over Z the loops stay plain int arithmetic, which a fused
+instead of one per product and one per partial sum.  The two are the dot
+products of motzkin._dot (first-return among them) and the right-hand sides
+of schroder.delannoy_recursion_check.  The oracle's table at W needs none:
+it adds coefficient tuples a column at a time (oracle._columns_in_w).
+_convolve, _quotient and the Bareiss update run one plain loop for both
+kinds: over Z[w] no workload runs the first two, and the third makes a
+handful of updates, too few for a fused sum to pay.  Over Z the loops stay plain int arithmetic, which a fused
 call would only slow down.
 
 A builder's weight is the symbolic W or an int.  The scalars a builder
@@ -409,8 +409,8 @@ def _quotient(num, den, order: int) -> list:
     q[n] = den[0] * (num[n] - sum_{k=1..n} den[k] * q[n-k]).
     One loop serves both kinds and skips the zero coefficients of den.  It
     makes no fused sum, since no CLI command divides series over Z[w]; the
-    three fused sums of products are the CountTable cells at W,
-    motzkin._dot and schroder.delannoy_recursion_check.  Any other
+    two fused sums of products are motzkin._dot and
+    schroder.delannoy_recursion_check.  Any other
     constant term, a zero denominator's included, raises NonUnitConstant.
     """
     zero = _zero(*num[:1], *den[:1])
@@ -572,11 +572,6 @@ class TSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self._c[n]
-
-    def truncate(self, order: int) -> "TSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TSeries(self._c[: order + 1], order)
 
     def __add__(self, other):
         other = _as_tseries(other, self.order)

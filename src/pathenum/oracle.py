@@ -9,20 +9,21 @@ Three modes:
   * banded k  quadrant paths that additionally stay strictly below height k
 
 Each mode is one height window of the table, and a count outside it is zero.
-Everything is computed cell-by-cell from the step recursion, independently
-of all closed forms, so these counts can adjudicate any formula in the
-package.  The weight is symbolic (W) by default and every cell is an
-OmegaPoly, built as one fused sum of its three step terms (a single
-kernels.vdot, no OmegaPoly per term); an integer weight, passed as omega,
-is bound before the first cell, so the table is counted over Z in plain int
+Every cell is computed from the step recursion, independently of all closed
+forms, so these counts can adjudicate any formula in the package.  The
+weight is symbolic (W) by default and every cell is an OmegaPoly, counted as
+a coefficient tuple in w a whole column at a time, with no OmegaPoly
+arithmetic (_columns_in_w).  An integer weight, passed as omega, is bound
+before the first cell, so the table is counted over Z in plain int
 arithmetic and every cell is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .algebra import OP_ZERO, OmegaPoly, TSeries, W, _ring, _sum_products
+from .algebra import OP_ZERO, OmegaPoly, TSeries, W, _raw, _ring
 from .checks import CheckResult, first_mismatch
 
 GRAND = "grand"
@@ -74,6 +75,31 @@ class PathSpec:
         return cls(w, BANDED, k)
 
 
+def _plus(a: tuple, b: tuple) -> tuple:
+    """Entrywise sum of coefficient tuples; with no negative entry, normal forms stay normal."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
+
+
+def _columns_in_w(height: int, origin: int, n_max: int, w: int) -> list:
+    """Columns 0..n_max of a table at W, from a 1 at cell origin of column 0.
+
+    Each cell is a coefficient tuple in w until the end: column x is the up
+    and down terms from column x - 1, summed, plus column x - w shifted by
+    one power of w.
+    """
+    cols = [[()] * height]
+    cols[0][origin] = (1,)
+    for x in range(1, n_max + 1):
+        prev = cols[x - 1]
+        cur = list(map(_plus, [(), *prev[:-1]], [*prev[1:], ()]))  # up from y - 1, down from y + 1
+        if x >= w:
+            cur = list(map(_plus, cur, [(0,) + c if c else c for c in cols[x - w]]))
+        cols.append(cur)
+    return [[_raw(c) if c else OP_ZERO for c in col] for col in cols]
+
+
 class CountTable:
     """DP table of weighted path counts, indexed by (x-coordinate, height).
 
@@ -91,6 +117,9 @@ class CountTable:
         self._lo = -n_max if spec.mode == GRAND else 0
         self._hi = spec.band - 1 if spec.mode == BANDED else n_max
         height = self._hi - self._lo + 1
+        if zero is OP_ZERO:
+            self._cols = _columns_in_w(height, -self._lo, n_max, spec.w)
+            return
         cols = [[zero] * height for _ in range(n_max + 1)]
         cols[0][-self._lo] = one
         w = spec.w
@@ -99,14 +128,6 @@ class CountTable:
             horiz = cols[x - w] if x >= w else None
             cur = cols[x]
             for y in range(height):
-                if zero is OP_ZERO:  # one fused sum: 1*up + 1*down + omega*horizontal
-                    steps = [(one, prev[y + 1])] if y + 1 < height else []
-                    if y >= 1:
-                        steps.append((one, prev[y - 1]))
-                    if horiz is not None:
-                        steps.append((omega, horiz[y]))
-                    cur[y] = _sum_products(steps)
-                    continue
                 acc = zero
                 if y + 1 < height:
                     acc = acc + prev[y + 1]

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, W
+from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, TSeries, W
 from pathenum.matrices import TriMatrix
-from pathenum.oracle import IndexOutOfTriangle
+from pathenum.oracle import BANDED, GRAND, IndexOutOfTriangle, PathSpec
 from pathenum.schroder import inverse_schroder_poly
 
 
@@ -16,6 +16,30 @@ def random_opoly(rng: random.Random, max_deg: int = 4, max_abs: int = 9) -> Omeg
 def identity(n: int) -> TriMatrix:
     """The n x n identity, as an int TriMatrix (equal to its OmegaPoly form)."""
     return TriMatrix([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
+
+
+def count_table_rec(spec: PathSpec, n_max: int) -> dict:
+    """{(x, y): count} for every cell of the spec's height window, x <= n_max, at W.
+
+    The step recursion count(x, y) = count(x-1, y-1) + count(x-1, y+1) +
+    w count(x-w, y) in OmegaPoly arithmetic, cell by cell; a count outside
+    the window is zero.
+    """
+    lo = -n_max if spec.mode == GRAND else 0
+    hi = spec.band - 1 if spec.mode == BANDED else n_max
+    cells = {(0, y): OP_ONE if y == 0 else OP_ZERO for y in range(lo, hi + 1)}
+    for x in range(1, n_max + 1):
+        for y in range(lo, hi + 1):
+            up, down = cells.get((x - 1, y - 1), OP_ZERO), cells.get((x - 1, y + 1), OP_ZERO)
+            cells[x, y] = up + down + W * cells.get((x - spec.w, y), OP_ZERO)
+    return cells
+
+
+def truncate(series: TSeries, order: int) -> TSeries:
+    """The series cut to a lower truncation order; ValueError for a higher one."""
+    if order > series.order:
+        raise ValueError("cannot extend a truncated series")
+    return TSeries(series.coeffs[: order + 1], order)
 
 
 def inverse_motzkin_entry_rec(i: int, j: int) -> OmegaPoly:

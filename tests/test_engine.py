@@ -54,6 +54,7 @@ from pathenum.schroder import (
     inverse_schroder_matrix,
     schroder_matrix_compressed,
 )
+from conftest import truncate
 
 
 def _fixed_point(a: int, b: int, order: int) -> TSeries:
@@ -165,7 +166,7 @@ def test_recurrence_matches_fixed_point_and_oracle(family, j, order):
     column = _column(a, b, j, order)
     assert column == by_fixed_point
     heights_0, heights_j = _oracle_columns(a, b, j, order)
-    assert mu.truncate(order).coeffs == heights_0
+    assert truncate(mu, order).coeffs == heights_0
     assert column.coeffs == heights_j
 
 

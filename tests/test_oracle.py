@@ -1,7 +1,10 @@
 """The brute-force counter against the printed tables and its own invariants."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pathenum import algebra
 from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, W
 from pathenum.oracle import (
     BandViolation,
@@ -11,6 +14,7 @@ from pathenum.oracle import (
     count_paths,
     oracle_series,
 )
+from conftest import count_table_rec
 
 
 SCHRODER = PathSpec.quadrant(w=2)
@@ -136,7 +140,7 @@ class TestInvariants:
 @pytest.mark.parametrize("mode", ["grand", "quadrant", "banded"])
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_symbolic_table_at_x_is_the_int_table(mode, w):
-    # the fused cells at W against the plain int loop, cell by cell
+    # the cells at W, evaluated at x, against the table counted at x, cell by cell
     spec = PathSpec.banded(3, w) if mode == "banded" else PathSpec(w, mode)
     n = 12
     symbolic = CountTable(spec, n)
@@ -147,6 +151,47 @@ def test_symbolic_table_at_x_is_the_int_table(mode, w):
             for j in range(lo, hi + 1):
                 assert symbolic.value(m, j).evaluate(x) == table.value(m, j), (x, m, j)
                 assert type(table.value(m, j)) is int
+
+
+# every cell of a table at W against the step recursion in OmegaPoly
+# arithmetic; n_max runs past 40, where the largest coefficients pass 64 bits
+# (3^40 < 2^64 < 3^41)
+@given(mode=st.sampled_from(["grand", "quadrant", "banded"]), w=st.integers(1, 3),
+       k=st.integers(1, 6), n_max=st.integers(0, 45))
+@example(mode="grand", w=1, k=1, n_max=40)
+@example(mode="grand", w=1, k=1, n_max=41)
+@example(mode="quadrant", w=2, k=1, n_max=45)
+@example(mode="banded", w=3, k=1, n_max=0)
+@settings(max_examples=40, deadline=None)
+def test_symbolic_table_is_the_z_w_recursion(mode, w, k, n_max):
+    spec = PathSpec.banded(k, w) if mode == "banded" else PathSpec(w, mode)
+    table = CountTable(spec, n_max)
+    for (x, y), want in count_table_rec(spec, n_max).items():
+        assert table.value(x, y) == want, (x, y)
+
+
+@pytest.mark.parametrize("n_max", [40, 41])
+@pytest.mark.parametrize(
+    "spec", [PathSpec.grand(), PathSpec.quadrant(w=2), PathSpec.banded(5, w=3)], ids=str
+)
+def test_symbolic_table_obeys_its_recursion_past_64_bit_coefficients(spec, n_max):
+    assert CountTable(spec, n_max).recursion_holds()
+
+
+def test_symbolic_table_makes_no_vdot_call_and_holds_omegapolys(monkeypatch):
+    calls = []
+    vdot = algebra.vdot
+    monkeypatch.setattr(algebra, "vdot", lambda pairs: calls.append(1) or vdot(pairs))
+    algebra._sum_products([(W, W)])  # the wrapper sees a fused sum
+    assert calls == [1]
+    calls.clear()
+    for spec, lo, hi in ((PathSpec.grand(2), -15, 15), (PathSpec.quadrant(), 0, 15),
+                         (PathSpec.banded(4, 3), 0, 3)):
+        table = CountTable(spec, 15)
+        for n in range(16):
+            for j in range(lo, hi + 1):
+                assert type(table.value(n, j)) is OmegaPoly, (spec, n, j)
+    assert calls == []
 
 
 def test_check_results_carry_counterexamples():
