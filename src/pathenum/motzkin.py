@@ -5,10 +5,10 @@ integer weight its coefficients come from the linear recurrence that the
 square root of the discriminant (1 - w*t)^2 - 4*t^2 satisfies, one exact
 integer division per term, never a numeric root.  Series, row
 polynomials, columns and bands are the (1, 2) case of the step-family
-engine in the schroder module.  The grand (unrestricted-height) series is
-1/(1 - w*t - 2*t^2*mu); since 1 - w*t - 2*t^2*mu is that square root, it
-equals (1 - w*t - 2*t^2*mu) / ((1 - w*t)^2 - 4*t^2), and every grand column
-reduces to the same form (c0 + c1*mu) / D with short polynomials c0, c1.
+engine in the schroder module, and so is the grand (unrestricted-height)
+series 1/(1 - w*t - 2*t^2*mu) = D^(-1/2), D the discriminant, built by
+its own linear recurrence (schroder._grand); the grand column j is
+(D^(-1/2) (P_j - t^2 P_(j-2)) - P_(j-1)) / (2 t^j).
 
 At the symbolic weight no series is computed over Z[w].  With A = 1 - w*t
 and y = t^2/A^2, mu = A^(-1) C(y) (C the Catalan series) and the grand
@@ -34,9 +34,7 @@ from .algebra import (
     TSeries,
     W,
     _at_weight,
-    _quotient,
     _sum_products,
-    _symbolic,
     binom,
 )
 from .checks import CheckResult, first_mismatch
@@ -49,7 +47,7 @@ from .schroder import (
     _banded_series,
     _column,
     _count_triangle,
-    _lift,
+    _grand,
     _series,
 )
 
@@ -60,8 +58,8 @@ def motzkin_series(order: int, omega=W) -> TSeries:
 
 
 def grand_motzkin_series(order: int, omega=W) -> TSeries:
-    """Weighted grand Motzkin numbers G_n as a series."""
-    return grand_column_gf(0, order, omega)
+    """Weighted grand Motzkin numbers G_n as a series, D^(-1/2)."""
+    return _grand(1, 2, 0, order, omega)
 
 
 def motzkin_matrix(n: int, omega=W) -> TriMatrix:
@@ -88,34 +86,9 @@ def motzkin_column_gf(j: int, order: int, omega=W) -> TSeries:
 def grand_column_gf(j: int, order: int, omega=W) -> TSeries:
     """Column j of the grand triangle: g * (t*mu)^j; t^n holds the count to (n, j).
 
-    With A = 1 - omega*t and D = A^2 - 4*t^2, g = 1/(A - 2*t^2*mu) equals
-    (A - 2*t^2*mu)/D (the radical in the closed form of mu is
-    A - 2*t^2*mu).  Writing (t*mu)^j through t^(2j-2) mu^j = mu P_(j-1) - P_(j-2)
-    and reducing with t^2 mu^2 = A mu - 1 and the recursion of the P gives
-
-        g * (t*mu)^j = t^(-j) (c1 mu + c0) / D,
-        c1 = t^2 (A P_(j-1) - 2 P_j),   c0 = A P_j - (D + 2 t^2) P_(j-1),
-
-    so the series is one product of mu with a short polynomial and one
-    quotient by a quadratic.  The j lowest coefficients of c1 mu + c0
-    vanish identically, which shift_down re-checks.  At W, g = A^(-1)
-    (1 - 4y)^(-1/2) with y = t^2 / A^2, so the column is t^j A^(-j-1) G(y),
-    lifted (_lift, e = j, c = j + 1) from its run at w = 0.
+    g = 1/(1 - omega*t - 2*t^2*mu) = D^(-1/2); the (1, 2) case of schroder._grand.
     """
-    if j < 0:
-        raise ValueError("height must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if _symbolic(omega):
-        return _lift(1, 2, j, j + 1, grand_column_gf(j, order, 0), order)
-    family = _band_polys(1, 2, j, omega)
-    below = family[j - 1] if j else TPoly(())
-    step = TPoly([1, -omega])  # A
-    den = step * step - TPoly([0, 0, 4])  # D
-    c1 = (step * below - 2 * family[j]).shift(2)
-    c0 = step * family[j] - (den + TPoly([0, 0, 2])) * below
-    numerator = (motzkin_series(order + j, omega) * c1 + c0).shift_down(j)
-    return TSeries(_quotient(numerator.coeffs, den.coeffs, order), order)
+    return _grand(1, 2, j, order, omega)
 
 
 def inverse_motzkin_entry(i: int, j: int, omega=W):

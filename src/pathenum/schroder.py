@@ -5,9 +5,10 @@ steps.  One engine, parametrized by the step exponents (a, b) of the fixed
 point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
 step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
 and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
-t^2 -> t.  At an int weight the series mu is built in linear time by one
-recurrence for all (a, b), read off the differential equation of the
-square root of the discriminant (1 - omega t^a)^2 - 4 t^b (see _series).
+t^2 -> t.  At an int weight the series mu and the grand
+(unrestricted-height) series D^(-1/2) are built in linear time, each by
+one recurrence for all (a, b) read off a differential equation of the
+discriminant D = (1 - omega t^a)^2 - 4 t^b (_series, _grand, _disc).
 One recurrence on coefficient lists (_band_rows),
 
     X_m = (1 - omega t^a) X_(m-1) - t^b X_(m-2),  X_0 = 1,
@@ -16,31 +17,31 @@ builds the band polynomials and both inverse triangles; only its start
 differs.  From X_(-1) = 0 it gives the normalized band polynomials P_m
 (the continuants of the band's continued fraction): the column ending at
 height j is (mu P_j - P_(j-1)) / t^j, one product of mu with a short
-polynomial, and the counts confined to 0 <= y < k have generating function
+polynomial, the grand column is (D^(-1/2) (P_j - t^b P_(j-2)) - P_(j-1))
+/ (2 t^j), and the counts confined to 0 <= y < k have generating function
 P_(k-1)/P_k.  From X_(-1) = 1 it gives P_m - t^b P_(m-1), which solves the
 same recurrence.  The entry (i, j) of the inverse Motzkin triangle is the
 coefficient of t^(i-j) in P_i of the (1, 2) family, and that of the
 inverse compressed Schroeder triangle in P_i - t P_(i-1) of the (1, 1)
 family, with triangular inversion of the count triangles as the
 cross-check.  The compressed triangle, the closed form of its inverse (via
-Lagrange inversion), Delannoy numbers and polynomials, and the band
-theorem linking the band generating function to the top-of-band column
-(the Laurent split of t^(-k) S s_(k-1)) also live here.
+Lagrange inversion), Delannoy numbers and polynomials (the central ones
+are the (1, 1) grand series at height 0), and the band theorem linking the
+band generating function to the top-of-band column (the Laurent split of
+t^(-k) S s_(k-1)) also live here.
 
 The engine checks its own parameters, each where it is used, with
-ValueError: the step length, an int a >= 1, in _series and _band_rows,
+ValueError: the step length, an int a >= 1, in _disc and _band_rows,
 the index n >= 0 in _band_rows, the height j >= 0 and the order >= 0 in
-_column, and the band height k >= 1 in _banded.  The family builders
-below are bare calls into it, so a direct caller of the engine gets the
-same checks as a caller of a builder.  The exponent b is not checked:
-every caller passes the constant 1 or 2.
+_column and _grand, and the band height k >= 1 in _banded.  The family
+builders below are bare calls into it, so a direct caller of the engine
+gets the same checks as a caller of a builder.  The exponent b is not
+checked: every caller passes the constant 1 or 2.
 
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
 scalars they build follow the weight: OmegaPolys at W, plain ints at an
-int weight, with the constants 0 and 1 taken from the weight itself.  The
-central Delannoy numbers behind seq delannoy come from their P-recurrence,
-one exact division per term.
+int weight, with the constants 0 and 1 taken from the weight itself.
 
 The series behind seq are not computed over Z[w] at all.  Put
 A = 1 - omega t^a and y = t^b / A^2.  Then mu = A^(-1) C(y), C the Catalan
@@ -51,10 +52,8 @@ the same builder, and _lift reads G off it and writes the coefficient of
 t^n w^r as g_m C(c + 2m - 1 + r, r), n = e + b m + a r: one product by a
 small int and one exact division per coefficient.  At W each of these builders is that lift, with
 
-    _series, _banded_series    (any (a, b))   e = 0,            c = 1
-    _column                    (any (a, b))   e = (b - 1) j,    c = j + 1
-    grand_column_gf (motzkin)  (1, 2)         e = j,            c = j + 1
-    central_delannoy_series    (1, 1)         e = 0,            c = 1
+    _series, _banded_series    e = 0,            c = 1
+    _column, _grand            e = (b - 1) j,    c = j + 1
 
 while the band polynomials, the rational generating functions and the
 triangles are still built over Z[w].  Every exact division, of the int
@@ -90,7 +89,7 @@ from .algebra import (
 from .checks import CheckResult, first_mismatch
 from .kernels import vdivexact
 from .matrices import TriMatrix
-from .oracle import CountTable, IndexOutOfTriangle, PathSpec, compressed_series
+from .oracle import QUADRANT, CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 
 ONE_MINUS_T = TPoly([1, -1])
 
@@ -123,6 +122,21 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
     return TSeries([OmegaPoly(row) for row in rows], order)
 
 
+def _disc(a: int, b: int, omega) -> tuple:
+    """The terms (i, D_i) of D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b at an int weight.
+
+    Equal powers are merged and zeros dropped; the step length a must be an int >= 1.
+    """
+    if not isinstance(a, int):
+        raise ValueError(f"horizontal step length must be an int, got {a!r}")
+    if a < 1:
+        raise ValueError("horizontal step length must be positive")
+    terms = {}
+    for i, d in ((a, -2 * omega), (2 * a, omega * omega), (b, -4)):
+        terms[i] = terms.get(i, 0) + d
+    return tuple((i, d) for i, d in terms.items() if d)
+
+
 def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     """Coefficients of mu = 1 + omega t^a mu + t^b mu^2, in linear time.
 
@@ -139,17 +153,13 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
         2(n+b) mu_n = R_n - sum_{i>=1} D_i (2(n+b) - 3i) mu_(n-i),
         R = 2b + (4a - 2b) omega t^a,
 
-    where D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b has three terms.
-    Every coefficient is an int.  The division by 2(n+b) is exact; a
-    remainder raises InexactDivision (a bug sentinel).
+    where D - 1 has at most three terms (_disc).  Every coefficient is an
+    int.  The division by 2(n+b) is exact; a remainder raises
+    InexactDivision (a bug sentinel).
     """
-    if not isinstance(a, int):
-        raise ValueError(f"horizontal step length must be an int, got {a!r}")
-    if a < 1:
-        raise ValueError("horizontal step length must be positive")
     if _symbolic(omega):
         return _lift(a, b, 0, 1, _series(a, b, order, 0), order)
-    disc = ((a, -2 * omega), (2 * a, omega * omega), (b, -4))  # D - 1, by power of t
+    disc = _disc(a, b, omega)
     rhs = {0: 2 * b, a: (4 * a - 2 * b) * omega}  # R, by power of t
     mu = []
     for n in range(order + 1):
@@ -213,6 +223,37 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
     return (mu * family[j] - family[j - 1]).shift_down(j)
 
 
+def _grand(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
+    """Unrestricted counts ending at height j: g t^((b-1) j) mu^j, g = D^(-1/2).
+
+    At an int weight 2 D g' = -D' g gives 2n g_n = -sum_{i>=1} D_i (2n - i)
+    g_(n-i), g_0 = 1.  For j >= 1, s = A - 2 t^b mu = D^(1/2) gives
+    g t^b mu = (A g - 1)/2, and the band recursion turns the column into
+    t^(-j) (g (P_j - t^b P_(j-2)) - P_(j-1)) / 2, P_(-1) = 0, whose j
+    vanishing coefficients shift_down re-checks.  Every division raises
+    InexactDivision on a remainder.  At W it is lifted with _column's offsets.
+    """
+    if j < 0:
+        raise ValueError("height must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if _symbolic(omega):
+        return _lift(a, b, (b - 1) * j, j + 1, _grand(a, b, j, order, 0), order)
+    disc = _disc(a, b, omega)
+    g = [1]
+    for n in range(1, order + j + 1):
+        total = 0
+        for i, d in disc:
+            if i <= n:
+                total -= (2 * n - i) * d * g[n - i]
+        g.append(_div_exact(total, 2 * n))
+    if not j:
+        return TSeries(g, order)
+    below, mid, top = ([TPoly(())] + _band_polys(a, b, j, omega))[j - 1:]  # P_(j-2), P_(j-1), P_j
+    twice = (TSeries(g, order + j) * (top - below.shift(b)) - mid).shift_down(j)
+    return TSeries([_div_exact(c, 2) for c in twice.coeffs], order)
+
+
 def _banded(a: int, b: int, k: int, omega=W) -> RationalGF:
     """Counts at height 0 confined to 0 <= y < k, as P_(k-1) / P_k."""
     if k < 1:
@@ -243,11 +284,12 @@ def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
     """n x n oracle triangle; entry (i, j) counts paths to (w i - (w-1) j, j).
 
     That is the point (i, j) for w = 1 and the compressed entry for w = 2.
+    No path to an entry rises to height n, so a quadrant spec is counted in that band.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     w = spec.w
-    table = CountTable(spec, w * (n - 1), omega)
+    table = CountTable(PathSpec.banded(n, w) if spec.mode == QUADRANT else spec, w * (n - 1), omega)
     return TriMatrix(
         [[table.value(w * i - (w - 1) * j, j) for j in range(i + 1)] for i in range(n)]
     )
@@ -373,26 +415,12 @@ def delannoy_number(n: int, k: int, omega=W):
 
 
 def central_delannoy_series(order: int, omega=W) -> TSeries:
-    """The central Delannoy numbers D(n, n), n <= order, by their P-recurrence
+    """The central Delannoy numbers D(n, n), n <= order: the (1, 1) grand series at height 0.
 
-        n D_n = (omega + 2)(2n - 1) D_(n-1) - omega^2 (n - 1) D_(n-2),
-        D_0 = 1,  D_1 = omega + 2.
-
-    Each term is one exact division by n; a remainder raises
-    InexactDivision (a bug sentinel).  At W the series is
-    1 / sqrt((1 - w t)^2 - 4t) = (1 - w t)^(-1) G(t / (1 - w t)^2), lifted
-    (_lift, e = 0, c = 1) from the central binomials at w = 0.
+    They count the unrestricted compressed Schroeder paths to (2n, 0), and
     delannoy_number, the closed sum, is the cross-check.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if _symbolic(omega):
-        return _lift(1, 1, 0, 1, central_delannoy_series(order, 0), order)
-    step, square = omega + 2, omega * omega
-    d = [1, step]
-    for n in range(2, order + 1):
-        d.append(_div_exact((2 * n - 1) * step * d[n - 1] - (n - 1) * square * d[n - 2], n))
-    return TSeries(d[: order + 1], order)
+    return _grand(1, 1, 0, order, omega)
 
 
 def delannoy_poly(k: int, omega=W) -> TPoly:

@@ -10,8 +10,8 @@ import types
 
 import pytest
 
-from pathenum import algebra, cli, schroder
-from pathenum.algebra import W, OmegaPoly, RationalGF, TPoly
+from pathenum import algebra, cli, motzkin, schroder
+from pathenum.algebra import W, OmegaPoly, RationalGF, TPoly, TSeries
 from pathenum.checks import fail
 
 PLANTED = fail("a planted failure", 0, 1)
@@ -211,6 +211,20 @@ def test_no_polynomial_or_series_product_over_z_w(argv, monkeypatch, capsys):
     assert symbolic == []
     TPoly([W]) * TPoly([W])  # the wrapper sees a product over Z[w]
     assert len(symbolic) == 1
+
+
+@pytest.mark.parametrize("j", ["0", "2"])
+def test_grand_motzkin_at_an_integer_weight_divides_no_series(j, monkeypatch, capsys):
+    # the grand series is D^(-1/2) by its own recurrence (schroder._grand),
+    # not a quotient by D; a module that binds _quotient by name is counted too
+    counters = [count_calls(monkeypatch, module, "_quotient")
+                for module in (algebra, motzkin, schroder) if hasattr(module, "_quotient")]
+    code, out, _ = run("seq", "grand-motzkin", "--N", "30", "--j", j, "--omega", "3",
+                       capsys=capsys)
+    assert code == 0 and len(out.split()) == 31
+    assert [c[0] for c in counters] == [0] * len(counters)
+    TSeries([1, 1]).inverse()  # the wrapper sees a series quotient
+    assert counters[0] == [1]
 
 
 class TestHankel:

@@ -1,18 +1,21 @@
 """Differential tests of the step-family engine against the path-count oracle.
 
-The engine (schroder._series, _band_polys, _column, _banded) builds the
-series, band polynomials, column and banded generating functions of every
-step family from its exponents (a, b); motzkin.grand_column_gf builds the
-grand columns as (c1 mu + c0) / D.  Here random family members are checked
-against the dynamic-programming CountTable, which shares no code with the
-engine, and against independent constructions: the quadratic fixed-point
-recursion below (the engine's series before the linear recurrence), the
-Riordan power mu^(j+1), the grand series as a series inverse times a power
-of t*mu, and the band polynomials of the three-term recursion against their
-closed sum.  The inverse triangles, read off the band polynomials, are
-checked against triangular inversion of the count triangles and against
-their closed-form entries.  Every builder run at an integer weight is
-checked against the symbolic builder evaluated at that weight.
+The engine (schroder._series, _band_polys, _column, _grand, _banded)
+builds the series, band polynomials, columns, grand columns and banded
+generating functions of every step family from its exponents (a, b);
+motzkin.grand_column_gf and schroder.central_delannoy_series are its grand
+columns of the (1, 2) and (1, 1) families.  Here random family members are
+checked against the dynamic-programming CountTable, which shares no code
+with the engine, and against independent constructions: the quadratic
+fixed-point recursion below (the engine's series before the linear
+recurrence), the Riordan power mu^(j+1), the grand Motzkin series as a
+series inverse times a power of t*mu, the central Delannoy numbers as
+their closed sum, and the band polynomials of the three-term recursion
+against their closed sum.  The inverse triangles, read off the band
+polynomials, are checked against triangular inversion of the count
+triangles and against their closed-form entries.  Every builder run at an
+integer weight is checked against the symbolic builder evaluated at that
+weight.
 """
 
 import pytest
@@ -47,9 +50,12 @@ from pathenum.schroder import (
     _band_polys,
     _banded,
     _column,
+    _grand,
     _series,
     banded_w_gf,
     banded_w_series,
+    central_delannoy_series,
+    delannoy_number,
     inverse_schroder_entry,
     inverse_schroder_matrix,
     schroder_matrix_compressed,
@@ -180,6 +186,26 @@ def test_grand_columns_match_product_and_oracle(j, order):
     assert column == g * tmu**j
     table = CountTable(PathSpec.grand(), order)
     assert list(column.coeffs) == [table.value(n, j) for n in range(order + 1)]
+
+
+@fuzz
+@given(
+    family=st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 1)]),
+    j=heights,
+    order=st.integers(0, 14),
+    omega=st.sampled_from([W] + list(range(-2, 4))),
+)
+def test_grand_engine_matches_grand_oracle(family, j, order, omega):
+    # (w, 2): t^n counts the grand paths to (n, j); (1, 1), the compressed
+    # w = 2 family: t^n counts the grand w = 2 paths to (2n + j, j)
+    a, b = family
+    w, stride, x0 = (2, 2, j) if b == 1 else (a, 1, 0)
+    table = CountTable(PathSpec.grand(w), stride * order + j, omega)
+    got = _grand(a, b, j, order, omega)
+    assert list(got.coeffs) == [table.value(stride * n + x0, j) for n in range(order + 1)]
+    if family == (1, 1) and not j:
+        closed = [delannoy_number(n, n, omega) for n in range(order + 1)]
+        assert list(central_delannoy_series(order, omega).coeffs) == closed
 
 
 INVERSES = (

@@ -129,6 +129,12 @@ GUARDS = [
     # TPoly.shift takes no negative power of t, as TSeries.shift_down takes none
     (lambda: TPoly([1, 2]).shift(-1), ValueError, r"cannot multiply a polynomial by t\^-1"),
     (lambda: TPoly(()).shift(-2), ValueError, r"cannot multiply a polynomial by t\^-2"),
+    # the grand engine checks its parameters as _series and _column do, at W and at an int weight
+    (lambda: schroder._grand(1.5, 2, 0, 4), ValueError,
+     "horizontal step length must be an int, got 1.5"),
+    (lambda: schroder._grand(0, 2, 1, 4, 3), ValueError, "horizontal step length must be positive"),
+    (lambda: schroder._grand(1, 1, -1, 4), ValueError, "height must be nonnegative"),
+    (lambda: schroder._grand(2, 2, 1, -1, 1), ValueError, "order must be nonnegative"),
 ]
 
 

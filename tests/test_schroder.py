@@ -315,8 +315,9 @@ class TestDelannoy:
 
     @pytest.mark.parametrize("omega", [W, 3], ids=["symbolic", "weight-3"])
     def test_planted_term_raises_inexact_division(self, omega, monkeypatch):
-        # n D_n is divided by n once per term; a +1 planted in D_10 makes the
-        # division by 11 of the next term leave a remainder.
+        # 2n D_n is divided by 2n once per term (schroder._grand); a +1
+        # planted in D_5 makes the division by 12 of the next term leave a
+        # remainder.
         real = schroder._div_exact
 
         def planted(a, k):
