@@ -54,7 +54,11 @@ binds the weight in a polynomial given by its integer coefficients in the
 weight, and _bind binds it in a scalar.
 
 All values are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.
+functions, so values can be shared freely between threads.  A series made
+row by row (_RowSeries, the lift at W) builds its coefficients on first
+read; two threads that read it at once build equal tuples.  The text of a
+polynomial in w has one formatter (_w_text, and _w_json for its JSON
+value), which OmegaPoly and the CLI's writer share.
 """
 
 from __future__ import annotations
@@ -195,31 +199,47 @@ class OmegaPoly:
         return _raw(q)
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for i, c in enumerate(self._c):
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "w" if mag == 1 else f"{mag}*w"
-            else:
-                body = f"w^{i}" if mag == 1 else f"{mag}*w^{i}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return _w_text(self._c)
 
     def __repr__(self):
         return f"OmegaPoly({list(self._c)!r})"
 
     def to_json(self) -> list:
         """JSON value: coefficients as decimal strings, ascending powers."""
-        return [str(c) for c in self._c]
+        return _w_json(self._c)
+
+
+def _w_text(coeffs) -> str:
+    """The text of sum_i coeffs[i] w^i, as OmegaPoly prints it: "2 + 6*w^2 + w^4".
+
+    Zero coefficients, trailing ones included, are skipped, and no term
+    leaves "0".  OmegaPoly.__str__ and the CLI's writer, which formats
+    coefficient lists without making an OmegaPoly, both print through it.
+    """
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        elif i == 1:
+            body = "w" if mag == 1 else f"{mag}*w"
+        else:
+            body = f"w^{i}" if mag == 1 else f"{mag}*w^{i}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+def _w_json(coeffs) -> list:
+    """The JSON value of sum_i coeffs[i] w^i: decimal strings, ascending, no trailing zeros."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return [str(c) for c in coeffs[:n]]
 
 
 def _raw(coeffs) -> OmegaPoly:
@@ -653,6 +673,48 @@ class TSeries:
     def to_json(self) -> dict:
         """Each coefficient as a polynomial in w (an int as a constant one)."""
         return {"coeffs": [as_opoly(c).to_json() for c in self._c], "order": self.order}
+
+
+
+class _RowSeries(TSeries):
+    """A series over Z[w] made row by row, its coefficients built on first read.
+
+    rows() yields, afresh at each call, the coefficient list in w of t^n for
+    n = 0..order (trailing zeros allowed).  stream() hands those rows to a
+    caller that writes each one as it comes (the CLI), so that caller never
+    holds the series; any read of the coefficients runs rows() once and keeps
+    them as OmegaPolys, so every other caller sees a plain TSeries.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows, order: int):
+        self._rows, self.order = rows, order
+
+    def __getattr__(self, name):
+        # reached only while the slot _c is unset: the first read builds it
+        if name != "_c":
+            raise AttributeError(name)
+        self._c = tuple(OmegaPoly(row) for row in self._rows())
+        return self._c
+
+    def stream(self):
+        """The coefficient lists in w of t^0, ..., t^order, made afresh as they are read."""
+        return self._rows()
+
+    def shift_down(self, k: int) -> "TSeries":
+        """Divide by t^k as TSeries.shift_down does, row by row: the k rows dropped must be zero."""
+        if not 0 <= k <= self.order:
+            raise ValueError(f"cannot divide a series of order {self.order} by t^{k}")
+
+        def rows():
+            it = self._rows()
+            for i, row in zip(range(k), it):
+                if any(row):
+                    raise InexactDivision(f"coefficient of t^{i} is {_w_text(row)}, not 0")
+            return it
+
+        return _RowSeries(rows, self.order - k)
 
 
 def _as_tseries(x, order):

@@ -9,9 +9,20 @@ computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
 disagreement was detected, 2 usage error or a request too large for the
-available memory (one error line, no traceback), 141 the reader closed
-standard output before it was written.  All output is deterministic and large
-integers are printed in full decimal.
+available memory (one error line, no traceback; if memory ran out after
+part of the output was written, the line says that the output is partial),
+141 the reader closed standard output before it was written.  All output is
+deterministic and large integers are printed in full decimal.
+
+One writer (_write) writes every seq and matrix answer, behind _emit_series
+and _emit_matrix.  At W a seq family's series and an inverse triangle are
+made row by row (their stream methods), and each coefficient or
+row is written as soon as it is made, so the command holds a few rows, not
+the object and its text.  The count triangles are built whole and written a
+row at a time; at an int weight a series is one line, built whole.  The
+bytes are those of formatting the whole object: plain and csv join the same
+texts, and JSON is written as {"coeffs":[...],"order":N} and
+{"n":N,"rows":[...]}, the key order of _dump_json.
 
 Each seq family, band family, matrix kind and verify suite is declared
 once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
@@ -35,7 +46,7 @@ import os
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
-from .algebra import W, TSeries
+from .algebra import W, TSeries, _w_json, _w_text
 from .checks import PASS
 from .matrices import TriMatrix
 
@@ -77,21 +88,69 @@ def _line(values, omega, fmt: str) -> str:
     return ("; " if omega is None else " ").join(str(v) for v in values)
 
 
-def _emit_series(ts: TSeries, omega, fmt: str) -> str:
-    # int_coeffs raises if the weight was not bound in the builder
-    values = ts.coeffs if omega is None else ts.int_coeffs()
-    if fmt == "json":
-        return _dump_json(ts.to_json() if omega is None else {"order": ts.order, "values": values})
-    return _line(values, omega, fmt)
+class _PartialOutput(MemoryError):
+    """Memory ran out after part of the output was written."""
 
 
-def _emit_matrix(m: TriMatrix, omega, fmt: str) -> str:
-    rows = m.rows if omega is None else m.int_rows()  # int_rows raises likewise
-    if fmt == "json":
+def _write(pieces) -> None:
+    """Write each piece of text to standard output as soon as it is made: the one writer.
+
+    sys.stdout is looked up at each call, so output redirected by the caller
+    (a test, a benchmark client) receives it.  Memory that runs out after the
+    first piece raises _PartialOutput, so that the error line can say so.
+    """
+    out = sys.stdout
+    written = False
+    try:
+        for piece in pieces:
+            out.write(piece)
+            written = True
+    except MemoryError as exc:
+        if not written:
+            raise
+        raise _PartialOutput from exc
+
+
+def _joined(head: str, texts, sep: str, tail: str):
+    """The pieces head, texts separated by sep, tail, as the texts are made."""
+    yield head
+    for i, text in enumerate(texts):
+        yield sep + text if i else text
+    yield tail
+
+
+def _emit_series(ts: TSeries, omega, fmt: str) -> None:
+    """Write the series: at an int weight as one line, at W one coefficient at a time.
+
+    At W every seq builder returns a lifted series, made row by row, and its
+    rows are written as stream() makes them; the series itself is never built.
+    """
+    if omega is not None:
+        values = ts.int_coeffs()  # raises if the weight was not bound in the builder
+        if fmt == "json":
+            _write((_dump_json({"order": ts.order, "values": values}), "\n"))
+        else:
+            _write((_line(values, omega, fmt), "\n"))
+        return
+    rows = ts.stream()  # each coefficient as its coefficient list in w
+    if fmt == "json":  # the bytes of _dump_json(ts.to_json())
+        _write(_joined('{"coeffs":[', (_dump_json(_w_json(r)) for r in rows), ",",
+                       f'],"order":{ts.order}}}\n'))
+    elif fmt == "csv":
+        _write(_joined("", (_csv_line([_w_text(r)]) for r in rows), ",", "\n"))
+    else:
+        _write(_joined("", (_w_text(r) for r in rows), "; ", "\n"))
+
+
+def _emit_matrix(m: TriMatrix, omega, fmt: str) -> None:
+    """Write the triangle one row at a time."""
+    rows = m.stream() if omega is None else m.int_rows()  # int_rows raises likewise
+    if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
         if omega is None:
-            rows = [[e.to_json() for e in row] for row in rows]
-        return _dump_json({"n": m.n, "rows": rows})
-    return "\n".join(_line(row, omega, fmt) for row in rows)
+            rows = ([e.to_json() for e in row] for row in rows)
+        _write(_joined(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n"))
+    else:
+        _write(_line(row, omega, fmt) + "\n" for row in rows)
 
 
 def _step(w: int) -> int:
@@ -147,7 +206,7 @@ def _seq_series(args) -> TSeries:
 
 
 def _cmd_seq(args) -> int:
-    print(_emit_series(_seq_series(args), args.omega, args.format))
+    _emit_series(_seq_series(args), args.omega, args.format)
     return 0
 
 
@@ -164,7 +223,7 @@ _MATRIX = {
 def _cmd_matrix(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    print(_emit_matrix(_MATRIX[args.kind](args.n, _weight(args)), args.omega, args.format))
+    _emit_matrix(_MATRIX[args.kind](args.n, _weight(args)), args.omega, args.format)
     return 0
 
 
@@ -370,8 +429,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory; ask for a smaller size", file=sys.stderr)
+    except MemoryError as exc:
+        partial = "; the output is partial" if isinstance(exc, _PartialOutput) else ""
+        print(f"error: out of memory{partial}; ask for a smaller size", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout: send the flush at exit to the null device

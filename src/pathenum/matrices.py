@@ -94,6 +94,39 @@ class TriMatrix:
         """Rows as plain ints; requires every entry constant in w."""
         return [_ints(row) for row in self.rows]
 
+    def stream(self):
+        """The rows, one at a time."""
+        return iter(self.rows)
+
+
+class _RowTriangle(TriMatrix):
+    """An n x n triangle made row by row, its rows built on first read.
+
+    rows_of() yields, afresh at each call, rows 0..n-1.  stream() hands them
+    to a caller that writes each one as it comes (the CLI), so that caller
+    never holds the triangle; any read of rows runs rows_of() once and keeps
+    its rows, so every other caller sees a plain TriMatrix.
+    """
+
+    __slots__ = ("_rows_of", "_n")
+
+    def __init__(self, rows_of, n: int):
+        self._rows_of, self._n = rows_of, n
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    def __getattr__(self, name):
+        # reached only while the slot rows is unset: the first read builds it
+        if name != "rows":
+            raise AttributeError(name)
+        self.rows = TriMatrix(self._rows_of()).rows
+        return self.rows
+
+    def stream(self):
+        return self._rows_of()
+
 
 class SquareMatrix:
     """Dense square matrix of scalars, of one kind as in TriMatrix."""

@@ -14,8 +14,11 @@ At the symbolic weight no series is computed over Z[w].  With A = 1 - w*t
 and y = t^2/A^2, mu = A^(-1) C(y) (C the Catalan series) and the grand
 series is A^(-1) (1 - 4y)^(-1/2), so the counts ending at height j, with
 or without the floor, have the form t^e A^(-c) G(y) with e = j and
-c = j + 1.  schroder._lift rebuilds them from their integer run at w = 0,
-one small product and one exact division per coefficient of Z[w].
+c = j + 1.  schroder._lift_rows rebuilds them from their integer run at
+w = 0, a row (the coefficients in w of one power of t) at a time, one small
+product and one divmod per coefficient; the series is built from its rows
+on first read, and the CLI writes each row as it is made.  The inverse
+triangle is made row by row in the same way (schroder._band_rows).
 
 The inverse of the Motzkin triangle has one production construction (the
 band polynomials: row i holds the coefficients of P_i) and two

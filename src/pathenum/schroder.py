@@ -48,9 +48,11 @@ A = 1 - omega t^a and y = t^b / A^2.  Then mu = A^(-1) C(y), C the Catalan
 series, and P_k = A^k p_k(y) for the band continuants p_k (Flajolet,
 Discrete Math. 32 (1980)), so every series of an (a, b) family has the
 form t^e A^(-c) G(y).  Its value at w = 0 is t^e G(t^b), an int run of
-the same builder, and _lift reads G off it and writes the coefficient of
-t^n w^r as g_m C(c + 2m - 1 + r, r), n = e + b m + a r: one product by a
-small int and one exact division per coefficient.  At W each of these builders is that lift, with
+the same builder, and the lift reads G off it: the coefficient of t^n w^r
+is g_m C(c + 2m - 1 + r, r), n = e + b m + a r.  _lift_rows makes row n,
+the coefficients in w of t^n, from row n - a: one product by a small int
+and one divmod per nonzero coefficient.  At W each of these builders is
+that lift, with
 
     _series, _banded_series    e = 0,            c = 1
     _column, _grand            e = (b - 1) j,    c = j + 1
@@ -58,6 +60,13 @@ small int and one exact division per coefficient.  At W each of these builders i
 while the band polynomials, the rational generating functions and the
 triangles are still built over Z[w].  Every exact division, of the int
 runs and of the lift, keeps its remainder check.
+
+Both row recurrences are generators, _lift_rows and _band_rows, and each
+holds only the rows it reads next.  A lifted series (_lift) and an inverse
+triangle (_band_triangle) are built from their rows on first read, so the
+library sees a TSeries or TriMatrix and the CLI streams the same rows
+instead, writing each as it is made.  A check of the rows, such as the
+remainder of a division, raises when that row is made.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all and build
@@ -73,11 +82,11 @@ from math import comb
 from .algebra import (
     InexactDivision,
     OP_ONE,
-    OmegaPoly,
     RationalGF,
     TPoly,
     TSeries,
     W,
+    _RowSeries,
     _at_weight,
     _div_exact,
     _ring,
@@ -88,38 +97,64 @@ from .algebra import (
 )
 from .checks import CheckResult, first_mismatch
 from .kernels import vdivexact
-from .matrices import TriMatrix
+from .matrices import TriMatrix, _RowTriangle
 from .oracle import QUADRANT, CountTable, IndexOutOfTriangle, PathSpec, compressed_series
 
 ONE_MINUS_T = TPoly([1, -1])
 
 
+def _lift_rows(a: int, b: int, e: int, c: int, q0: TSeries, order: int):
+    """Rows n = 0..order of the lift of q0: the coefficients in w of its t^n, yielded as made.
+
+    Row n is made from row n - a alone.  With m = (n - e - a r)/b, which is
+    constant along a diagonal of the coefficients g_m C(c+2m-1+r, r),
+
+        row_n[0] = q0[n],    row_n[r] = row_(n-a)[r-1] (c - 1 + r + 2m) / r,
+
+    so each nonzero entry takes one divmod, and a remainder raises
+    InexactDivision (a bug sentinel); zeros are skipped.  For b = 1 or 2 the
+    factor c - 1 + r + 2m steps by 1 - 2a/b from one r to the next; any
+    other b raises ValueError.  Row n has (n - e)//a + 1 entries and none
+    below e.  A nonzero q0[n] off the lattice e + b m, or below e, raises
+    InexactDivision.  Only the last a rows are held; a consumer must not
+    change a row it is given.
+    """
+    if b not in (1, 2):
+        raise ValueError(f"the lift needs b = 1 or 2, got {b}")
+    q0 = q0.coeffs
+    step = 1 - 2 * a // b
+    held = [[]] * a  # row n - a, ..., row n - 1, at index n mod a
+    for n in range(order + 1):
+        g = q0[n]
+        if g and (n < e or (n - e) % b):
+            raise InexactDivision(f"coefficient {g} of t^{n} at w = 0 is off the lattice {e} + {b}m")
+        row = [g] if n >= e else []
+        factor = c - 1 + 2 * (n - e) // b  # c - 1 + r + 2m at r = 0
+        for r, x in enumerate(held[n % a], 1):
+            factor += step
+            if x:
+                x, rest = divmod(x * factor, r)
+                if rest:
+                    raise InexactDivision(f"lift coefficient of t^{n} w^{r} not divisible by {r}")
+            row.append(x)
+        held[n % a] = row
+        yield row
+
+
 def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
     """t^e (1 - w t^a)^(-c) G(t^b / (1 - w t^a)^2) over Z[w] to order, from its run q0 at w = 0.
 
-    q0 = t^e G(t^b): g_m is its coefficient of t^(e + b m), and a nonzero
-    coefficient off that lattice raises InexactDivision (a bug sentinel).
-    Since (1 - w t^a)^(-c-2m) = sum_r C(c+2m-1+r, r) w^r t^(a r), the
-    coefficient of t^n w^r is
+    q0 = t^e G(t^b): g_m is its coefficient of t^(e + b m).  Since
+    (1 - w t^a)^(-c-2m) = sum_r C(c+2m-1+r, r) w^r t^(a r), the coefficient
+    of t^n w^r is
 
-        g_m C(c+2m-1+r, r),  where n = e + b m + a r.
+        g_m C(c+2m-1+r, r),  where n = e + b m + a r,
 
-    Each is the one before it in r times (c+2m-1+r) / r: one product by a
-    small int and one exact division.
+    made row by row by _lift_rows.  The series is built on first read of its
+    coefficients, so every check of _lift_rows raises there; the CLI streams
+    its rows instead (stream).
     """
-    rows = [[0] * ((n - e) // a + 1) if n >= e else [] for n in range(order + 1)]
-    for n, g in enumerate(q0.coeffs):
-        if not g:
-            continue
-        m, off = divmod(n - e, b)
-        if m < 0 or off:
-            raise InexactDivision(f"coefficient {g} of t^{n} at w = 0 is off the lattice {e} + {b}m")
-        s, term = c + 2 * m - 1, g
-        for r, at in enumerate(range(n, order + 1, a)):
-            if r:
-                term = _div_exact(term * (s + r), r)
-            rows[at][r] = term
-    return TSeries([OmegaPoly(row) for row in rows], order)
+    return _RowSeries(functools.partial(_lift_rows, a, b, e, c, q0, order), order)
 
 
 def _disc(a: int, b: int, omega) -> tuple:
@@ -172,11 +207,13 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     return TSeries(mu, order)
 
 
-def _band_rows(a: int, b: int, n: int, omega, start: int) -> list:
+def _band_rows(a: int, b: int, n: int, omega, start: int):
     """Coefficient lists of X_m = (1 - omega t^a) X_(m-1) - t^b X_(m-2), m <= n, X_(-1) = start.
 
     X_0 = 1, and X_m keeps a m + 1 entries, so a top coefficient that vanishes
     at an int weight still pads it; that needs b <= 2a, and b <= a if start is 1.
+    Each X_m is yielded as it is made, and only X_(m-1) and X_(m-2) are held;
+    a consumer must not change a list it is given.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -185,16 +222,16 @@ def _band_rows(a: int, b: int, n: int, omega, start: int) -> list:
     if a < 1:
         raise ValueError("horizontal step length must be positive")
     zero, one = _ring(omega)
-    rows = [[one] * start, [one]]  # X_(-1), X_0
+    below, row = [one] * start, [one]  # X_(-1), X_0
+    yield row
     for _ in range(n):
-        below, row = rows[-2:]
         nxt = row + [zero] * a
         for k, x in enumerate(row):
             nxt[k + a] -= omega * x
         for k, x in enumerate(below):
             nxt[k + b] -= x
-        rows.append(nxt)
-    return rows[1:]
+        below, row = row, nxt
+        yield row
 
 
 def _band_polys(a: int, b: int, n: int, omega=W) -> list:
@@ -274,10 +311,19 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
 
 
 def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
-    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows."""
+    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows.
+
+    Row i is X_i reversed.  At W the rows are built on first read of the
+    triangle, and the CLI streams them instead, one X_i at a time
+    (TriMatrix.stream); at an int weight the triangle is built at once.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return TriMatrix([row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start))])
+
+    def rows():
+        return (row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start)))
+
+    return _RowTriangle(rows, n) if _symbolic(omega) else TriMatrix(rows())
 
 
 def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
