@@ -8,7 +8,9 @@ series, triangle, Hankel determinant and Hankel closed form is then
 computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
-disagreement was detected, 2 usage error or a request too large for the
+disagreement was detected, or an internal check failed (an inexact
+division, with a traceback; since output at W is streamed, part of it may
+have been written), 2 usage error or a request too large for the
 available memory (one error line, no traceback; if memory ran out after
 part of the output was written, the line says that the output is partial),
 141 the reader closed standard output before it was written.  All output is
@@ -19,7 +21,8 @@ and _emit_matrix.  At W a seq family's series and an inverse triangle are
 made row by row (their stream methods), and each coefficient or
 row is written as soon as it is made, so the command holds a few rows, not
 the object and its text.  The count triangles are built whole and written a
-row at a time; at an int weight a series is one line, built whole.  The
+row at a time; at an int weight a series or a triangle is built whole and
+written as one text.  The
 bytes are those of formatting the whole object: plain and csv join the same
 texts, and JSON is written as {"coeffs":[...],"order":N} and
 {"n":N,"rows":[...]}, the key order of _dump_json.
@@ -97,14 +100,15 @@ def _write(pieces) -> None:
 
     sys.stdout is looked up at each call, so output redirected by the caller
     (a test, a benchmark client) receives it.  Memory that runs out after the
-    first piece raises _PartialOutput, so that the error line can say so.
+    first nonempty piece raises _PartialOutput, so that the error line can
+    say so.
     """
     out = sys.stdout
     written = False
     try:
         for piece in pieces:
             out.write(piece)
-            written = True
+            written = written or bool(piece)
     except MemoryError as exc:
         if not written:
             raise
@@ -143,11 +147,17 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
 
 
 def _emit_matrix(m: TriMatrix, omega, fmt: str) -> None:
-    """Write the triangle one row at a time."""
-    rows = m.stream() if omega is None else m.int_rows()  # int_rows raises likewise
+    """Write the triangle: at an int weight as one text, at W one row at a time."""
+    if omega is not None:
+        rows = m.int_rows()  # raises likewise
+        if fmt == "json":
+            _write((_dump_json({"n": m.n, "rows": rows}), "\n"))
+        else:
+            _write(("\n".join(_line(row, omega, fmt) for row in rows), "\n"))
+        return
+    rows = m.stream()
     if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
-        if omega is None:
-            rows = ([e.to_json() for e in row] for row in rows)
+        rows = ([e.to_json() for e in row] for row in rows)
         _write(_joined(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n"))
     else:
         _write(_line(row, omega, fmt) + "\n" for row in rows)

@@ -61,12 +61,15 @@ while the band polynomials, the rational generating functions and the
 triangles are still built over Z[w].  Every exact division, of the int
 runs and of the lift, keeps its remainder check.
 
-Both row recurrences are generators, _lift_rows and _band_rows, and each
-holds only the rows it reads next.  A lifted series (_lift) and an inverse
-triangle (_band_triangle) are built from their rows on first read, so the
-library sees a TSeries or TriMatrix and the CLI streams the same rows
-instead, writing each as it is made.  A check of the rows, such as the
-remainder of a division, raises when that row is made.
+Both row recurrences, _lift_rows and _band_rows, check their input when
+called and return a generator that holds only the rows it reads next.  A
+lifted series (_lift) and an inverse triangle (_band_triangle) are built
+from their rows on first read, so the library sees a TSeries or TriMatrix
+and the CLI streams the same rows instead, writing each as it is made.
+A check of the input (the step b, the lattice of the int run) raises when
+the lift is asked for; a check of a row, the remainder of a division,
+raises when that row is made, and so in the CLI after the rows before it
+were written.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all and build
@@ -112,23 +115,31 @@ def _lift_rows(a: int, b: int, e: int, c: int, q0: TSeries, order: int):
         row_n[0] = q0[n],    row_n[r] = row_(n-a)[r-1] (c - 1 + r + 2m) / r,
 
     so each nonzero entry takes one divmod, and a remainder raises
-    InexactDivision (a bug sentinel); zeros are skipped.  For b = 1 or 2 the
-    factor c - 1 + r + 2m steps by 1 - 2a/b from one r to the next; any
-    other b raises ValueError.  Row n has (n - e)//a + 1 entries and none
-    below e.  A nonzero q0[n] off the lattice e + b m, or below e, raises
-    InexactDivision.  Only the last a rows are held; a consumer must not
-    change a row it is given.
+    InexactDivision (a bug sentinel) when its row is made; zeros are
+    skipped.  For b = 1 or 2 the factor c - 1 + r + 2m steps by 1 - 2a/b
+    from one r to the next.  Row n has (n - e)//a + 1 entries and none
+    below e.  Only the last a rows are held; a consumer must not change a
+    row it is given.
+
+    The input is checked here, before any row is made: any other b raises
+    ValueError, and a nonzero q0[n] off the lattice e + b m, or below e,
+    raises InexactDivision.
     """
     if b not in (1, 2):
         raise ValueError(f"the lift needs b = 1 or 2, got {b}")
     q0 = q0.coeffs
+    for n in range(order + 1):
+        if q0[n] and (n < e or (n - e) % b):
+            raise InexactDivision(f"coefficient {q0[n]} of t^{n} at w = 0 is off the lattice {e} + {b}m")
+    return _lift_walk(a, b, e, c, q0, order)
+
+
+def _lift_walk(a: int, b: int, e: int, c: int, q0: tuple, order: int):
+    """The rows of _lift_rows, from its checked coefficients q0 at w = 0."""
     step = 1 - 2 * a // b
     held = [[]] * a  # row n - a, ..., row n - 1, at index n mod a
     for n in range(order + 1):
-        g = q0[n]
-        if g and (n < e or (n - e) % b):
-            raise InexactDivision(f"coefficient {g} of t^{n} at w = 0 is off the lattice {e} + {b}m")
-        row = [g] if n >= e else []
+        row = [q0[n]] if n >= e else []
         factor = c - 1 + 2 * (n - e) // b  # c - 1 + r + 2m at r = 0
         for r, x in enumerate(held[n % a], 1):
             factor += step
@@ -150,11 +161,13 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
 
         g_m C(c+2m-1+r, r),  where n = e + b m + a r,
 
-    made row by row by _lift_rows.  The series is built on first read of its
-    coefficients, so every check of _lift_rows raises there; the CLI streams
-    its rows instead (stream).
+    made row by row by _lift_rows.  Its checks of b and of q0 raise here;
+    the series is built on first read of its coefficients, where a remainder
+    raises, and the CLI streams its rows instead (stream).
     """
-    return _RowSeries(functools.partial(_lift_rows, a, b, e, c, q0, order), order)
+    rows = functools.partial(_lift_rows, a, b, e, c, q0, order)
+    rows()  # checks b and the lattice of q0 now, not on first read
+    return _RowSeries(rows, order)
 
 
 def _disc(a: int, b: int, omega) -> tuple:
@@ -212,8 +225,9 @@ def _band_rows(a: int, b: int, n: int, omega, start: int):
 
     X_0 = 1, and X_m keeps a m + 1 entries, so a top coefficient that vanishes
     at an int weight still pads it; that needs b <= 2a, and b <= a if start is 1.
-    Each X_m is yielded as it is made, and only X_(m-1) and X_(m-2) are held;
-    a consumer must not change a list it is given.
+    The arguments are checked here; the X_m come from the generator returned,
+    each made as it is read, and only X_(m-1) and X_(m-2) are held.  A
+    consumer must not change a list it is given.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -221,7 +235,11 @@ def _band_rows(a: int, b: int, n: int, omega, start: int):
         raise ValueError(f"horizontal step length must be an int, got {a!r}")
     if a < 1:
         raise ValueError("horizontal step length must be positive")
-    zero, one = _ring(omega)
+    return _band_walk(a, b, n, omega, start, *_ring(omega))
+
+
+def _band_walk(a: int, b: int, n: int, omega, start: int, zero, one):
+    """The lists X_0, ..., X_n of _band_rows, from its checked arguments and omega's ring."""
     below, row = [one] * start, [one]  # X_(-1), X_0
     yield row
     for _ in range(n):
@@ -313,9 +331,9 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
 def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
     """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows.
 
-    Row i is X_i reversed.  At W the rows are built on first read of the
+    Row i is X_i reversed.  The rows are built on first read of the
     triangle, and the CLI streams them instead, one X_i at a time
-    (TriMatrix.stream); at an int weight the triangle is built at once.
+    (TriMatrix.stream).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -323,7 +341,8 @@ def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
     def rows():
         return (row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start)))
 
-    return _RowTriangle(rows, n) if _symbolic(omega) else TriMatrix(rows())
+    rows()  # checks the arguments of _band_rows now, not on first read
+    return _RowTriangle(rows, n)
 
 
 def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:

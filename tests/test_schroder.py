@@ -571,19 +571,19 @@ class TestLift:
                 assert got.eval_omega(x).int_coeffs() == list(build(order, x).coeffs), (name, x)
 
     def test_off_lattice_coefficient_raises_inexact_division(self):
-        # the lifted series is made on first read, so that read raises
         q0 = schroder._series(1, 2, 6, 0)
         planted = TSeries(q0.coeffs[:3] + (1,) + q0.coeffs[4:], 6)  # t^3 is off 0 + 2m
         with pytest.raises(InexactDivision):
-            schroder._lift(1, 2, 0, 1, planted, 6).coeffs
+            schroder._lift(1, 2, 0, 1, planted, 6)
         below = TSeries([1] + [0] * 6, 6)  # t^0 lies below e = 2
         with pytest.raises(InexactDivision):
-            schroder._lift(1, 2, 2, 3, below, 6).coeffs
+            schroder._lift(1, 2, 2, 3, below, 6)
 
     def test_planted_binomial_step_raises_inexact_division(self, monkeypatch):
         # g C(s+r, r) = g C(s+r-1, r-1) (s+r) / r; a +1 on the product leaves
-        # a remainder at the first r >= 2.  _lift_rows divides by the builtin
-        # divmod, so the plant shadows that name in the module.
+        # a remainder at the first r >= 2.  _lift_walk divides by the builtin
+        # divmod, so the plant shadows that name in the module; the remainder
+        # raises when its row is made, on first read of the series.
         q0 = schroder._series(1, 2, 10, 0)
         monkeypatch.setattr(schroder, "divmod", lambda a, k: divmod(a + 1, k), raising=False)
         with pytest.raises(InexactDivision):

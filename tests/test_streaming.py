@@ -130,9 +130,20 @@ class TestLiftRows:
                 m, off = divmod(n - e - a * r, b)
                 assert x == (0 if off else g[m] * math.comb(c + 2 * m - 1 + r, r)), (n, r)
 
-    def test_only_b_one_or_two(self):
+    def test_only_b_one_or_two_and_checked_on_call(self):
+        # the checks of the input raise when the lift is asked for, not on first read
         with pytest.raises(ValueError, match="the lift needs b = 1 or 2, got 3"):
-            next(schroder._lift_rows(1, 3, 0, 1, TSeries([1]), 0))
+            schroder._lift_rows(1, 3, 0, 1, TSeries([1]), 0)
+        with pytest.raises(ValueError, match="the lift needs b = 1 or 2, got 3"):
+            schroder._lift(1, 3, 0, 1, TSeries([1]), 0)
+        with pytest.raises(InexactDivision, match="off the lattice"):
+            schroder._lift_rows(1, 2, 0, 1, TSeries([0, 1]), 1)
+
+    def test_band_rows_checked_on_call(self):
+        with pytest.raises(ValueError, match="neither W nor an int"):
+            schroder._band_rows(1, 1, 2, "w", 0)
+        with pytest.raises(ValueError, match="neither W nor an int"):
+            schroder._band_triangle(1, 1, 2, "w")
 
     def test_shift_down_checks_the_dropped_rows(self):
         rows = _RowSeries(lambda: iter([[0], [0, 2], [1]]), 2)
@@ -154,14 +165,14 @@ class TestLiftRows:
             '{"n":3,"rows":[[["1"]],[["-1","-1"],["1"]],[["0","1","1"],["-2","-2"],["1"]]]}\n')
 
 
-def failing_after_three(exc):
-    """Builders whose rows are those of the real triangle and series, then exc."""
+def failing_after(count, exc):
+    """Builders whose first count rows are those of the real triangle and series, then exc."""
     real_matrix, real_series = motzkin.inverse_motzkin_matrix, motzkin.motzkin_column_gf
 
     def rows(real):
         def make():
             for i, row in enumerate(real):
-                if i == 3:
+                if i == count:
                     raise exc
                 yield row
         return make
@@ -194,7 +205,7 @@ class TestErrorsMidStream:
 
     @pytest.mark.parametrize("what", sorted(PARTIAL))
     def test_memory_error_after_output_says_partial(self, what, monkeypatch, capsys):
-        matrix, series = failing_after_three(MemoryError())
+        matrix, series = failing_after(3, MemoryError())
         monkeypatch.setattr(cli.motzkin, "inverse_motzkin_matrix", matrix)
         monkeypatch.setattr(cli.motzkin, "motzkin_column_gf", series)
         argv, rows = self.PARTIAL[what]
@@ -203,9 +214,20 @@ class TestErrorsMidStream:
         assert out == rows
         assert err == "error: out of memory; the output is partial; ask for a smaller size\n"
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    @pytest.mark.parametrize("what", sorted(PARTIAL))
+    def test_memory_error_before_output_is_not_partial(self, what, fmt, monkeypatch, capsys):
+        # plain and csv write nothing before the first row, so no output is partial
+        matrix, series = failing_after(0, MemoryError())
+        monkeypatch.setattr(cli.motzkin, "inverse_motzkin_matrix", matrix)
+        monkeypatch.setattr(cli.motzkin, "motzkin_column_gf", series)
+        argv, _ = self.PARTIAL[what]
+        assert cli.main(argv + ["--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory; ask for a smaller size\n")
+
     @pytest.mark.parametrize("what", sorted(PARTIAL))
     def test_broken_pipe_after_output_exits_141(self, what, monkeypatch, capsys, tmp_path):
-        matrix, series = failing_after_three(BrokenPipeError())
+        matrix, series = failing_after(3, BrokenPipeError())
         monkeypatch.setattr(cli.motzkin, "inverse_motzkin_matrix", matrix)
         monkeypatch.setattr(cli.motzkin, "motzkin_column_gf", series)
         argv, rows = self.PARTIAL[what]
