@@ -683,7 +683,8 @@ class _RowSeries(TSeries):
     n = 0..order (trailing zeros allowed).  stream() hands those rows to a
     caller that writes each one as it comes (the CLI), so that caller never
     holds the series; any read of the coefficients runs rows() once and keeps
-    them as OmegaPolys, so every other caller sees a plain TSeries.
+    them as OmegaPolys, so every other caller, and every other method
+    (shift_down among them), sees a plain TSeries.
     """
 
     __slots__ = ("_rows",)
@@ -701,20 +702,6 @@ class _RowSeries(TSeries):
     def stream(self):
         """The coefficient lists in w of t^0, ..., t^order, made afresh as they are read."""
         return self._rows()
-
-    def shift_down(self, k: int) -> "TSeries":
-        """Divide by t^k as TSeries.shift_down does, row by row: the k rows dropped must be zero."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"cannot divide a series of order {self.order} by t^{k}")
-
-        def rows():
-            it = self._rows()
-            for i, row in zip(range(k), it):
-                if any(row):
-                    raise InexactDivision(f"coefficient of t^{i} is {_w_text(row)}, not 0")
-            return it
-
-        return _RowSeries(rows, self.order - k)
 
 
 def _as_tseries(x, order):

@@ -2,7 +2,9 @@
 
 Subcommands: seq | matrix | hankel | verify.  The weight is symbolic by
 default; pass --omega with an integer to seq, matrix or hankel to
-specialize (verify always checks symbolically).  An integer weight is bound
+specialize (verify always checks symbolically).  The parser reads --omega
+as the weight itself, W for 'symbolic' (the default) or an int, and the
+builders take that value as it is.  An integer weight is bound
 before anything is built and passed to the builders as a plain int: every
 series, triangle, Hankel determinant and Hankel closed form is then
 computed over Z on int scalars, not over Z[w].  seq and verify reject any
@@ -60,18 +62,13 @@ class UsageError(Exception):
 
 def _omega_arg(text: str):
     if text == "symbolic":
-        return None
+        return W
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"omega must be an integer or 'symbolic', got {text!r}"
         )
-
-
-def _weight(args):
-    """The weight the builders take: W, or the integer --omega as an int."""
-    return W if args.omega is None else args.omega
 
 
 def _dump_json(obj) -> str:
@@ -88,7 +85,7 @@ def _line(values, omega, fmt: str) -> str:
     """One plain or csv line: polynomials in w are joined by "; ", ints by " "."""
     if fmt == "csv":
         return _csv_line(values)
-    return ("; " if omega is None else " ").join(str(v) for v in values)
+    return (" " if isinstance(omega, int) else "; ").join(str(v) for v in values)
 
 
 class _PartialOutput(MemoryError):
@@ -129,7 +126,7 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
     At W every seq builder returns a lifted series, made row by row, and its
     rows are written as stream() makes them; the series itself is never built.
     """
-    if omega is not None:
+    if isinstance(omega, int):
         values = ts.int_coeffs()  # raises if the weight was not bound in the builder
         if fmt == "json":
             _write((_dump_json({"order": ts.order, "values": values}), "\n"))
@@ -148,7 +145,7 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
 
 def _emit_matrix(m: TriMatrix, omega, fmt: str) -> None:
     """Write the triangle: at an int weight as one text, at W one row at a time."""
-    if omega is not None:
+    if isinstance(omega, int):
         rows = m.int_rows()  # raises likewise
         if fmt == "json":
             _write((_dump_json({"n": m.n, "rows": rows}), "\n"))
@@ -212,7 +209,7 @@ def _seq_series(args) -> TSeries:
     bound = {flag: default if given[flag] is None else given[flag] for flag, default in reads.items()}
     if bound.get("j", 0) < 0:
         raise UsageError("--j must be nonnegative")
-    return build(args.N, _weight(args), **bound)
+    return build(args.N, args.omega, **bound)
 
 
 def _cmd_seq(args) -> int:
@@ -233,7 +230,7 @@ _MATRIX = {
 def _cmd_matrix(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    _emit_matrix(_MATRIX[args.kind](args.n, _weight(args)), args.omega, args.format)
+    _emit_matrix(_MATRIX[args.kind](args.n, args.omega), args.omega, args.format)
     return 0
 
 
@@ -244,11 +241,11 @@ def _cmd_hankel(args) -> int:
     if (args.alpha, args.beta) == (0, 0):
         raise UsageError("alpha and beta cannot both be zero")
     spec = hankel.HankelSpec(n, shift=args.shift, alpha=args.alpha, beta=args.beta)
-    omega = _weight(args)
+    omega = args.omega
     det, closed = hankel.hankel_det(spec, omega), hankel.hankel_closed(spec, omega)
     agree = det == closed
     if args.format == "json":
-        enc = (lambda v: v.to_json()) if args.omega is None else (lambda v: v)
+        enc = (lambda v: v) if isinstance(omega, int) else (lambda v: v.to_json())
         print(_dump_json({"agree": agree, "closed_form": enc(closed), "determinant": enc(det)}))
     elif args.format == "csv":
         print(_csv_line(["determinant", "closed-form", "agree"]))
@@ -377,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, omega=True):
         if omega:
-            p.add_argument("--omega", type=_omega_arg, default=None,
+            p.add_argument("--omega", type=_omega_arg, default=W,
                            help="integer weight, or 'symbolic' (default)")
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 

@@ -7,17 +7,18 @@ integer division per term, never a numeric root.  Series, row
 polynomials, columns and bands are the (1, 2) case of the step-family
 engine in the schroder module, and so is the grand (unrestricted-height)
 series 1/(1 - w*t - 2*t^2*mu) = D^(-1/2), D the discriminant, built by
-its own linear recurrence (schroder._grand); the grand column j is
+the same loop as mu (schroder._disc_walk); the grand column j is
 (D^(-1/2) (P_j - t^2 P_(j-2)) - P_(j-1)) / (2 t^j).
 
 At the symbolic weight no series is computed over Z[w].  With A = 1 - w*t
 and y = t^2/A^2, mu = A^(-1) C(y) (C the Catalan series) and the grand
 series is A^(-1) (1 - 4y)^(-1/2), so the counts ending at height j, with
 or without the floor, have the form t^e A^(-c) G(y) with e = j and
-c = j + 1.  schroder._lift_rows rebuilds them from their integer run at
-w = 0, a row (the coefficients in w of one power of t) at a time, one small
-product and one divmod per coefficient; the series is built from its rows
-on first read, and the CLI writes each row as it is made.  The inverse
+c = j + 1 (e = 0 for the Motzkin column, indexed from its first count).
+schroder._lift_rows rebuilds them from their integer run at w = 0, a row
+(the coefficients in w of one power of t) at a time, one small product
+and one divmod per coefficient; the series is built from its rows on
+first read, and the CLI writes each row as it is made.  The inverse
 triangle is made row by row in the same way (schroder._band_rows).
 
 The inverse of the Motzkin triangle has one production construction (the
@@ -38,6 +39,7 @@ from .algebra import (
     W,
     _at_weight,
     _sum_products,
+    _symbolic,
     binom,
 )
 from .checks import CheckResult, first_mismatch
@@ -51,6 +53,7 @@ from .schroder import (
     _column,
     _count_triangle,
     _grand,
+    _lift,
     _series,
 )
 
@@ -79,10 +82,13 @@ def motzkin_column_gf(j: int, order: int, omega=W) -> TSeries:
     """Column j of the Motzkin triangle, mu^(j+1); t^n holds the count to (n+j, j).
 
     The engine's column of order order+j counts paths to (n, j); its j lowest
-    coefficients vanish, and dropping them re-indexes it by j.
+    coefficients vanish, and dropping them re-indexes it by j.  At W it is
+    lifted once at its own index (_lift, e = 0, c = j + 1) from its run at 0.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if _symbolic(omega):
+        return _lift(1, 2, 0, j + 1, _column(1, 2, j, order + j, 0).shift_down(j), order)
     return _column(1, 2, j, order + j, omega).shift_down(j)
 
 

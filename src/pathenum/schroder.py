@@ -6,9 +6,9 @@ point mu = 1 + omega t^a mu + t^b mu^2, serves every family: (w, 2) for
 step length w, (1, 2) for Motzkin paths (the motzkin module imports it)
 and (1, 1) for w = 2 ("Schroeder paths") with the parity zeros removed by
 t^2 -> t.  At an int weight the series mu and the grand
-(unrestricted-height) series D^(-1/2) are built in linear time, each by
-one recurrence for all (a, b) read off a differential equation of the
-discriminant D = (1 - omega t^a)^2 - 4 t^b (_series, _grand, _disc).
+(unrestricted-height) series D^(-1/2) are built in linear time by the
+same loop (_disc_walk), for all (a, b): both solve a differential
+equation of the discriminant D = (1 - omega t^a)^2 - 4 t^b (_disc).
 One recurrence on coefficient lists (_band_rows),
 
     X_m = (1 - omega t^a) X_(m-1) - t^b X_(m-2),  X_0 = 1,
@@ -56,10 +56,13 @@ that lift, with
 
     _series, _banded_series    e = 0,            c = 1
     _column, _grand            e = (b - 1) j,    c = j + 1
+    motzkin_column_gf          e = 0,            c = j + 1
 
 while the band polynomials, the rational generating functions and the
-triangles are still built over Z[w].  Every exact division, of the int
-runs and of the lift, keeps its remainder check.
+triangles are still built over Z[w].  The Motzkin column is the (1, 2)
+_column over t^j, lifted from the int column with its j zeros dropped.
+Every exact division, of the int runs and of the lift, keeps its
+remainder check.
 
 Both row recurrences, _lift_rows and _band_rows, check their input when
 called and return a generator that holds only the rows it reads next.  A
@@ -185,6 +188,24 @@ def _disc(a: int, b: int, omega) -> tuple:
     return tuple((i, d) for i, d in terms.items() if d)
 
 
+def _disc_walk(disc: tuple, factor: int, s: int, rhs: dict, f: list, order: int) -> list:
+    """Extend the head f to f_0..f_order: f_n is the t^(n+s) coefficient of u, 2 D u' = lam D' u + R.
+
+    At an int weight, with the terms D_i of D - 1 in disc (_disc), R by power
+    of t in rhs and factor = 2 + lam, each coefficient is one step,
+    2(n+s) f_n = R_n + sum_{i>=1} (factor i - 2(n+s)) D_i f_(n-i).  The
+    division is exact; a remainder raises InexactDivision (a bug sentinel).
+    """
+    for n in range(len(f), order + 1):
+        m = n + s
+        total = rhs.get(n, 0)
+        for i, d in disc:
+            if i <= n:
+                total += (factor * i - 2 * m) * d * f[n - i]
+        f.append(_div_exact(total, 2 * m))
+    return f
+
+
 def _series(a: int, b: int, order: int, omega=W) -> TSeries:
     """Coefficients of mu = 1 + omega t^a mu + t^b mu^2, in linear time.
 
@@ -196,28 +217,13 @@ def _series(a: int, b: int, order: int, omega=W) -> TSeries:
 
         2 D u' - D' u = 2b t^(b-1) A - 4 t^b A',
 
-    and the coefficient of t^(n+b-1) is one step per coefficient of mu,
-
-        2(n+b) mu_n = R_n - sum_{i>=1} D_i (2(n+b) - 3i) mu_(n-i),
-        R = 2b + (4a - 2b) omega t^a,
-
-    where D - 1 has at most three terms (_disc).  Every coefficient is an
-    int.  The division by 2(n+b) is exact; a remainder raises
-    InexactDivision (a bug sentinel).
+    so u is _disc_walk with s = b, factor 3 and R = 2b + (4a - 2b) omega t^a,
+    which makes every coefficient of mu an int.
     """
     if _symbolic(omega):
         return _lift(a, b, 0, 1, _series(a, b, order, 0), order)
-    disc = _disc(a, b, omega)
     rhs = {0: 2 * b, a: (4 * a - 2 * b) * omega}  # R, by power of t
-    mu = []
-    for n in range(order + 1):
-        m = n + b
-        total = rhs.get(n, 0)
-        for i, d in disc:
-            if i <= n:
-                total = total + (3 * i - 2 * m) * d * mu[n - i]
-        mu.append(_div_exact(total, 2 * m))
-    return TSeries(mu, order)
+    return TSeries(_disc_walk(_disc(a, b, omega), 3, b, rhs, [], order), order)
 
 
 def _band_rows(a: int, b: int, n: int, omega, start: int):
@@ -281,8 +287,8 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
 def _grand(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
     """Unrestricted counts ending at height j: g t^((b-1) j) mu^j, g = D^(-1/2).
 
-    At an int weight 2 D g' = -D' g gives 2n g_n = -sum_{i>=1} D_i (2n - i)
-    g_(n-i), g_0 = 1.  For j >= 1, s = A - 2 t^b mu = D^(1/2) gives
+    At an int weight g solves 2 D g' = -D' g: _disc_walk with s = 0,
+    factor 1, R = 0 and g_0 = 1.  For j >= 1, s = A - 2 t^b mu = D^(1/2) gives
     g t^b mu = (A g - 1)/2, and the band recursion turns the column into
     t^(-j) (g (P_j - t^b P_(j-2)) - P_(j-1)) / 2, P_(-1) = 0, whose j
     vanishing coefficients shift_down re-checks.  Every division raises
@@ -294,14 +300,7 @@ def _grand(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
         raise ValueError("order must be nonnegative")
     if _symbolic(omega):
         return _lift(a, b, (b - 1) * j, j + 1, _grand(a, b, j, order, 0), order)
-    disc = _disc(a, b, omega)
-    g = [1]
-    for n in range(1, order + j + 1):
-        total = 0
-        for i, d in disc:
-            if i <= n:
-                total -= (2 * n - i) * d * g[n - i]
-        g.append(_div_exact(total, 2 * n))
+    g = _disc_walk(_disc(a, b, omega), 1, 0, {}, [1], order + j)
     if not j:
         return TSeries(g, order)
     below, mid, top = ([TPoly(())] + _band_polys(a, b, j, omega))[j - 1:]  # P_(j-2), P_(j-1), P_j
@@ -491,17 +490,12 @@ def central_delannoy_series(order: int, omega=W) -> TSeries:
 def delannoy_poly(k: int, omega=W) -> TPoly:
     """Delannoy polynomial d_k(t) = sum_l C(k-l,l) omega^l t^l (1+t)^(k-2l).
 
-    The coefficient of t^j is D(k-j, j); d_k(0) = 1 and the degree is k.
+    Built from its coefficients: that of t^j is D(k-j, j), delannoy_number;
+    d_k(0) = 1 and the degree is k.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    cols = [[0] * (k // 2 + 1) for _ in range(k + 1)]  # [t power][omega power]
-    # l <= k/2 and a <= k - 2l: every index is in range, so math.comb, not binom
-    for l in range(k // 2 + 1):
-        c = comb(k - l, l)
-        for a in range(k - 2 * l + 1):
-            cols[l + a][l] += c * comb(k - 2 * l, a)
-    return TPoly([_at_weight(v, omega) for v in cols])
+    return TPoly([delannoy_number(k - j, j, omega) for j in range(k + 1)])
 
 
 def _d_neg_at1(k: int) -> TPoly:
@@ -512,9 +506,7 @@ def _d_neg_at1(k: int) -> TPoly:
 
 
 def _s_at1(n: int) -> TPoly:
-    """s_n(t) at weight 1; zero polynomial for n < 0."""
-    if n < 0:
-        return TPoly(())
+    """s_n(t) at weight 1, n >= 0: every caller passes a nonnegative index."""
     return inverse_schroder_poly(n, 1)
 
 

@@ -537,3 +537,15 @@ class TestParser:
         assert run("seq", "motzkin", "--N", "3", "--j", "1", "--omega", "1", capsys=capsys)[0] == 0
         # delannoy rejects --j, and --omega 1 would print integers
         assert run("seq", "delannoy", "--N", "2", capsys=capsys)[:2] == (0, "1; 2 + w; 6 + 6*w + w^2\n")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["seq", "motzkin", "--N", "6", "--j", "2"],
+        ["seq", "banded", "--family", "schroder", "--k", "3", "--N", "6"],
+        ["matrix", "schroder-inverse", "--n", "4"],
+        ["hankel", "--n", "4", "--shift", "1"],
+    ], ids=["seq-motzkin", "seq-banded", "matrix", "hankel"])
+    def test_omega_symbolic_is_the_default(self, argv, fmt, capsys):
+        default = run(*argv, "--format", fmt, capsys=capsys)
+        assert default[0] == 0 and default[1]
+        assert run(*argv, "--format", fmt, "--omega", "symbolic", capsys=capsys) == default

@@ -56,6 +56,7 @@ from pathenum.schroder import (
     banded_w_series,
     central_delannoy_series,
     delannoy_number,
+    delannoy_poly,
     inverse_schroder_entry,
     inverse_schroder_matrix,
     schroder_matrix_compressed,
@@ -302,7 +303,10 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
             inverse_motzkin_matrix(n, omega),
             inverse_schroder_matrix(n, omega),
             hankel_matrix(spec, omega),
-        ] + [CountTable(path_spec, size, omega) for path_spec in specs]
+        ] + [CountTable(path_spec, size, omega) for path_spec in specs] + [
+            motzkin_column_gf(j, order, omega),
+            delannoy_poly(n, omega),
+        ]
         kind = OmegaPoly if omega is W else int
         for value in built[omega]:
             assert all(type(c) is kind for c in _scalars(value)), (omega, value)
@@ -317,6 +321,8 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
     det = det_fraction_free(at_x[6])
     assert type(det) is int
     assert det == det_fraction_free(symbolic[6]).evaluate(x)
+    for got, want in zip(at_x[10:], symbolic[10:]):
+        assert got == want.eval_omega(x)
 
 
 def _scalars(value):

@@ -1,5 +1,7 @@
 """General-w paths, compressed Schroeder structure, Delannoy bridges, band theorem."""
 
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -349,6 +351,27 @@ class TestDelannoy:
             p = delannoy_poly(k)
             for j in range(k + 1):
                 assert p.coeff(j) == delannoy_number(k - j, j), (k, j)
+
+    @staticmethod
+    def _assert_polynomials_match_closed_sum(omega):
+        # d_k = sum_l C(k-l, l) omega^l t^l (1+t)^(k-2l), independent of delannoy_number
+        for k in range(26):
+            want = TPoly(())
+            for l in range(k // 2 + 1):
+                want = want + (TPoly([1, 1]) ** (k - 2 * l)).shift(l) * (comb(k - l, l) * omega**l)
+            assert delannoy_poly(k, omega) == want, (k, omega)
+
+    @pytest.mark.parametrize("omega", [W, -2, 0, 3], ids=["symbolic", "-2", "0", "3"])
+    def test_polynomials_match_closed_sum(self, omega):
+        self._assert_polynomials_match_closed_sum(omega)
+
+    @pytest.mark.parametrize("omega", [W, -2, 0, 3], ids=["symbolic", "-2", "0", "3"])
+    def test_closed_sum_catches_a_shifted_number(self, omega, monkeypatch):
+        # coefficients read from D(n+1, k) instead of D(n, k) must not pass
+        real = schroder.delannoy_number
+        monkeypatch.setattr(schroder, "delannoy_number", lambda n, k, omega: real(n + 1, k, omega))
+        with pytest.raises(AssertionError):
+            self._assert_polynomials_match_closed_sum(omega)
 
     def test_degree_and_constant(self):
         for k in range(1, 31):
