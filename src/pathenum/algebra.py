@@ -236,10 +236,7 @@ def _w_text(coeffs) -> str:
 
 def _w_json(coeffs) -> list:
     """The JSON value of sum_i coeffs[i] w^i: decimal strings, ascending, no trailing zeros."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return [str(c) for c in coeffs[:n]]
+    return [str(c) for c in vnorm(coeffs)]
 
 
 def _raw(coeffs) -> OmegaPoly:
@@ -603,11 +600,7 @@ class TSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_tseries(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TSeries([self._c[i] - other._c[i] for i in range(n + 1)], n)
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -20,14 +20,14 @@ deterministic and large integers are printed in full decimal.
 
 One writer (_write) writes every seq and matrix answer, behind _emit_series
 and _emit_matrix.  At W a seq family's series and an inverse triangle are
-made row by row (their stream methods), and each coefficient or
-row is written as soon as it is made, so the command holds a few rows, not
-the object and its text.  The count triangles are built whole and written a
-row at a time; at an int weight a series or a triangle is built whole and
-written as one text.  The
-bytes are those of formatting the whole object: plain and csv join the same
-texts, and JSON is written as {"coeffs":[...],"order":N} and
-{"n":N,"rows":[...]}, the key order of _dump_json.
+made row by row (their stream methods), and each coefficient or row is
+written as soon as it is made, so the command holds a few rows, not the
+object and its text.  The count triangles are built whole and written a row
+at a time; at an int weight a series or a triangle is built whole and
+written as one text.  The bytes are those of the whole object.  A plain or
+csv row is its value texts joined by one separator (_sep): no value text
+needs the csv quoting that verify and hankel use (_csv_line).  JSON is
+{"coeffs":[...],"order":N} or {"n":N,"rows":[...]}, keys sorted (_dump_json).
 
 Each seq family, band family, matrix kind and verify suite is declared
 once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
@@ -81,11 +81,9 @@ def _csv_line(row) -> str:
     return buf.getvalue()
 
 
-def _line(values, omega, fmt: str) -> str:
-    """One plain or csv line: polynomials in w are joined by "; ", ints by " "."""
-    if fmt == "csv":
-        return _csv_line(values)
-    return (" " if isinstance(omega, int) else "; ").join(str(v) for v in values)
+def _sep(omega, fmt: str) -> str:
+    """The separator of a plain or csv row: "," for csv, " " between ints, "; " at W."""
+    return "," if fmt == "csv" else " " if isinstance(omega, int) else "; "
 
 
 class _PartialOutput(MemoryError):
@@ -131,33 +129,32 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
         if fmt == "json":
             _write((_dump_json({"order": ts.order, "values": values}), "\n"))
         else:
-            _write((_line(values, omega, fmt), "\n"))
+            _write((_sep(omega, fmt).join(map(str, values)), "\n"))
         return
     rows = ts.stream()  # each coefficient as its coefficient list in w
     if fmt == "json":  # the bytes of _dump_json(ts.to_json())
         _write(_joined('{"coeffs":[', (_dump_json(_w_json(r)) for r in rows), ",",
                        f'],"order":{ts.order}}}\n'))
-    elif fmt == "csv":
-        _write(_joined("", (_csv_line([_w_text(r)]) for r in rows), ",", "\n"))
     else:
-        _write(_joined("", (_w_text(r) for r in rows), "; ", "\n"))
+        _write(_joined("", map(_w_text, rows), _sep(omega, fmt), "\n"))
 
 
 def _emit_matrix(m: TriMatrix, omega, fmt: str) -> None:
     """Write the triangle: at an int weight as one text, at W one row at a time."""
+    sep = _sep(omega, fmt)
     if isinstance(omega, int):
         rows = m.int_rows()  # raises likewise
         if fmt == "json":
             _write((_dump_json({"n": m.n, "rows": rows}), "\n"))
         else:
-            _write(("\n".join(_line(row, omega, fmt) for row in rows), "\n"))
+            _write(("\n".join(sep.join(map(str, row)) for row in rows), "\n"))
         return
     rows = m.stream()
     if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
         rows = ([e.to_json() for e in row] for row in rows)
         _write(_joined(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n"))
     else:
-        _write(_line(row, omega, fmt) + "\n" for row in rows)
+        _write(sep.join(map(str, row)) + "\n" for row in rows)
 
 
 def _step(w: int) -> int:

@@ -10,7 +10,7 @@ vmul and a vadd, each with its own result list, per term.
 
 
 def vnorm(c):
-    """Strip trailing zeros (returns a new list)."""
+    """Strip trailing zeros of a list or a tuple (returns a new list)."""
     n = len(c)
     while n and not c[n - 1]:
         n -= 1

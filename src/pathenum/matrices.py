@@ -11,23 +11,20 @@ def _corner(rows) -> tuple:
 
 
 class TriMatrix:
-    """Square lower-triangular matrix; row i stores entries for columns 0..i.
+    """Square n x n lower-triangular matrix, n stored; row i stores entries for columns 0..i.
 
     The entries are of one kind: ints if every entry given is an int, else
     OmegaPoly.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "n")
 
     def __init__(self, rows):
         self.rows = _scalar_rows(rows)
+        self.n = len(self.rows)
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def entry(self, i: int, j: int):
         if j > i:
@@ -102,47 +99,39 @@ class TriMatrix:
 class _RowTriangle(TriMatrix):
     """An n x n triangle made row by row, its rows built on first read.
 
-    rows_of() yields, afresh at each call, rows 0..n-1.  stream() hands them
+    rows() yields, afresh at each call, rows 0..n-1.  stream() hands them
     to a caller that writes each one as it comes (the CLI), so that caller
-    never holds the triangle; any read of rows runs rows_of() once and keeps
+    never holds the triangle; any read of rows runs rows() once and keeps
     its rows, so every other caller sees a plain TriMatrix.
     """
 
-    __slots__ = ("_rows_of", "_n")
+    __slots__ = ("_rows",)
 
-    def __init__(self, rows_of, n: int):
-        self._rows_of, self._n = rows_of, n
-
-    @property
-    def n(self) -> int:
-        return self._n
+    def __init__(self, rows, n: int):
+        self._rows, self.n = rows, n
 
     def __getattr__(self, name):
         # reached only while the slot rows is unset: the first read builds it
         if name != "rows":
             raise AttributeError(name)
-        self.rows = TriMatrix(self._rows_of()).rows
+        self.rows = TriMatrix(self._rows()).rows
         return self.rows
 
     def stream(self):
-        return self._rows_of()
+        return self._rows()
 
 
 class SquareMatrix:
-    """Dense square matrix of scalars, of one kind as in TriMatrix."""
+    """Dense n x n matrix of scalars, n stored, of one kind as in TriMatrix."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "n")
 
     def __init__(self, rows):
         self.rows = _scalar_rows(rows)
-        n = len(self.rows)
+        self.n = len(self.rows)
         for row in self.rows:
-            if len(row) != n:
+            if len(row) != self.n:
                 raise ValueError("matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]

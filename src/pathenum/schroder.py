@@ -173,15 +173,20 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
     return _RowSeries(rows, order)
 
 
+def _step_length(a) -> None:
+    """Check that the horizontal step length a is an int >= 1."""
+    if not isinstance(a, int):
+        raise ValueError(f"horizontal step length must be an int, got {a!r}")
+    if a < 1:
+        raise ValueError("horizontal step length must be positive")
+
+
 def _disc(a: int, b: int, omega) -> tuple:
     """The terms (i, D_i) of D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b at an int weight.
 
     Equal powers are merged and zeros dropped; the step length a must be an int >= 1.
     """
-    if not isinstance(a, int):
-        raise ValueError(f"horizontal step length must be an int, got {a!r}")
-    if a < 1:
-        raise ValueError("horizontal step length must be positive")
+    _step_length(a)
     terms = {}
     for i, d in ((a, -2 * omega), (2 * a, omega * omega), (b, -4)):
         terms[i] = terms.get(i, 0) + d
@@ -237,10 +242,7 @@ def _band_rows(a: int, b: int, n: int, omega, start: int):
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if not isinstance(a, int):
-        raise ValueError(f"horizontal step length must be an int, got {a!r}")
-    if a < 1:
-        raise ValueError("horizontal step length must be positive")
+    _step_length(a)
     return _band_walk(a, b, n, omega, start, *_ring(omega))
 
 

@@ -9,6 +9,8 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathenum import algebra, cli, motzkin, schroder
 from pathenum.algebra import W, OmegaPoly, RationalGF, TPoly, TSeries
@@ -187,6 +189,30 @@ class TestMatrix:
 
     def test_bad_dimension(self, capsys):
         assert run("matrix", "motzkin", "--n", "0", capsys=capsys)[0] == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.just(0) | st.integers(-10**30, 10**30), max_size=6), max_size=4),
+       st.lists(st.integers(-10**30, 10**30), max_size=4))
+def test_no_value_text_needs_csv_quoting(polys, ints):
+    # a csv row is its value texts joined by "," (cli._sep): that holds only
+    # while csv quoting leaves every text of a polynomial in w or an int as it is
+    texts = [algebra._w_text(c) for c in polys] + [str(v) for v in ints]
+    assert cli._csv_line(texts) == ",".join(texts)
+
+
+@pytest.mark.parametrize("omega", [(), ("--omega", "2"), ("--omega", "-3")])
+@pytest.mark.parametrize("argv", [
+    *(("matrix", kind, "--n", "5") for kind in cli._MATRIX),
+    ("seq", "motzkin", "--N", "8", "--j", "2"),
+    ("seq", "banded", "--family", "schroder", "--k", "3", "--N", "8"),
+])
+def test_csv_is_plain_with_commas(argv, omega, capsys):
+    # plain and csv rows join the same value texts, by "; " at W and " " at an int weight
+    plain = run(*argv, *omega, capsys=capsys)
+    csv = run(*argv, *omega, "--format", "csv", capsys=capsys)
+    assert plain[0] == csv[0] == 0 and plain[1]
+    assert csv[1] == plain[1].replace(" " if omega else "; ", ",")
 
 
 @pytest.mark.parametrize("argv", [

@@ -346,12 +346,6 @@ class TestDelannoy:
         assert delannoy_poly(0) == TPoly([1])
         assert delannoy_poly(4).eval_omega(1) == TPoly([1, 7, 13, 7, 1])
 
-    def test_polynomial_diagonal_of_numbers(self):
-        for k in range(9):
-            p = delannoy_poly(k)
-            for j in range(k + 1):
-                assert p.coeff(j) == delannoy_number(k - j, j), (k, j)
-
     @staticmethod
     def _assert_polynomials_match_closed_sum(omega):
         # d_k = sum_l C(k-l, l) omega^l t^l (1+t)^(k-2l), independent of delannoy_number
