@@ -41,7 +41,7 @@ products into one list and normalizes once, so the sum builds one OmegaPoly
 instead of one per product and one per partial sum.  The two are the dot
 products of motzkin._dot (first-return among them) and the right-hand sides
 of schroder.delannoy_recursion_check.  The oracle's table at W needs none:
-it adds coefficient tuples a column at a time (oracle._columns_in_w).
+it adds coefficient tuples a column at a time (oracle._columns).
 _convolve, _quotient and the Bareiss update run one plain loop for both
 kinds: over Z[w] no workload runs the first two, and the third makes a
 handful of updates, too few for a fused sum to pay.  Over Z the loops stay plain int arithmetic, which a fused
@@ -118,7 +118,7 @@ class OmegaPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        self._c = tuple(vnorm(list(coeffs)))
+        self._c = vnorm(tuple(coeffs))
 
     @property
     def coeffs(self) -> tuple:
@@ -296,8 +296,6 @@ def _div_exact(a, b):
     """
     if isinstance(a, OmegaPoly):
         return a.exact_div_int(b) if isinstance(b, int) else a.exact_div(b)
-    if isinstance(b, OmegaPoly):
-        return as_opoly(a).exact_div(b)
     q, r = divmod(a, b)
     if r:
         raise InexactDivision(f"{a} not divisible by {b}")

@@ -5,16 +5,17 @@ the coefficient of the i-th power.  Normal form: no trailing zeros, the zero
 polynomial is the empty list.  OmegaPoly arithmetic in pathenum.algebra is
 built on these functions.  A sum of products is one call to vdot, which
 accumulates every product into one list and normalizes once, instead of a
-vmul and a vadd, each with its own result list, per term.
+vmul and a vadd, each with its own result list, per term.  vmul is a vdot
+of one pair, except that a product with a monomial is a shift and a scale.
 """
 
 
 def vnorm(c):
-    """Strip trailing zeros of a list or a tuple (returns a new list)."""
+    """Strip trailing zeros of a list or a tuple: one new copy, of the input's type."""
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
-    return list(c[:n])
+    return c[:n]
 
 
 def vadd(a, b):
@@ -40,7 +41,7 @@ def vneg(a):
 
 
 def vmul(a, b):
-    """Full convolution product of two normalized vectors.
+    """Full convolution product of two normalized vectors: one vdot.
 
     A product with a monomial c x^e (such as the weight w) is a shift and a
     scale, done in one pass.
@@ -52,13 +53,7 @@ def vmul(a, b):
     if not any(a[:-1]):
         c = a[-1]
         return [0] * (len(a) - 1) + [c * y for y in b]
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] += ai * bj
-    return res
+    return vdot(((a, b),))
 
 
 def vdot(pairs):

@@ -1,4 +1,7 @@
-"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight)."""
+"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight).
+
+A triangle's product and its inverse both sum products along a row and down a column (_row_dot).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +11,15 @@ from .algebra import _at, _ints, _one, _scalar_rows, _zero
 def _corner(rows) -> tuple:
     """The entry (0, 0) as a 0- or 1-tuple; one entry tells a matrix's kind of scalar."""
     return rows[0][:1] if rows else ()
+
+
+def _row_dot(row, column, zero):
+    """The sum of a * b over paired entries of row and column from zero, skipping zero factors."""
+    acc = zero
+    for a, b in zip(row, column):
+        if a and b:
+            acc = acc + a * b
+    return acc
 
 
 class TriMatrix:
@@ -43,20 +55,10 @@ class TriMatrix:
         if not isinstance(other, TriMatrix) or self.n != other.n:
             return NotImplemented
         zero = _zero(*_corner(self.rows), *_corner(other.rows))
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(i + 1):
-                acc = zero
-                for k in range(j, i + 1):
-                    a = self.rows[i][k]
-                    if a:
-                        b = other.rows[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return TriMatrix(out)
+        return TriMatrix(
+            [_row_dot(row[j:], [r[j] for r in other.rows[j:i + 1]], zero) for j in range(i + 1)]
+            for i, row in enumerate(self.rows)
+        )
 
     def inverse_unit_lower(self) -> "TriMatrix":
         """Inverse by forward substitution; requires unit diagonal.
@@ -64,23 +66,14 @@ class TriMatrix:
         No pivoting and no fractions: with 1s on the diagonal the inverse
         stays in Z[w] (in Z for an int matrix).
         """
-        n = self.n
-        for i in range(n):
-            if self.rows[i][i] != 1:
+        for i, row in enumerate(self.rows):
+            if row[i] != 1:
                 raise ValueError(f"diagonal entry ({i},{i}) is not 1")
         zero, one = _zero(*_corner(self.rows)), _one(*_corner(self.rows))
-        inv = [[zero] * (i + 1) for i in range(n)]
-        for i in range(n):
-            inv[i][i] = one
-            for j in range(i - 1, -1, -1):
-                acc = zero
-                for k in range(j, i):
-                    a = self.rows[i][k]
-                    if a:
-                        b = inv[k][j]
-                        if b:
-                            acc = acc + a * b
-                inv[i][j] = -acc
+        inv = []
+        for i, row in enumerate(self.rows):
+            inv.append([-_row_dot(row[j:i], [r[j] for r in inv[j:]], zero)
+                        for j in range(i)] + [one])
         return TriMatrix(inv)
 
     def eval_omega(self, x: int) -> "TriMatrix":
@@ -132,9 +125,6 @@ class SquareMatrix:
         for row in self.rows:
             if len(row) != self.n:
                 raise ValueError("matrix must be square")
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def eval_omega(self, x: int) -> "SquareMatrix":
         """Specialize the weight w to an integer; the entries keep their kind."""

@@ -12,10 +12,11 @@ Each mode is one height window of the table, and a count outside it is zero.
 Every cell is computed from the step recursion, independently of all closed
 forms, so these counts can adjudicate any formula in the package.  The
 weight is symbolic (W) by default and every cell is an OmegaPoly, counted as
-a coefficient tuple in w a whole column at a time, with no OmegaPoly
-arithmetic (_columns_in_w).  An integer weight, passed as omega, is bound
-before the first cell, so the table is counted over Z in plain int
-arithmetic and every cell is an int.
+a coefficient tuple in w with no OmegaPoly arithmetic.  An integer weight,
+passed as omega, is bound before the first cell, so the table is counted
+over Z in plain int arithmetic and every cell is an int.  One loop counts
+the table a whole column at a time at either weight (_columns); only the
+rule that makes a column from the three terms of its cells differs.
 """
 
 from __future__ import annotations
@@ -82,22 +83,24 @@ def _plus(a: tuple, b: tuple) -> tuple:
     return (*map(add, a, b), *a[len(b):])
 
 
-def _columns_in_w(height: int, origin: int, n_max: int, w: int) -> list:
-    """Columns 0..n_max of a table at W, from a 1 at cell origin of column 0.
+def _column_in_w(up: list, down: list, horiz: list) -> list:
+    """A column at W from its up, down and horizontal terms: coefficient tuples, horiz times w."""
+    return list(map(_plus, map(_plus, up, down), [(0,) + c if c else c for c in horiz]))
 
-    Each cell is a coefficient tuple in w until the end: column x is the up
-    and down terms from column x - 1, summed, plus column x - w shifted by
-    one power of w.
+
+def _columns(height: int, origin: int, n_max: int, w: int, zero, one, column) -> list:
+    """Columns 0..n_max of a table, from one at cell origin of column 0.
+
+    Column x is column(up, down, horiz): column x - 1 moved up a cell and
+    down a cell, and column x - w (a zero column while x < w).
     """
-    cols = [[()] * height]
-    cols[0][origin] = (1,)
+    zeros = [zero] * height
+    cols = [list(zeros)]
+    cols[0][origin] = one
     for x in range(1, n_max + 1):
         prev = cols[x - 1]
-        cur = list(map(_plus, [(), *prev[:-1]], [*prev[1:], ()]))  # up from y - 1, down from y + 1
-        if x >= w:
-            cur = list(map(_plus, cur, [(0,) + c if c else c for c in cols[x - w]]))
-        cols.append(cur)
-    return [[_raw(c) if c else OP_ZERO for c in col] for col in cols]
+        cols.append(column([zero, *prev[:-1]], [*prev[1:], zero], cols[x - w] if x >= w else zeros))
+    return cols
 
 
 class CountTable:
@@ -118,25 +121,14 @@ class CountTable:
         self._hi = spec.band - 1 if spec.mode == BANDED else n_max
         height = self._hi - self._lo + 1
         if zero is OP_ZERO:
-            self._cols = _columns_in_w(height, -self._lo, n_max, spec.w)
+            cols = _columns(height, -self._lo, n_max, spec.w, (), (1,), _column_in_w)
+            self._cols = [[_raw(c) if c else OP_ZERO for c in col] for col in cols]
             return
-        cols = [[zero] * height for _ in range(n_max + 1)]
-        cols[0][-self._lo] = one
-        w = spec.w
-        for x in range(1, n_max + 1):
-            prev = cols[x - 1]
-            horiz = cols[x - w] if x >= w else None
-            cur = cols[x]
-            for y in range(height):
-                acc = zero
-                if y + 1 < height:
-                    acc = acc + prev[y + 1]
-                if y >= 1:
-                    acc = acc + prev[y - 1]
-                if horiz is not None and horiz[y]:
-                    acc = acc + omega * horiz[y]
-                cur[y] = acc
-        self._cols = cols
+
+        def column(up, down, horiz):
+            return [u + d + omega * h for u, d, h in zip(up, down, horiz)]
+
+        self._cols = _columns(height, -self._lo, n_max, spec.w, zero, one, column)
 
     def _cell(self, n: int, j: int):
         """The count at (n, j); zero outside the height window."""

@@ -57,6 +57,23 @@ def test_vdivexact_undoes_vmul_on_random_inputs():
             assert kernels.vdivexact(kernels.vnorm(noisy), b) is None, trial
 
 
+def naive_product(a, b):
+    res = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] += x * y
+    return res
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors, vectors)
+def test_vmul_and_vdot_are_the_double_loop_product(a, b):
+    # the product of two normalized vectors has a nonzero leading coefficient
+    want = naive_product(a, b)
+    assert kernels.vmul(a, b) == want
+    assert kernels.vdot([(a, b)]) == want
+
+
 def fold_vdot(pairs):
     acc = []
     for a, b in pairs:

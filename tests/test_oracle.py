@@ -138,19 +138,22 @@ class TestInvariants:
 
 
 @pytest.mark.parametrize("mode", ["grand", "quadrant", "banded"])
-@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
 def test_symbolic_table_at_x_is_the_int_table(mode, w):
-    # the cells at W, evaluated at x, against the table counted at x, cell by cell
-    spec = PathSpec.banded(3, w) if mode == "banded" else PathSpec(w, mode)
-    n = 12
-    symbolic = CountTable(spec, n)
-    lo, hi = (-n, n) if mode == "grand" else (0, 2 if mode == "banded" else n)
-    for x in (-2, 0, 1, 3):
-        table = CountTable(spec, n, x)
-        for m in range(n + 1):
-            for j in range(lo, hi + 1):
-                assert symbolic.value(m, j).evaluate(x) == table.value(m, j), (x, m, j)
-                assert type(table.value(m, j)) is int
+    # the cells at W, evaluated at x, against the table counted at x, cell by
+    # cell; band height 1 has one cell a column, and with n < w every column
+    # past 0 reads the zero column as its horizontal term
+    specs = [PathSpec(w, mode)] if mode != "banded" else [PathSpec.banded(k, w) for k in (3, 1)]
+    for spec, n in [(spec, n) for spec in specs for n in (12, w - 1)]:
+        symbolic = CountTable(spec, n)
+        lo, hi = (-n, n) if mode == "grand" else (0, spec.band - 1 if mode == "banded" else n)
+        for x in (-2, 0, 1, 3):
+            table = CountTable(spec, n, x)
+            for m in range(n + 1):
+                for j in range(lo, hi + 1):
+                    want = symbolic.value(m, j).evaluate(x)
+                    assert table.value(m, j) == want, (spec, n, x, m, j)
+                    assert type(table.value(m, j)) is int
 
 
 # every cell of a table at W against the step recursion in OmegaPoly
