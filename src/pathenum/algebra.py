@@ -348,11 +348,6 @@ def _at_weight(coeffs, omega):
     return OmegaPoly(coeffs)
 
 
-def _at(x, value: int):
-    """The scalar x at w = value, as the same kind of scalar."""
-    return OmegaPoly((x.evaluate(value),)) if isinstance(x, OmegaPoly) else x
-
-
 def _bind(x, omega):
     """The scalar x with w bound to the weight omega: x itself at W, an int at an int weight."""
     return x.evaluate(omega) if isinstance(x, OmegaPoly) and isinstance(omega, int) else x
@@ -454,10 +449,7 @@ class TPoly:
 
     def __init__(self, coeffs=()):
         (cs,) = _scalar_rows([coeffs])
-        n = len(cs)
-        while n and not cs[n - 1]:
-            n -= 1
-        self._c = cs[:n]
+        self._c = vnorm(cs)
 
     @property
     def coeffs(self) -> tuple:
@@ -530,10 +522,6 @@ class TPoly:
     def at_neg_t(self) -> "TPoly":
         """Substitute t -> -t: negate coefficients of odd powers."""
         return TPoly([-c if i % 2 else c for i, c in enumerate(self._c)])
-
-    def eval_omega(self, x: int) -> "TPoly":
-        """Specialize the weight w to an integer; the scalars keep their kind."""
-        return TPoly([_at(c, x) for c in self._c])
 
     def to_series(self, order: int) -> "TSeries":
         return TSeries([self.coeff(n) for n in range(order + 1)], order)
@@ -639,10 +627,6 @@ class TSeries:
                 raise InexactDivision(f"coefficient of t^{i} is {self._c[i]}, not 0")
         return TSeries(self._c[k:], self.order - k)
 
-    def eval_omega(self, x: int) -> "TSeries":
-        """Specialize the weight w to an integer; the scalars keep their kind."""
-        return TSeries([_at(c, x) for c in self._c], self.order)
-
     def int_coeffs(self) -> list:
         """Coefficients as plain ints; requires every coefficient constant in w."""
         return _ints(self._c)
@@ -660,11 +644,6 @@ class TSeries:
 
     def __repr__(self):
         return f"TSeries({[_plain(c) for c in self._c]!r}, order={self.order})"
-
-    def to_json(self) -> dict:
-        """Each coefficient as a polynomial in w (an int as a constant one)."""
-        return {"coeffs": [as_opoly(c).to_json() for c in self._c], "order": self.order}
-
 
 
 class _RowSeries(TSeries):

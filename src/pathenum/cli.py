@@ -132,7 +132,7 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
             _write((_sep(omega, fmt).join(map(str, values)), "\n"))
         return
     rows = ts.stream()  # each coefficient as its coefficient list in w
-    if fmt == "json":  # the bytes of _dump_json(ts.to_json())
+    if fmt == "json":  # {"coeffs":[["1"],["0","1"],...],"order":N}: w-coefficients as strings
         _write(_joined('{"coeffs":[', (_dump_json(_w_json(r)) for r in rows), ",",
                        f'],"order":{ts.order}}}\n'))
     else:

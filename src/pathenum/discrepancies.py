@@ -61,7 +61,7 @@ def _check_inverse_column_gf() -> CheckResult:
     # column starts 0, 1); the validated form is t^k ((1-t)/(1+t))^(k+1).
     return first_mismatch(
         (f"validated form, column {k}", inverse_schroder_column_gf(k, 8).int_coeffs(),
-         [inverse_schroder_entry(n, k).evaluate(1) if n >= k else 0 for n in range(9)])
+         [inverse_schroder_entry(n, k, 1) if n >= k else 0 for n in range(9)])
         for k in range(4)
     )
 

@@ -5,7 +5,7 @@ A triangle's product and its inverse both sum products along a row and down a co
 
 from __future__ import annotations
 
-from .algebra import _at, _ints, _one, _scalar_rows, _zero
+from .algebra import _ints, _one, _scalar_rows, _zero
 
 
 def _corner(rows) -> tuple:
@@ -76,10 +76,6 @@ class TriMatrix:
                         for j in range(i)] + [one])
         return TriMatrix(inv)
 
-    def eval_omega(self, x: int) -> "TriMatrix":
-        """Specialize the weight w to an integer; the entries keep their kind."""
-        return TriMatrix([[_at(e, x) for e in row] for row in self.rows])
-
     def int_rows(self) -> list:
         """Rows as plain ints; requires every entry constant in w."""
         return [_ints(row) for row in self.rows]
@@ -125,10 +121,6 @@ class SquareMatrix:
         for row in self.rows:
             if len(row) != self.n:
                 raise ValueError("matrix must be square")
-
-    def eval_omega(self, x: int) -> "SquareMatrix":
-        """Specialize the weight w to an integer; the entries keep their kind."""
-        return SquareMatrix([[_at(e, x) for e in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):

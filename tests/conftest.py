@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, TSeries, W
-from pathenum.matrices import TriMatrix
+from pathenum.matrices import SquareMatrix, TriMatrix
 from pathenum.oracle import BANDED, GRAND, IndexOutOfTriangle, PathSpec
 from pathenum.schroder import inverse_schroder_poly
 
@@ -33,6 +33,25 @@ def count_table_rec(spec: PathSpec, n_max: int) -> dict:
             up, down = cells.get((x - 1, y - 1), OP_ZERO), cells.get((x - 1, y + 1), OP_ZERO)
             cells[x, y] = up + down + W * cells.get((x - spec.w, y), OP_ZERO)
     return cells
+
+
+def eval_omega(value, x: int):
+    """value with the weight w set to the integer x; each OmegaPoly becomes its constant value.
+
+    An int entry stays an int.  The result is a plain TSeries, TPoly,
+    TriMatrix or SquareMatrix, named here rather than type(value): the
+    row-made _RowSeries and _RowTriangle take other constructor arguments.
+    """
+
+    def at(e):
+        return OmegaPoly((e.evaluate(x),)) if isinstance(e, OmegaPoly) else e
+
+    if isinstance(value, TSeries):
+        return TSeries([at(c) for c in value.coeffs], value.order)
+    if isinstance(value, TPoly):
+        return TPoly([at(c) for c in value.coeffs])
+    rows = [[at(e) for e in row] for row in value.rows]
+    return TriMatrix(rows) if isinstance(value, TriMatrix) else SquareMatrix(rows)
 
 
 def truncate(series: TSeries, order: int) -> TSeries:

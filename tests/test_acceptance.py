@@ -43,7 +43,7 @@ from pathenum.schroder import (
     theorem_schroeder_check,
     w_series,
 )
-from conftest import banded_schroder_gf_via_s, identity, inverse_motzkin_entry_rec
+from conftest import banded_schroder_gf_via_s, eval_omega, identity, inverse_motzkin_entry_rec
 
 
 def report(n, text):
@@ -52,7 +52,7 @@ def report(n, text):
 
 def test_criterion_01_motzkin_sequence():
     mu = motzkin_series(7)
-    assert mu.eval_omega(1).int_coeffs() == [1, 1, 2, 4, 9, 21, 51, 127]
+    assert eval_omega(mu, 1).int_coeffs() == [1, 1, 2, 4, 9, 21, 51, 127]
     assert list(mu.coeffs[:6]) == [
         OmegaPoly([1]),
         W,
@@ -65,7 +65,7 @@ def test_criterion_01_motzkin_sequence():
 
 
 def test_criterion_02_inverse_motzkin():
-    assert inverse_motzkin_matrix(5).eval_omega(1).int_rows() == [
+    assert eval_omega(inverse_motzkin_matrix(5), 1).int_rows() == [
         [1],
         [-1, 1],
         [0, -2, 1],
@@ -93,7 +93,7 @@ def test_criterion_03_banded_motzkin():
         4: [1, 1, 2, 4, 9, 21, 51, 127, 322, 826],
     }
     for k, want in prefixes.items():
-        got = banded_motzkin_gf(k).expand(len(want) - 1).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_motzkin_gf(k).expand(len(want) - 1), 1).int_coeffs()
         assert got == want, k
     for k in range(1, 9):
         formula = banded_motzkin_gf(k).expand(40)
@@ -122,14 +122,14 @@ def test_criterion_04_hankel():
 
 
 def test_criterion_05_compressed_schroder():
-    assert schroder_matrix_compressed(5).eval_omega(1).int_rows() == [
+    assert eval_omega(schroder_matrix_compressed(5), 1).int_rows() == [
         [1],
         [2, 1],
         [6, 4, 1],
         [22, 16, 6, 1],
         [90, 68, 30, 8, 1],
     ]
-    assert inverse_schroder_matrix(5).eval_omega(1).int_rows() == [
+    assert eval_omega(inverse_schroder_matrix(5), 1).int_rows() == [
         [1],
         [-2, 1],
         [2, -4, 1],
@@ -140,7 +140,7 @@ def test_criterion_05_compressed_schroder():
     for k in range(30):
         for j in range(k + 1):
             assert inverse_schroder_entry(k, j) == inv.rows[k][j], (k, j)
-    assert inverse_schroder_poly(4).eval_omega(1) == TPoly([1, -8, 18, -12, 2])
+    assert eval_omega(inverse_schroder_poly(4), 1) == TPoly([1, -8, 18, -12, 2])
     report(5, "compressed triangle and inverse displays; closed form to k=30; s_4")
 
 
@@ -151,15 +151,15 @@ def test_criterion_06_banded_schroder():
     ]
     route_d = banded_schroder_gf(4).expand(16).int_coeffs()
     route_s = banded_schroder_gf_via_s(4).expand(16).int_coeffs()
-    route_p = banded_w_gf(4, 2).expand(32).eval_omega(1).int_coeffs()[::2]
+    route_p = eval_omega(banded_w_gf(4, 2).expand(32), 1).int_coeffs()[::2]
     assert route_d == want
     assert route_s == want
     assert route_p == want
     for k in range(1, 7):
         d = banded_schroder_gf(k).expand(40).int_coeffs()
         s = banded_schroder_gf_via_s(k).expand(40).int_coeffs()
-        p = banded_w_gf(k, 2).expand(80).eval_omega(1).int_coeffs()[::2]
-        oracle = compressed_series(0, 40, band=k).eval_omega(1).int_coeffs()
+        p = eval_omega(banded_w_gf(k, 2).expand(80), 1).int_coeffs()[::2]
+        oracle = eval_omega(compressed_series(0, 40, band=k), 1).int_coeffs()
         assert d == s == p == oracle, k
         sym = banded_w_gf(k, 2).expand(40)
         assert sym == oracle_series(PathSpec.banded(k, w=2), 0, 40), k
@@ -167,7 +167,7 @@ def test_criterion_06_banded_schroder():
 
 
 def test_criterion_07_theorem_schroeder():
-    s3 = inverse_schroder_poly(3).eval_omega(1)
+    s3 = eval_omega(inverse_schroder_poly(3), 1)
     coeffs = (banded_schroder_gf(4).expand(16) * s3).int_coeffs()
     assert coeffs[:4] == [1, -4, 2, 0]  # principal part: s_2 padded to length 4
     assert coeffs[4:] == [
@@ -194,7 +194,7 @@ def test_criterion_08_delannoy():
         assert acc == (TPoly([1]) if m == 0 else TPoly([])), m
     assert delannoy_s_bridge_check(20)
     for k in range(26):
-        assert compressed_p_poly(k).eval_omega(1) == delannoy_poly(k).eval_omega(1).at_neg_t(), k
+        assert eval_omega(compressed_p_poly(k), 1) == eval_omega(delannoy_poly(k), 1).at_neg_t(), k
     for k in range(21):
         for m in range(k // 2 + 1):
             assert gould_identity_check(k, m), (k, m)

@@ -23,7 +23,8 @@ from pathenum.algebra import (
     _quotient,
     binom_general,
 )
-from conftest import random_opoly, truncate
+from pathenum.matrices import SquareMatrix, TriMatrix
+from conftest import eval_omega, random_opoly, truncate
 
 opolys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(OmegaPoly)
 
@@ -111,12 +112,12 @@ class TestTSeries:
         # (1 + t + 2t^2 + 4t^3)^2 by hand convolution; the t^3 coefficient
         # 12 is also the weight-1 count of quadrant paths to (4, 1)
         mu1 = TSeries([1, 1, 2, 4], 3)
-        assert (mu1 * mu1).eval_omega(0).int_coeffs() == [1, 2, 5, 12]
+        assert eval_omega(mu1 * mu1, 0).int_coeffs() == [1, 2, 5, 12]
 
     def test_one_plus_t_times_one_minus_t(self):
         a = TSeries([1, 1, 0], 2)
         b = TSeries([1, -1, 0], 2)
-        assert (a * b).eval_omega(0).int_coeffs() == [1, 0, -1]
+        assert eval_omega(a * b, 0).int_coeffs() == [1, 0, -1]
 
     def test_order_is_min_of_operands(self):
         a = TSeries([1] * 6, 5)
@@ -138,11 +139,11 @@ class TestTSeries:
         assert inv.coeff(1) == -W
         assert inv.coeff(2) == OmegaPoly([-1, 0, 1])
         assert inv.coeff(3) == OmegaPoly([0, 2, 0, -1])
-        assert inv.eval_omega(1).int_coeffs() == [1, -1, 0, 1, -1, 0]
+        assert eval_omega(inv, 1).int_coeffs() == [1, -1, 0, 1, -1, 0]
 
     def test_inverse_of_one_minus_t(self):
         inv = TSeries([1, -1] + [0] * 6, 7).inverse()
-        assert inv.eval_omega(0).int_coeffs() == [1] * 8
+        assert eval_omega(inv, 0).int_coeffs() == [1] * 8
 
     def test_inverse_requires_unit_constant(self):
         with pytest.raises(NonUnitConstant):
@@ -164,12 +165,6 @@ class TestTSeries:
         a = TSeries([-1, 1, 1], 4)
         assert (a * a.inverse()) == TSeries([OP_ONE], 4)
 
-    def test_json_roundtrip(self):
-        ts = TSeries([OmegaPoly([1]), W, OmegaPoly([1, 0, 1])], 2)
-        enc = {"coeffs": [["1"], ["0", "1"], ["1", "0", "1"]], "order": 2}
-        assert ts.to_json() == enc
-        assert json.loads(json.dumps(ts.to_json())) == enc
-
 
 class TestScalarKinds:
     def test_constants_hash_as_their_int(self):
@@ -185,6 +180,9 @@ class TestScalarKinds:
         polys = TSeries([OmegaPoly([5]), OmegaPoly([]), OmegaPoly([-2])], 2)
         assert ints == polys and hash(ints) == hash(polys)
         assert hash(TPoly([1, 2])) == hash(TPoly([OmegaPoly([1]), OmegaPoly([2])]))
+        for kind, rows in ((TriMatrix, [[1], [-2, 1]]), (SquareMatrix, [[1, 0], [3, -1]])):
+            ints, polys = kind(rows), kind([[OmegaPoly([x]) for x in row] for row in rows])
+            assert ints == polys and hash(ints) == hash(polys)
 
     def test_a_container_holds_one_kind(self):
         assert all(type(c) is int for c in TPoly([1, 0, 3, 0]).coeffs)
@@ -202,15 +200,16 @@ class TestScalarKinds:
 
     def test_int_containers_support_every_method(self):
         s = TSeries([1, 2, 3], 2)
-        assert s.eval_omega(5) == s
+        assert eval_omega(s, 5) == s
         assert s.int_coeffs() == [1, 2, 3]
-        assert s.to_json() == {"coeffs": [["1"], ["2"], ["3"]], "order": 2}
         assert str(s) == "[1; 2; 3] + O(t^3)"
         assert repr(s) == "TSeries([1, 2, 3], order=2)"
         assert TSeries([1, -1], 3).inverse().coeffs == (1, 1, 1, 1)
         p = TPoly([1, -2, 0])
         assert repr(p) == "TPoly([1, -2])" and str(p) == "[1, -2]"
         assert p.coeff(5) == 0 and p.shift(2).coeffs == (0, 0, 1, -2)
+        assert 1 - TPoly([1, 1]) == TPoly([0, -1])
+        assert 1 - TSeries([1, 1], 2) == TSeries([0, -1, 0], 2)
 
     def test_exact_division_of_either_kind(self):
         assert _div_exact(12, 4) == 3
@@ -224,11 +223,11 @@ class TestScalarKinds:
 class TestRationalGF:
     def test_banded_schroder_two(self):
         r = RationalGF(TPoly([1, -1]), TPoly([1, -3, 1]))
-        assert r.expand(4).eval_omega(0).int_coeffs() == [1, 2, 5, 13, 34]
+        assert eval_omega(r.expand(4), 0).int_coeffs() == [1, 2, 5, 13, 34]
 
     def test_banded_motzkin_four(self):
         r = RationalGF(TPoly([1, -3, 1, 1]), TPoly([1, -4, 3, 2, -1]))
-        got = r.expand(9).eval_omega(0).int_coeffs()
+        got = eval_omega(r.expand(9), 0).int_coeffs()
         assert got == [1, 1, 2, 4, 9, 21, 51, 127, 322, 826]
 
     def test_p_over_p_is_one(self):
@@ -279,6 +278,7 @@ class TestBinomGeneral:
     def test_half_integer(self):
         assert binom_general(Fraction(1, 2), 1) == Fraction(1, 2)
         assert binom_general(Fraction(3, 2), 2) == Fraction(3, 8)
+        assert binom_general(Fraction(1, 2), -1) == 0
 
     def test_matches_integer_binomial(self):
         for n in range(10):

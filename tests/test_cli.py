@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pathenum import algebra, cli, motzkin, schroder
 from pathenum.algebra import W, OmegaPoly, RationalGF, TPoly, TSeries
 from pathenum.checks import fail
+from conftest import eval_omega
 
 PLANTED = fail("a planted failure", 0, 1)
 
@@ -144,7 +145,7 @@ class TestSeq:
         assert f"does not read {flag}" in err
 
     def test_values_past_the_int_str_limit_print_in_full(self, capsys):
-        values = schroder.compressed_column_gf(0, 800).eval_omega(4).int_coeffs()
+        values = eval_omega(schroder.compressed_column_gf(0, 800), 4).int_coeffs()
         saved = sys.get_int_max_str_digits()
         try:
             want = " ".join(str(v) for v in values) + "\n"

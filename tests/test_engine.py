@@ -61,7 +61,7 @@ from pathenum.schroder import (
     inverse_schroder_matrix,
     schroder_matrix_compressed,
 )
-from conftest import truncate
+from conftest import eval_omega, truncate
 
 
 def _fixed_point(a: int, b: int, order: int) -> TSeries:
@@ -260,7 +260,7 @@ def test_planted_coefficient_raises_inexact_division_at_an_integer_weight(monkey
         q = real(a, k)
         return q + 1 if k == 24 else q
 
-    assert _series(1, 2, 20, 1) == _fixed_point(1, 2, 20).eval_omega(1)
+    assert _series(1, 2, 20, 1) == eval_omega(_fixed_point(1, 2, 20), 1)
     monkeypatch.setattr(schroder, "_div_exact", planted)
     with pytest.raises(InexactDivision):
         _series(1, 2, 20, 1)
@@ -312,7 +312,7 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
             assert all(type(c) is kind for c in _scalars(value)), (omega, value)
     at_x, symbolic = built[x], built[W]
     for got, want in zip(at_x[:6], symbolic[:6]):
-        assert got == want.eval_omega(x)
+        assert got == eval_omega(want, x)
     for path_spec, table, table_w in zip(specs, at_x[7:], symbolic[7:]):
         for m in range(size + 1):
             for y in _heights(path_spec, m):
@@ -322,7 +322,7 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
     assert type(det) is int
     assert det == det_fraction_free(symbolic[6]).evaluate(x)
     for got, want in zip(at_x[10:], symbolic[10:]):
-        assert got == want.eval_omega(x)
+        assert got == eval_omega(want, x)
 
 
 def _scalars(value):

@@ -22,7 +22,7 @@ from pathenum.hankel import (
 )
 from pathenum.matrices import SquareMatrix
 from pathenum.motzkin import motzkin_series
-from conftest import random_opoly
+from conftest import eval_omega, random_opoly
 
 
 def det_cofactor(m: SquareMatrix):
@@ -102,14 +102,14 @@ class TestDeterminantEngine:
 
 class TestHankelMatrix:
     def test_plain_motzkin_three(self):
-        m = hankel_matrix(HankelSpec(3)).eval_omega(1)
+        m = eval_omega(hankel_matrix(HankelSpec(3)), 1)
         assert [list(r) for r in m.rows] == [
             [OmegaPoly([v]) for v in row] for row in [[1, 1, 2], [1, 2, 4], [2, 4, 9]]
         ]
 
     def test_alpha_beta_two(self):
         spec = HankelSpec(2, alpha=OmegaPoly([1]), beta=OmegaPoly([1]))
-        m = hankel_matrix(spec).eval_omega(1)
+        m = eval_omega(hankel_matrix(spec), 1)
         assert [[e.evaluate(0) for e in r] for r in m.rows] == [[2, 3], [3, 6]]
 
     def test_shift_one_singleton(self):
@@ -140,7 +140,7 @@ class TestClosedForms:
 
     def test_pure_beta_three(self):
         assert shifted_hankel_closed(3, 0, 1).evaluate(1) == -1
-        m = hankel_matrix(HankelSpec(3, shift=1)).eval_omega(1)
+        m = eval_omega(hankel_matrix(HankelSpec(3, shift=1)), 1)
         assert det_fraction_free(m).evaluate(0) == -1
 
     def test_closed_equals_determinant_symbolic(self, rng):

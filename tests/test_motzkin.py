@@ -28,7 +28,7 @@ from pathenum.motzkin import (
     verify_orthogonality,
 )
 from pathenum.oracle import CountTable, IndexOutOfTriangle, PathSpec, oracle_series
-from conftest import identity, inverse_motzkin_entry_rec, truncate
+from conftest import eval_omega, identity, inverse_motzkin_entry_rec, truncate
 
 
 def catalan(n: int) -> int:
@@ -64,12 +64,12 @@ class TestMotzkinSeries:
         assert list(mu.coeffs) == MU_ROW
 
     def test_weight_zero_gives_aerated_catalan(self):
-        mu = motzkin_series(8).eval_omega(0).int_coeffs()
+        mu = eval_omega(motzkin_series(8), 0).int_coeffs()
         assert mu == [1, 0, 1, 0, 2, 0, 5, 0, 14]
         assert mu[::2] == [catalan(n) for n in range(5)]
 
     def test_weight_two_gives_shifted_catalan(self):
-        mu = motzkin_series(4).eval_omega(2).int_coeffs()
+        mu = eval_omega(motzkin_series(4), 2).int_coeffs()
         assert mu == [1, 2, 5, 14, 42]
         assert mu == [catalan(n + 1) for n in range(5)]
 
@@ -98,7 +98,7 @@ class TestMotzkinSeries:
         assert motzkin_from_catalan(2) == 2
         assert motzkin_from_catalan(0) == 1
         assert motzkin_from_catalan(7) == 127
-        mu1 = motzkin_series(20).eval_omega(1).int_coeffs()
+        mu1 = eval_omega(motzkin_series(20), 1).int_coeffs()
         assert [motzkin_from_catalan(n) for n in range(21)] == mu1
 
 
@@ -114,10 +114,10 @@ class TestGrandSeries:
         ]
 
     def test_weight_zero_interleaved_central_binomials(self):
-        assert grand_motzkin_series(4).eval_omega(0).int_coeffs() == [1, 0, 2, 0, 6]
+        assert eval_omega(grand_motzkin_series(4), 0).int_coeffs() == [1, 0, 2, 0, 6]
 
     def test_weight_two_central_binomials(self):
-        assert grand_motzkin_series(4).eval_omega(2).int_coeffs() == [1, 2, 6, 20, 70]
+        assert eval_omega(grand_motzkin_series(4), 2).int_coeffs() == [1, 2, 6, 20, 70]
 
     def test_matches_oracle(self):
         got = grand_motzkin_series(40)
@@ -133,7 +133,7 @@ class TestGrandSeries:
 
 class TestTriangles:
     def test_motzkin_five_by_five(self):
-        assert motzkin_matrix(5).eval_omega(1).int_rows() == [
+        assert eval_omega(motzkin_matrix(5), 1).int_rows() == [
             [1],
             [1, 1],
             [2, 2, 1],
@@ -248,7 +248,7 @@ class TestInverse:
             inverse_motzkin_entry(3, 1, OmegaPoly([3]))
 
     def test_five_by_five_display(self):
-        assert inverse_motzkin_matrix(5).eval_omega(1).int_rows() == [
+        assert eval_omega(inverse_motzkin_matrix(5), 1).int_rows() == [
             [1],
             [-1, 1],
             [0, -2, 1],
@@ -275,8 +275,8 @@ class TestInverse:
             assert inverse_motzkin_entry(i, 0) == inv_phi.coeff(i)
 
     def test_row_polynomials(self):
-        assert inverse_motzkin_poly(4).eval_omega(1) == TPoly([1, -4, 3, 2, -1])
-        assert inverse_motzkin_poly(3).eval_omega(1) == TPoly([1, -3, 1, 1])
+        assert eval_omega(inverse_motzkin_poly(4), 1) == TPoly([1, -4, 3, 2, -1])
+        assert eval_omega(inverse_motzkin_poly(3), 1) == TPoly([1, -3, 1, 1])
         assert inverse_motzkin_poly(0) == TPoly([1])
 
     def test_row_polynomial_coefficients_are_entries(self):
@@ -300,15 +300,15 @@ class TestLemma:
 
 class TestBanded:
     def test_k1_all_ones(self):
-        got = banded_motzkin_gf(1).expand(10).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_motzkin_gf(1).expand(10), 1).int_coeffs()
         assert got == [1] * 11
 
     def test_k2_powers_of_two(self):
-        got = banded_motzkin_gf(2).expand(10).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_motzkin_gf(2).expand(10), 1).int_coeffs()
         assert got == [1] + [2**n for n in range(10)]
 
     def test_k3_prefix(self):
-        got = banded_motzkin_gf(3).expand(7).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_motzkin_gf(3).expand(7), 1).int_coeffs()
         assert got == [1, 1, 2, 4, 9, 21, 50, 120]  # A171842
 
     def test_matches_oracle_symbolically(self):

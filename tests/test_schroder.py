@@ -46,7 +46,7 @@ from pathenum.schroder import (
     w_p_poly,
     w_series,
 )
-from conftest import banded_schroder_gf_via_s, identity
+from conftest import banded_schroder_gf_via_s, eval_omega, identity
 
 
 class TestWSeries:
@@ -76,10 +76,10 @@ class TestPPolynomials:
         assert compressed_p_poly(0) == TPoly([1])
 
     def test_compressed_two_at_weight_one(self):
-        assert compressed_p_poly(2).eval_omega(1) == TPoly([1, -3, 1])
+        assert eval_omega(compressed_p_poly(2), 1) == TPoly([1, -3, 1])
 
     def test_compressed_three_at_weight_one(self):
-        assert compressed_p_poly(3).eval_omega(1) == TPoly([1, -5, 5, -1])
+        assert eval_omega(compressed_p_poly(3), 1) == TPoly([1, -5, 5, -1])
 
     def test_constant_term_one_and_degree_bound(self):
         for w in (1, 2, 3):
@@ -163,11 +163,11 @@ class TestBandedGeneral:
             assert banded_w_gf(k, 1) == banded_motzkin_gf(k)
 
     def test_w2_k2_compressed_prefix(self):
-        got = banded_w_gf(2, 2).expand(8).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_w_gf(2, 2).expand(8), 1).int_coeffs()
         assert got[::2] == [1, 2, 5, 13, 34]
 
     def test_w2_k4_weight_one_prefix(self):
-        got = banded_w_gf(4, 2).expand(12).eval_omega(1).int_coeffs()
+        got = eval_omega(banded_w_gf(4, 2).expand(12), 1).int_coeffs()
         assert got[::2] == [1, 2, 6, 22, 89, 377, 1630]
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -185,7 +185,7 @@ class TestBandedGeneral:
 
 class TestCompressedTriangle:
     def test_display(self):
-        assert schroder_matrix_compressed(5).eval_omega(1).int_rows() == [
+        assert eval_omega(schroder_matrix_compressed(5), 1).int_rows() == [
             [1],
             [2, 1],
             [6, 4, 1],
@@ -221,7 +221,7 @@ class TestInverseSchroder:
             inverse_schroder_entry(4, 1)
 
     def test_display(self):
-        assert inverse_schroder_matrix(5).eval_omega(1).int_rows() == [
+        assert eval_omega(inverse_schroder_matrix(5), 1).int_rows() == [
             [1],
             [-2, 1],
             [2, -4, 1],
@@ -240,19 +240,19 @@ class TestInverseSchroder:
                 assert inverse_schroder_entry(k, j) == inv.rows[k][j]
 
     def test_column_zero_weight_one(self):
-        inv = inverse_schroder_matrix(5).eval_omega(1).int_rows()
+        inv = eval_omega(inverse_schroder_matrix(5), 1).int_rows()
         assert [inv[n][0] for n in range(5)] == [1, -2, 2, -2, 2]
 
 
 class TestInverseSchroderPoly:
     def test_four_at_weight_one(self):
-        assert inverse_schroder_poly(4).eval_omega(1) == TPoly([1, -8, 18, -12, 2])
+        assert eval_omega(inverse_schroder_poly(4), 1) == TPoly([1, -8, 18, -12, 2])
 
     def test_zero(self):
         assert inverse_schroder_poly(0) == TPoly([1])
 
     def test_three_at_weight_one(self):
-        assert inverse_schroder_poly(3).eval_omega(1) == TPoly([1, -6, 8, -2])
+        assert eval_omega(inverse_schroder_poly(3), 1) == TPoly([1, -6, 8, -2])
 
     def test_rows_are_band_differences_and_inverse_rows(self):
         # s_n = P_n - t P_(n-1) and the rows of the inverted triangle, symbolically
@@ -342,9 +342,9 @@ class TestDelannoy:
                 assert delannoy_number(n, n + j) == table.value(2 * n + j, j), (n, j)
 
     def test_polynomial_examples(self):
-        assert delannoy_poly(3).eval_omega(1) == TPoly([1, 5, 5, 1])
+        assert eval_omega(delannoy_poly(3), 1) == TPoly([1, 5, 5, 1])
         assert delannoy_poly(0) == TPoly([1])
-        assert delannoy_poly(4).eval_omega(1) == TPoly([1, 7, 13, 7, 1])
+        assert eval_omega(delannoy_poly(4), 1) == TPoly([1, 7, 13, 7, 1])
 
     @staticmethod
     def _assert_polynomials_match_closed_sum(omega):
@@ -404,7 +404,7 @@ class TestBandedSchroder:
         for k in range(1, 7):
             direct = banded_schroder_gf(k).expand(30)
             via_s = banded_schroder_gf_via_s(k).expand(30)
-            via_p = banded_w_gf(k, 2).expand(60).eval_omega(1).int_coeffs()[::2]
+            via_p = eval_omega(banded_w_gf(k, 2).expand(60), 1).int_coeffs()[::2]
             assert direct == via_s, k
             assert direct.int_coeffs() == via_p, k
 
@@ -418,7 +418,7 @@ class TestBandedSchroder:
     def test_matches_oracle(self):
         for k in range(1, 7):
             got = banded_schroder_gf(k).expand(20).int_coeffs()
-            want = compressed_series(0, 20, band=k).eval_omega(1).int_coeffs()
+            want = eval_omega(compressed_series(0, 20, band=k), 1).int_coeffs()
             assert got == want, k
 
 
@@ -431,14 +431,14 @@ class TestBridges:
 
     def test_hand_s1(self):
         # s_1 = d_1(-t) - t d_0(-t) = (1 - t) - t
-        s1 = inverse_schroder_poly(1).eval_omega(1)
+        s1 = eval_omega(inverse_schroder_poly(1), 1)
         assert s1 == TPoly([1, -2])
 
     def test_hand_s3_from_d(self):
-        d2 = delannoy_poly(2).eval_omega(1).at_neg_t()
-        d4 = delannoy_poly(4).eval_omega(1).at_neg_t()
+        d2 = eval_omega(delannoy_poly(2), 1).at_neg_t()
+        d4 = eval_omega(delannoy_poly(4), 1).at_neg_t()
         num = d2.shift(2) + d4
-        assert TPoly([1, -1]) * inverse_schroder_poly(3).eval_omega(1) == num
+        assert TPoly([1, -1]) * eval_omega(inverse_schroder_poly(3), 1) == num
 
     def test_remainder_raises(self, monkeypatch):
         # a planted error in d_4(-t) leaves t^2 d_2(-t) + d_4(-t) with a
@@ -455,16 +455,16 @@ class TestBridges:
 
     def test_p_to_delannoy_bridge(self):
         for k in range(26):
-            lhs = compressed_p_poly(k).eval_omega(1)
-            rhs = delannoy_poly(k).eval_omega(1).at_neg_t()
+            lhs = eval_omega(compressed_p_poly(k), 1)
+            rhs = eval_omega(delannoy_poly(k), 1).at_neg_t()
             assert lhs == rhs, k
 
 
 class TestTheorem:
     def test_k4_regular_and_principal(self):
         assert theorem_schroeder_check(4, 12)
-        s3 = inverse_schroder_poly(3).eval_omega(1)
-        s2 = inverse_schroder_poly(2).eval_omega(1)
+        s3 = eval_omega(inverse_schroder_poly(3), 1)
+        s2 = eval_omega(inverse_schroder_poly(2), 1)
         product = banded_schroder_gf(4).expand(16) * s3
         assert band_times_s(4, 12) == product
         coeffs = product.int_coeffs()
@@ -477,7 +477,7 @@ class TestTheorem:
 
     def test_k2_against_oracle(self):
         assert theorem_schroeder_check(2, 10)
-        col = compressed_series(1, 12, band=2).eval_omega(1)
+        col = eval_omega(compressed_series(1, 12, band=2), 1)
         assert [col.coeff(n).evaluate(0) for n in (1, 2, 3)] == [1, 3, 8]
 
     def test_range_of_bands(self):
@@ -585,7 +585,7 @@ class TestLift:
             assert all(isinstance(x, OmegaPoly) for x in got.coeffs), name
             assert got == oracle(order), name
             for x in range(-3, 6):
-                assert got.eval_omega(x).int_coeffs() == list(build(order, x).coeffs), (name, x)
+                assert eval_omega(got, x).int_coeffs() == list(build(order, x).coeffs), (name, x)
 
     def test_off_lattice_coefficient_raises_inexact_division(self):
         q0 = schroder._series(1, 2, 6, 0)
