@@ -23,7 +23,7 @@ from .algebra import (
     binom_general,
 )
 from .checks import CheckResult
-from .matrices import SquareMatrix, TriMatrix
+from .matrices import TriMatrix
 from .oracle import (
     BandViolation,
     CountTable,
@@ -45,7 +45,6 @@ __all__ = [
     "OmegaPoly",
     "PathSpec",
     "RationalGF",
-    "SquareMatrix",
     "TPoly",
     "TriMatrix",
     "TSeries",

@@ -455,10 +455,6 @@ class TPoly:
     def coeffs(self) -> tuple:
         return self._c
 
-    @property
-    def degree(self) -> int:
-        return len(self._c) - 1
-
     def coeff(self, n: int):
         if 0 <= n < len(self._c):
             return self._c[n]

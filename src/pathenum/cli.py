@@ -411,25 +411,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.typo_ledger and args.command:
-        print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
-        return 2
-    if not args.typo_ledger and not args.command:
-        parser.print_usage(sys.stderr)
-        return 2
-    # Values are printed in full decimal, past Python's default limit on
-    # int-to-str conversion (absent before 3.10.7), which is restored after.
+    # Int flags are read and values printed in full decimal, past Python's
+    # default limit on int-str conversion (absent before 3.10.7), which is
+    # restored after.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
+        if args.typo_ledger and args.command:
+            print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
+            return 2
+        if not args.typo_ledger and not args.command:
+            parser.print_usage(sys.stderr)
+            return 2
         if args.typo_ledger:
             return _cmd_typo_ledger()
         return globals()[f"_cmd_{args.command}"](args)
+    except SystemExit as exc:  # argparse's exit on a parse error or --help
+        return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

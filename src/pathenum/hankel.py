@@ -92,25 +92,30 @@ from .algebra import (
     _div_row,
     _one,
     _ring,
+    _scalar_rows,
     _symbolic,
     _zero,
     as_opoly,
     binom,
 )
 from .checks import CheckResult, first_mismatch
-from .matrices import SquareMatrix
 from .motzkin import inverse_motzkin_entry, motzkin_series
 
 
-def det_fraction_free(m: SquareMatrix):
-    """Exact determinant by Bareiss elimination, of the entries' kind; dimension 0 gives 1.
+def det_fraction_free(rows):
+    """Exact determinant of a square matrix's rows by Bareiss elimination; dimension 0 gives 1.
 
-    A zero pivot swaps in a lower row; with none to swap in, the determinant is zero.
+    The rows are taken as one kind of scalar (_scalar_rows: TypeError on a
+    non-scalar, OmegaPoly if any entry is one), and so is the determinant;
+    rows that do not form a square raise ValueError.  A zero pivot swaps in
+    a lower row; with none to swap in, the determinant is zero.
     """
-    n = m.n
+    rows = [list(r) for r in _scalar_rows(rows)]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
     if n == 0:
         return 1
-    rows = [list(r) for r in m.rows]
     sign = 1
     prev = None  # the previous pivot; the first step divides by nothing
     for k in range(n):
@@ -132,12 +137,9 @@ def det_fraction_free(m: SquareMatrix):
     return pivot if sign == 1 else -pivot
 
 
-def leading_minor_dets(m: SquareMatrix) -> list:
-    """Determinants of all leading principal minors (dimensions 1..n)."""
-    return [
-        det_fraction_free(SquareMatrix([r[: d + 1] for r in m.rows[: d + 1]]))
-        for d in range(m.n)
-    ]
+def leading_minor_dets(rows) -> list:
+    """Leading principal minors of n rows, d = 1..n: det of the first d entries of the first d rows."""
+    return [det_fraction_free([r[: d + 1] for r in rows[: d + 1]]) for d in range(len(rows))]
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,8 @@ def _sequence(spec: HankelSpec, omega) -> list:
     return [alpha * mu.coeff(k + shift) + beta * mu.coeff(k + shift + 1) for k in range(2 * n - 1)]
 
 
-def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
-    """The Hankel matrix of the Motzkin numbers at the weight omega for a HankelSpec.
+def hankel_matrix(spec: HankelSpec, omega=W) -> tuple:
+    """The rows, a tuple of tuples, of the Hankel matrix of a HankelSpec at the weight omega.
 
     At an integer weight, with int alpha and beta, every entry is an int, so
     Bareiss eliminates an integer matrix.
@@ -187,9 +189,9 @@ def hankel_matrix(spec: HankelSpec, omega=W) -> SquareMatrix:
     return _square(_sequence(spec, omega), spec.n)
 
 
-def _square(c: list, n: int) -> SquareMatrix:
-    """The n x n Hankel matrix (c[i+j]) of a sequence c of length at least 2n - 1."""
-    return SquareMatrix([[c[i + j] for j in range(n)] for i in range(n)])
+def _square(c: list, n: int) -> tuple:
+    """The rows of the n x n Hankel matrix (c[i+j]) of a sequence c of length at least 2n - 1."""
+    return tuple(tuple(c[i:i + n]) for i in range(n))
 
 
 def hankel_det(spec: HankelSpec, omega=W):
@@ -331,7 +333,7 @@ def hankel_closed(spec: HankelSpec, omega=W):
     rows = [[inverse_motzkin_entry(n + i, j, omega) if j <= n + i else zero for j in range(s)]
             + [beta ** (s - i) * (-1) ** (n + i) * shifted_hankel_closed(n + i, alpha, beta, omega)]
             for i in range(s + 1)]
-    return _div_exact((-1) ** (n * (s + 1)) * det_fraction_free(SquareMatrix(rows)), (-alpha) ** s)
+    return _div_exact((-1) ** (n * (s + 1)) * det_fraction_free(rows), (-alpha) ** s)
 
 
 def shifted_hankel_closed(n: int, alpha, beta, omega=W):

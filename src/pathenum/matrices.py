@@ -1,4 +1,4 @@
-"""Lower-triangular and square matrices of scalars (OmegaPoly, or int at an integer weight).
+"""Lower-triangular matrices of scalars (OmegaPoly, or int at an integer weight).
 
 A triangle's product and its inverse both sum products along a row and down a column (_row_dot).
 """
@@ -109,23 +109,3 @@ class _RowTriangle(TriMatrix):
     def stream(self):
         return self._rows()
 
-
-class SquareMatrix:
-    """Dense n x n matrix of scalars, n stored, of one kind as in TriMatrix."""
-
-    __slots__ = ("rows", "n")
-
-    def __init__(self, rows):
-        self.rows = _scalar_rows(rows)
-        self.n = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)

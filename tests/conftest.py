@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, TSeries, W
-from pathenum.matrices import SquareMatrix, TriMatrix
+from pathenum.matrices import TriMatrix
 from pathenum.oracle import BANDED, GRAND, IndexOutOfTriangle, PathSpec
 from pathenum.schroder import inverse_schroder_poly
 
@@ -38,9 +38,10 @@ def count_table_rec(spec: PathSpec, n_max: int) -> dict:
 def eval_omega(value, x: int):
     """value with the weight w set to the integer x; each OmegaPoly becomes its constant value.
 
-    An int entry stays an int.  The result is a plain TSeries, TPoly,
-    TriMatrix or SquareMatrix, named here rather than type(value): the
-    row-made _RowSeries and _RowTriangle take other constructor arguments.
+    An int entry stays an int.  The result is a plain TSeries, TPoly or
+    TriMatrix, named here rather than type(value): the row-made _RowSeries
+    and _RowTriangle take other constructor arguments.  A tuple of rows (a
+    square matrix) maps to a tuple of rows.
     """
 
     def at(e):
@@ -50,8 +51,9 @@ def eval_omega(value, x: int):
         return TSeries([at(c) for c in value.coeffs], value.order)
     if isinstance(value, TPoly):
         return TPoly([at(c) for c in value.coeffs])
-    rows = [[at(e) for e in row] for row in value.rows]
-    return TriMatrix(rows) if isinstance(value, TriMatrix) else SquareMatrix(rows)
+    if isinstance(value, TriMatrix):
+        return TriMatrix([[at(e) for e in row] for row in value.rows])
+    return tuple(tuple(map(at, row)) for row in value)
 
 
 def truncate(series: TSeries, order: int) -> TSeries:

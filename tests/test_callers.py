@@ -8,6 +8,10 @@ an ast.Attribute anywhere in the package, outside the name's own
 definition, loads it.  A method is matched by its bare name, so it counts as
 read wherever an attribute of that name is.  An import binds a name without
 reading it, so a re-export from __init__.py does not count.
+
+Since a read of a shared bare name counts for every definition of it, a
+name defined more than once is listed in SHARED, with the package line that
+reads each of its definitions.
 """
 
 import ast
@@ -47,6 +51,34 @@ KEPT = {
 }
 
 
+# Each name defined more than once: {definition: "module: a line of that module that reads it"}.
+SHARED = {
+    "coeff": {
+        "algebra.TPoly.coeff": "algebra: TSeries([self.coeff(n) for n in range(order + 1)], order)",
+        "algebra.TSeries.coeff": "hankel: alpha * mu.coeff(k + shift) + beta * mu.coeff(k + shift + 1)",
+    },
+    "coeffs": {
+        "algebra.OmegaPoly.coeffs": "algebra: return list(x.coeffs) if isinstance(x, OmegaPoly) else x",
+        "algebra.TPoly.coeffs": "algebra: _quotient(self.num.coeffs, self.den.coeffs, order)",
+        "algebra.TSeries.coeffs": "motzkin: mu = motzkin_series(2 * bound + 1).coeffs",
+    },
+    "int_coeffs": {
+        "algebra.TPoly.int_coeffs": "schroder: (d[n - 1].shift(2) + d[n + 1]).int_coeffs()",
+        "algebra.TSeries.int_coeffs": "cli: values = ts.int_coeffs()",
+    },
+    "stream": {
+        "algebra._RowSeries.stream": "cli: rows = ts.stream()",
+        # a count triangle is a TriMatrix, an inverse triangle a _RowTriangle
+        "matrices.TriMatrix.stream": "cli: rows = m.stream()",
+        "matrices._RowTriangle.stream": "cli: rows = m.stream()",
+    },
+    "_banded": {
+        "cli._banded": 'cli: "banded": ({"k": None, "family": "motzkin"}, _banded),',
+        "schroder._banded": "schroder: return _banded(a, b, k, omega).expand(order)",
+    },
+}
+
+
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, node) of each top-level def and class and each non-dunder method."""
     for node in tree.body:
@@ -71,6 +103,16 @@ def _reads(node: ast.AST) -> collections.Counter:
     return reads
 
 
+def _load_lines(tree: ast.Module, name: str) -> set:
+    """The line numbers where name is loaded, as a Name or as an attribute."""
+    return {
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(getattr(n, "ctx", None), ast.Load)
+        and name in (getattr(n, "id", None), getattr(n, "attr", None))
+    }
+
+
 def test_every_unread_name_is_kept_for_a_reason():
     everywhere = sum((_reads(tree) for tree in TREES.values()), collections.Counter())
     unread = {
@@ -82,3 +124,22 @@ def test_every_unread_name_is_kept_for_a_reason():
     extra, stale = sorted(unread - KEPT), sorted(KEPT - unread)
     assert not extra, f"no package code reads {', '.join(extra)}; move them to the tests"
     assert not stale, f"the package reads {', '.join(stale)}; drop them from KEPT"
+
+
+def test_every_shared_name_names_the_reader_of_each_definition():
+    defined = collections.defaultdict(set)
+    for module, tree in TREES.items():
+        for qualified, name, _ in _definitions(tree):
+            defined[name].add(f"{module}.{qualified}")
+    shared = {name: where for name, where in defined.items() if len(where) > 1}
+    unlisted = sorted(q for name in shared.keys() - SHARED.keys() for q in shared[name])
+    assert not unlisted, f"{', '.join(unlisted)} share a name; list each reader in SHARED"
+    assert SHARED.keys() == shared.keys(), f"defined once: {sorted(SHARED.keys() - shared.keys())}"
+    for name, readers in SHARED.items():
+        assert readers.keys() == shared[name], name
+        for definition, reader in readers.items():
+            module, _, line = reader.partition(": ")
+            source = (PACKAGE / f"{module}.py").read_text().splitlines()
+            assert any(line in source[i - 1] for i in _load_lines(TREES[module], name)), (
+                f"{reader!r} is no line of the package that reads {definition}"
+            )

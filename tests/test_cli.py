@@ -146,18 +146,28 @@ class TestSeq:
 
     def test_values_past_the_int_str_limit_print_in_full(self, capsys):
         values = eval_omega(schroder.compressed_column_gf(0, 800), 4).int_coeffs()
+        x = 10**699 + 7  # a 700-digit weight, read as a flag
         saved = sys.get_int_max_str_digits()
         try:
             want = " ".join(str(v) for v in values) + "\n"
+            want_x = f"1 {x} {1 + x * x}\n"
+            flag = str(x)
             sys.set_int_max_str_digits(640)
             code, out, err = run("seq", "schroder-compressed", "--N", "800", "--omega", "4",
                                  capsys=capsys)
+            assert sys.get_int_max_str_digits() == 640
+            code_x, out_x, err_x = run("seq", "motzkin", "--N", "2", "--omega", flag,
+                                       capsys=capsys)
+            assert sys.get_int_max_str_digits() == 640
+            code_bad, _, _ = run("seq", "motzkin", "--N", "2", "--omega", "x", capsys=capsys)
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(saved)
         assert (code, err) == (0, "")
         assert len(str(values[-1])) > 640
         assert out == want
+        assert (code_x, out_x, err_x) == (0, want_x, "")
+        assert code_bad == 2
 
 
 class TestMatrix:

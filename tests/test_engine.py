@@ -34,7 +34,7 @@ from pathenum.algebra import (
     binom,
 )
 from pathenum.hankel import HankelSpec, det_fraction_free, hankel_matrix
-from pathenum.matrices import SquareMatrix, TriMatrix
+from pathenum.matrices import TriMatrix
 from pathenum.motzkin import (
     grand_column_gf,
     inverse_motzkin_entry,
@@ -329,6 +329,8 @@ def _scalars(value):
     """Every scalar a built value holds."""
     if isinstance(value, CountTable):
         return [c for col in value._cols for c in col]
-    if isinstance(value, (SquareMatrix, TriMatrix)):
+    if isinstance(value, TriMatrix):
         return [c for row in value.rows for c in row]
+    if isinstance(value, tuple):  # the rows of a square matrix
+        return [c for row in value for c in row]
     return value.coeffs

@@ -20,13 +20,12 @@ from pathenum.hankel import (
     shifted_hankel_binomial,
     shifted_hankel_closed,
 )
-from pathenum.matrices import SquareMatrix
 from pathenum.motzkin import motzkin_series
 from conftest import eval_omega, random_opoly
 
 
-def det_cofactor(m: SquareMatrix):
-    """Determinant by cofactor expansion; exponential, for cross-checks only."""
+def det_cofactor(rows):
+    """Determinant of square rows by cofactor expansion; exponential, for cross-checks only."""
 
     def rec(rows):
         if len(rows) == 1:
@@ -42,37 +41,46 @@ def det_cofactor(m: SquareMatrix):
             sign = -sign
         return acc
 
-    if m.n == 0:
+    if not rows:
         return 1
-    return rec([list(r) for r in m.rows])
+    return rec([list(r) for r in rows])
 
 
 class TestDeterminantEngine:
     def test_identity(self):
-        m = SquareMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert det_fraction_free(m) == OP_ONE
 
     def test_rank_one(self):
-        assert det_fraction_free(SquareMatrix([[1, 2], [2, 4]])) == 0
+        assert det_fraction_free([[1, 2], [2, 4]]) == 0
 
     def test_motzkin_three(self):
-        m = SquareMatrix([[1, 1, 2], [1, 2, 4], [2, 4, 9]])
+        m = [[1, 1, 2], [1, 2, 4], [2, 4, 9]]
         assert det_fraction_free(m) == OP_ONE
 
     def test_empty_matrix_convention(self):
-        assert det_fraction_free(SquareMatrix([])) == OP_ONE
-        assert det_cofactor(SquareMatrix([])) == OP_ONE
+        assert det_fraction_free([]) == OP_ONE
+        assert det_cofactor([]) == OP_ONE
+
+    def test_mixed_rows_give_an_omegapoly(self):
+        # an int and an OmegaPoly entry: every entry is taken as an OmegaPoly
+        rows = [[0, W, 2], [1, 3, OmegaPoly([1, 1])], [2, 0, 5]]
+        det = det_fraction_free(rows)
+        assert type(det) is OmegaPoly
+        assert det == det_cofactor(rows) == 2 * W * W - 3 * W - 12
+        zero = det_fraction_free([[0, W], [0, 1]])  # no pivot in column 0
+        assert zero == 0 and type(zero) is OmegaPoly
 
     def test_zero_pivot_swap(self):
-        assert det_fraction_free(SquareMatrix([[0, 1], [1, 0]])) == OmegaPoly([-1])
-        assert det_fraction_free(SquareMatrix([[0, 0], [1, 1]])) == 0
-        m = SquareMatrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+        assert det_fraction_free([[0, 1], [1, 0]]) == OmegaPoly([-1])
+        assert det_fraction_free([[0, 0], [1, 1]]) == 0
+        m = [[0, 1, 2], [3, 0, 1], [1, 1, 0]]
         assert det_fraction_free(m) == det_cofactor(m)
 
     @pytest.mark.parametrize("zero, one", [(0, 1), (OP_ZERO, W)])
     def test_column_without_a_pivot_is_zero(self, zero, one):
         # column 0 has no nonzero entry to swap in: the determinant is the ring's zero
-        det = det_fraction_free(SquareMatrix([[zero, one], [zero, one]]))
+        det = det_fraction_free([[zero, one], [zero, one]])
         assert det == 0
         assert type(det) is type(zero)
 
@@ -82,8 +90,7 @@ class TestDeterminantEngine:
             rows = [[random_opoly(rng, max_deg=2, max_abs=4) for _ in range(n)] for _ in range(n)]
             if trial % 5 == 0 and n > 1:
                 rows[0][0] = OmegaPoly([])  # force the pivot-swap path
-            m = SquareMatrix(rows)
-            assert det_fraction_free(m) == det_cofactor(m), trial
+            assert det_fraction_free(rows) == det_cofactor(rows), trial
 
     def test_leading_minors_match_independent_dets(self, rng):
         for trial in range(20):
@@ -91,30 +98,25 @@ class TestDeterminantEngine:
             rows = [[random_opoly(rng, max_deg=2, max_abs=4) for _ in range(n)] for _ in range(n)]
             if trial % 3 == 0:
                 rows[0][0] = OmegaPoly([])  # force the swapped-rows fallback
-            m = SquareMatrix(rows)
-            got = leading_minor_dets(m)
-            want = [
-                det_cofactor(SquareMatrix([r[: d + 1] for r in m.rows[: d + 1]]))
-                for d in range(n)
-            ]
-            assert got == want
+            want = [det_cofactor([r[: d + 1] for r in rows[: d + 1]]) for d in range(n)]
+            assert leading_minor_dets(rows) == want
 
 
 class TestHankelMatrix:
     def test_plain_motzkin_three(self):
         m = eval_omega(hankel_matrix(HankelSpec(3)), 1)
-        assert [list(r) for r in m.rows] == [
+        assert [list(r) for r in m] == [
             [OmegaPoly([v]) for v in row] for row in [[1, 1, 2], [1, 2, 4], [2, 4, 9]]
         ]
 
     def test_alpha_beta_two(self):
         spec = HankelSpec(2, alpha=OmegaPoly([1]), beta=OmegaPoly([1]))
         m = eval_omega(hankel_matrix(spec), 1)
-        assert [[e.evaluate(0) for e in r] for r in m.rows] == [[2, 3], [3, 6]]
+        assert [[e.evaluate(0) for e in r] for r in m] == [[2, 3], [3, 6]]
 
     def test_shift_one_singleton(self):
         m = hankel_matrix(HankelSpec(1, shift=1))
-        assert m.rows[0][0] == W
+        assert m[0][0] == W
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -195,7 +197,7 @@ class TestRecursion:
         assert mu.coeff(2) == OP_ONE + W * W
 
     def test_hand_size_two_weight_one(self):
-        m = SquareMatrix([[2, 4], [4, 9]])
+        m = [[2, 4], [4, 9]]
         assert det_fraction_free(m) == 2
 
     def test_symbolic_up_to_ten(self):
@@ -302,7 +304,7 @@ class TestRemainderSequence:
         real = hankel.det_fraction_free
 
         def counted(m):
-            calls.append(m.n)
+            calls.append(len(m))
             return real(m)
 
         monkeypatch.setattr(hankel, "det_fraction_free", counted)
@@ -348,7 +350,7 @@ class TestRemainderSequence:
         real, seen = hankel.det_fraction_free, []
 
         def counted(m):
-            seen.append({type(e) for row in m.rows for e in row})
+            seen.append({type(e) for row in m for e in row})
             return real(m)
 
         monkeypatch.setattr(hankel, "det_fraction_free", counted)
@@ -646,7 +648,7 @@ class TestParity:
         bareiss, seen = hankel.det_fraction_free, []
 
         def typed(m):
-            seen.append({type(e) for row in m.rows for e in row})
+            seen.append({type(e) for row in m for e in row})
             return bareiss(m)
 
         monkeypatch.setattr(hankel, "det_fraction_free", typed)
