@@ -9,13 +9,14 @@ kind of scalar each:
   * TSeries       truncated power series in t, explicit truncation order
   * RationalGF    num/den pair of TPolys, expandable to a TSeries
 
-A container keeps its entries as ints when every entry is an int; if any is
-an OmegaPoly, all are coerced to OmegaPoly (_scalar_rows).  The ring
-operations are written once for both kinds: zero tests are truthiness, the
-constants 0 and 1 of a computation come from its weight or its operands
-(_zero, _one), and an exact division raises InexactDivision on a remainder
-for either kind (_div_exact, and _div_row for a whole row in one pass).
-Every isinstance test on a scalar's kind is in this module.
+A container keeps its entries as ints when every entry is an int, a bool
+as the int it equals; if any is an OmegaPoly, all are coerced to OmegaPoly
+(_scalar_rows).  The ring operations are written once for both kinds: zero
+tests are truthiness, the constants 0 and 1 of a computation come from its
+weight or its operands (_zero, _one), and an exact division raises
+InexactDivision on a remainder for either kind (_div_exact, and _div_row for
+a whole row in one pass).  Every isinstance test on a scalar's kind is in
+this module.
 
 There are no floating-point numbers and no numeric roots anywhere:
 generating functions are produced from their algebraic or recursive
@@ -275,8 +276,9 @@ def _one(*scalars):
 def _scalar_rows(rows) -> tuple:
     """rows (iterables of scalars) as tuples of one kind of scalar.
 
-    All ints stay ints; if any entry is an OmegaPoly, every entry is coerced
-    to OmegaPoly.  Anything else raises TypeError.
+    All ints stay ints, and an int subclass (a bool) counts as the int it
+    equals; if any entry is an OmegaPoly, every entry is coerced to OmegaPoly.
+    Anything else raises TypeError.
     """
     rows = tuple(tuple(row) for row in rows)
     kinds = {type(x) for row in rows for x in row}
@@ -285,6 +287,9 @@ def _scalar_rows(rows) -> tuple:
     for kind in kinds:
         if not issubclass(kind, (int, OmegaPoly)):
             raise TypeError(f"{kind.__name__} is not a scalar (int or OmegaPoly)")
+    rows = tuple(tuple(x if isinstance(x, OmegaPoly) else int(x) for x in row) for row in rows)
+    if all(issubclass(kind, int) for kind in kinds):
+        return rows
     return tuple(tuple(map(as_opoly, row)) for row in rows)
 
 

@@ -163,7 +163,7 @@ def _step(w: int) -> int:
     return w
 
 
-def _banded(n, omega, k, family, **flags):
+def _seq_banded(n, omega, k, family, **flags):
     if k is None or k < 1:
         raise UsageError("banded sequences require a band height --k >= 1")
     return _BAND[family][1](k, n, omega, **flags)
@@ -180,7 +180,7 @@ _SEQ = {
     "schroder-compressed": ({"j": 0},
                             lambda n, omega, j: schroder.compressed_column_gf(j, n, omega)),
     "delannoy": ({}, lambda n, omega: schroder.central_delannoy_series(n, omega)),
-    "banded": ({"k": None, "family": "motzkin"}, _banded),
+    "banded": ({"k": None, "family": "motzkin"}, _seq_banded),
 }
 
 # Each band family of seq banded, in the same form: its builder takes (k, order, omega).

@@ -10,7 +10,8 @@ Three modes:
 
 Each mode is one height window of the table, and a count outside it is zero.
 Every cell is computed from the step recursion, independently of all closed
-forms, so these counts can adjudicate any formula in the package.  The
+forms, so these counts can adjudicate any formula in the package; the tests
+check every cell against a second, independent recursion.  The
 weight is symbolic (W) by default and every cell is an OmegaPoly, counted as
 a coefficient tuple in w with no OmegaPoly arithmetic.  An integer weight,
 passed as omega, is bound before the first cell, so the table is counted
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from operator import add
 
 from .algebra import OP_ZERO, OmegaPoly, TSeries, W, _raw, _ring
-from .checks import CheckResult, first_mismatch
 
 GRAND = "grand"
 QUADRANT = "quadrant"
@@ -38,6 +38,14 @@ class BandViolation(ValueError):
 
 class IndexOutOfTriangle(IndexError):
     """Triangle entry requested above the diagonal."""
+
+
+def _step_length(a) -> None:
+    """Check that the horizontal step length a is an int >= 1."""
+    if not isinstance(a, int):
+        raise ValueError(f"horizontal step length must be an int, got {a!r}")
+    if a < 1:
+        raise ValueError("horizontal step length must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,11 +61,9 @@ class PathSpec:
     band: int = 0
 
     def __post_init__(self):
-        for name, value in (("horizontal step length", self.w), ("band height", self.band)):
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.w < 1:
-            raise ValueError("horizontal step length must be positive")
+        _step_length(self.w)
+        if not isinstance(self.band, int):
+            raise ValueError(f"band height must be an int, got {self.band!r}")
         if self.mode not in (GRAND, QUADRANT, BANDED):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == BANDED and self.band < 1:
@@ -114,7 +120,6 @@ class CountTable:
             raise ValueError("table size must be >= 0")
         self.spec = spec
         self.n_max = n_max
-        self.omega = omega
         zero, one = _ring(omega)
         self._zero = zero
         self._lo = -n_max if spec.mode == GRAND else 0
@@ -130,34 +135,15 @@ class CountTable:
 
         self._cols = _columns(height, -self._lo, n_max, spec.w, zero, one, column)
 
-    def _cell(self, n: int, j: int):
-        """The count at (n, j); zero outside the height window."""
-        if not self._lo <= j <= self._hi:
-            return self._zero
-        return self._cols[n][j - self._lo]
-
     def value(self, n: int, j: int):
         """Weighted count of paths from the origin to (n, j), a scalar of the weight's kind."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"x-coordinate {n} outside table range 0..{self.n_max}")
         if self.spec.mode == BANDED and not 0 <= j < self.spec.band:
             raise BandViolation(f"height {j} outside [0, {self.spec.band})")
-        return self._cell(n, j)
-
-    def recursion_holds(self) -> CheckResult:
-        """Cell-by-cell re-check of the defining step recursion."""
-        w, cell = self.spec.w, self._cell
-
-        def comparisons():
-            for n in range(1, self.n_max + 1):
-                for j in range(self._lo, self._hi + 1):
-                    want = cell(n - 1, j + 1) + cell(n - 1, j - 1)
-                    if n >= w:
-                        want = want + self.omega * cell(n - w, j)
-                    yield f"(n={n}, j={j})", cell(n, j), want
-            yield "(0, 0)", self.value(0, 0), 1
-
-        return first_mismatch(comparisons())
+        if not self._lo <= j <= self._hi:
+            return self._zero
+        return self._cols[n][j - self._lo]
 
 
 def count_paths(spec: PathSpec, n: int, j: int) -> OmegaPoly:

@@ -104,7 +104,7 @@ from .algebra import (
 from .checks import CheckResult, first_mismatch
 from .kernels import vdivexact
 from .matrices import TriMatrix, _RowTriangle
-from .oracle import QUADRANT, CountTable, IndexOutOfTriangle, PathSpec, compressed_series
+from .oracle import QUADRANT, CountTable, IndexOutOfTriangle, PathSpec, _step_length, compressed_series
 
 ONE_MINUS_T = TPoly([1, -1])
 
@@ -171,14 +171,6 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
     rows = functools.partial(_lift_rows, a, b, e, c, q0, order)
     rows()  # checks b and the lattice of q0 now, not on first read
     return _RowSeries(rows, order)
-
-
-def _step_length(a) -> None:
-    """Check that the horizontal step length a is an int >= 1."""
-    if not isinstance(a, int):
-        raise ValueError(f"horizontal step length must be an int, got {a!r}")
-    if a < 1:
-        raise ValueError("horizontal step length must be positive")
 
 
 def _disc(a: int, b: int, omega) -> tuple:

@@ -23,6 +23,7 @@ from pathenum.algebra import (
     _quotient,
     binom_general,
 )
+from pathenum.hankel import det_fraction_free
 from pathenum.matrices import TriMatrix
 from conftest import eval_omega, random_opoly, truncate
 
@@ -191,6 +192,14 @@ class TestScalarKinds:
         assert all(isinstance(c, OmegaPoly) for c in TSeries([0, W], 4).coeffs)
         with pytest.raises(TypeError):
             TPoly([Fraction(1, 2)])
+        # a bool counts as the int it equals
+        coeffs = TPoly([True, 2]).coeffs
+        assert coeffs == (1, 2) and all(type(c) is int for c in coeffs)
+        rows = TriMatrix([[True]]).int_rows()
+        assert rows == [[1]] and type(rows[0][0]) is int
+        det = det_fraction_free([[True, False], [False, True]])
+        assert det == 1 and type(det) is int
+        assert TPoly([True, W]).coeffs[0].to_json() == ["1"]
 
     def test_scalar_products_keep_the_kinds(self):
         s = TSeries([1, 2], 1)

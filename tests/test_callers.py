@@ -43,7 +43,6 @@ KEPT = {
     "schroder.compressed_p_poly",
     "schroder.banded_w_gf",
     "oracle.count_paths",
-    "oracle.CountTable.recursion_holds",
     # ROADMAP item 8: the planned `verify hankel` suite calls it
     "hankel.hankel_recursion_check",
     # ROADMAP item 8: tests read the zeros above the diagonal through it
@@ -71,10 +70,6 @@ SHARED = {
         # a count triangle is a TriMatrix, an inverse triangle a _RowTriangle
         "matrices.TriMatrix.stream": "cli: rows = m.stream()",
         "matrices._RowTriangle.stream": "cli: rows = m.stream()",
-    },
-    "_banded": {
-        "cli._banded": 'cli: "banded": ({"k": None, "family": "motzkin"}, _banded),',
-        "schroder._banded": "schroder: return _banded(a, b, k, omega).expand(order)",
     },
 }
 

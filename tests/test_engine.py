@@ -317,7 +317,6 @@ def test_builders_at_an_integer_weight_match_symbolic_builders(family, j, k, ord
         for m in range(size + 1):
             for y in _heights(path_spec, m):
                 assert table.value(m, y) == table_w.value(m, y).evaluate(x), (path_spec, m, y)
-        assert table.recursion_holds()
     det = det_fraction_free(at_x[6])
     assert type(det) is int
     assert det == det_fraction_free(symbolic[6]).evaluate(x)

@@ -215,16 +215,6 @@ def test_first_return_names_a_wrong_term(monkeypatch):
     assert_fails(motzkin.first_return_check(horizon), f"n={horizon}", lhs + 1, lhs)
 
 
-@pytest.mark.parametrize("spec", [PathSpec.grand(), PathSpec.quadrant(w=2), PathSpec.banded(3)])
-def test_count_table_names_a_wrong_cell(spec):
-    # the cell (2, 0) is first read at n = 2, as the count it checks
-    table = CountTable(spec, 5)
-    want = table.value(2, 0)
-    offset = 5 if spec.mode == "grand" else 0
-    table._cols[2][offset] = want + 1
-    assert_fails(table.recursion_holds(), "(n=2, j=0)", want + 1, want)
-
-
 def test_hankel_recursion_names_a_wrong_determinant(monkeypatch):
     # one more in the corner of the shift-2 matrix moves only its full determinant
     n = 3
