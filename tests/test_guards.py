@@ -139,6 +139,8 @@ GUARDS = [
     (lambda: schroder._grand(0, 2, 1, 4, 3), ValueError, "horizontal step length must be positive"),
     (lambda: schroder._grand(1, 1, -1, 4), ValueError, "height must be nonnegative"),
     (lambda: schroder._grand(2, 2, 1, -1, 1), ValueError, "order must be nonnegative"),
+    # PathSpec checks the step length before the band
+    (lambda: PathSpec(0, "banded", 1.5), ValueError, "horizontal step length must be positive"),
 ]
 
 

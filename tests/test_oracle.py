@@ -161,6 +161,19 @@ def test_symbolic_table_at_x_is_the_int_table(mode, w):
                     assert type(table.value(m, j)) is int
 
 
+@pytest.mark.parametrize("omega", [W, 2], ids=["W", "x=2"])
+@pytest.mark.parametrize("spec", [PathSpec.grand(), PathSpec.quadrant(w=2)], ids=str)
+def test_a_cell_outside_the_height_window_is_the_weights_zero(spec, omega):
+    # no path of length n reaches height n + 1, nor, in the quadrant, height -1
+    table = CountTable(spec, 4, omega)
+    heights = [-5, 5] if spec.mode == "grand" else [-1, 5]
+    for n in range(5):
+        for j in [*heights, n + 1]:
+            cell = table.value(n, j)
+            assert cell == 0, (n, j)
+            assert type(cell) is (OmegaPoly if omega is W else int)
+
+
 # every cell of a table at W against the step recursion in OmegaPoly
 # arithmetic; n_max runs past 40, where the largest coefficients pass 64 bits
 # (3^40 < 2^64 < 3^41)
