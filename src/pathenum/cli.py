@@ -36,8 +36,19 @@ flag checks and the dispatch all read these tables.  An entry looks its
 builder up through its module at each call, so a function replaced there
 (as a test or a tracer does) is the one that runs.
 
-The argument parser is built once per process, on first use.  It records
-the subcommand's name, and main looks up its _cmd_ function at each call.
+The argument parser is built once per process, on first use, and keeps each
+subcommand's parser by name.  It records the subcommand's name, and main
+looks up its _cmd_ function at each call.  A query whose first argument is a
+subcommand's name is parsed by that subcommand's parser alone.  The
+top-level parser would read that name, hand every later argument to the
+subcommand's parser unread (the subcommand action takes the rest of the
+line), and reject what is left over; so the result is argparse's own, and
+main parses left-over arguments again with the top-level parser for its
+"unrecognized arguments" error.  The one difference is an argument that
+begins "--=": before Python 3.13 the top-level parser rejects it as
+ambiguous between --help and --typo-ledger, while the subcommand's parser
+names its own flags; both exit 2.  Every other query goes through the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -356,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     It holds no function objects: args.command names the subcommand, and
     main looks up its _cmd_ function in this module at each call, so a
     function replaced after the first call (as a tracer does) is the one
-    that runs.
+    that runs.  The whole tree is built here, every subcommand's parser
+    included, and parser.commands maps each subcommand's name to its parser
+    for main.
     """
     parser = argparse.ArgumentParser(
         prog="pathenum",
@@ -405,11 +418,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=int, help="band height / upper index bound")
     p_ver.add_argument("--N", type=int, help="horizon / truncation order")
     add_common(p_ver, omega=False)  # the suites check symbolically in w
+    parser.commands = {"seq": p_seq, "matrix": p_mat, "hankel": p_han, "verify": p_ver}
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one query (argv, or sys.argv[1:] when None) and return its exit code.
+
+    An argv that begins with a subcommand's name is parsed by that
+    subcommand's parser alone, into a Namespace that already records the
+    command: the top-level parser would hand it every later argument unread,
+    so the result is the same.  Arguments it leaves over are parsed again by
+    the top-level parser, which exits 2 naming them.  Any other argv (no
+    command, --typo-ledger, -h, an unknown command) is parsed by the
+    top-level parser.  An argument that begins "--=" is the one exception
+    (see the module docstring).
+    """
     parser = _build_parser()
     # Int flags are read and values printed in full decimal, past Python's
     # default limit on int-str conversion (absent before 3.10.7), which is
@@ -418,7 +443,16 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(
+                argv[1:], argparse.Namespace(typo_ledger=False, command=argv[0]))
+            if extras:  # argparse's own top-level error: "unrecognized arguments: ..."
+                args = parser.parse_args(argv)
         if args.typo_ledger and args.command:
             print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
             return 2

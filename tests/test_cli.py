@@ -1,15 +1,18 @@
 """Command-line behavior: pinned outputs, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import types
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathenum import algebra, cli, motzkin, schroder
@@ -550,16 +553,122 @@ class TestLedgerAndMisc:
         assert (head, err) == (b"1 1 2 4 9 ", b"")
 
 
+# The CLI's own vocabulary, for argv that main and the top-level parser must
+# read alike: commands, the names of every family, kind and suite, every flag
+# (whole, abbreviated and in the --flag=value form), values, negative
+# numbers, "--", help, --typo-ledger after a command, and junk.  An argument
+# that begins "--=" is left out: before Python 3.13 the top-level parser calls
+# it ambiguous between --help and --typo-ledger, and the subcommand's parser
+# names its own flags instead (exit 2 either way, pinned below).
+_COMMANDS = ["seq", "matrix", "hankel", "verify"]
+_NAMES = sorted({*cli._SEQ, *cli._BAND, *cli._MATRIX, *cli._VERIFY, "all"})
+_FLAGS = ["--N", "--k", "--w", "--j", "--family", "--omega", "--format", "--n", "--alpha",
+          "--beta", "--shift", "--max", "--fam", "--om", "--form", "--al", "--sh", "--ma"]
+_VALUES = ["3", "0", "1", "2", "-1", "-2", "symbolic", "plain", "csv", "json", "motzkin"]
+_TOKENS = [*_COMMANDS, *_NAMES, *_FLAGS, *_VALUES, "--N=3", "--omega=-2", "--n=2",
+           "--format=json", "--", "-h", "--help", "--typo-ledger", "--ty", "-", "",
+           "x", "-x", "--x", "-N", "---N", "--typo-ledger=1"]
+_PIECES = st.sampled_from(_TOKENS).map(lambda t: [t]) | st.tuples(
+    st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list)
+_ARGV = st.builds(
+    lambda first, name, pieces: first + name + [t for piece in pieces for t in piece],
+    st.sampled_from(_COMMANDS).map(lambda c: [c]) | st.lists(st.sampled_from(_TOKENS), max_size=1),
+    st.lists(st.sampled_from(_NAMES), max_size=1),
+    st.lists(_PIECES, max_size=6),
+)
+
+
+def _outcome(argv):
+    """main's exit code, stdout, stderr and the Namespace of each command it ran."""
+    ran = []
+
+    def record(args=None):
+        ran.append(args)
+        return 0
+
+    out, err = io.StringIO(), io.StringIO()
+    commands = {f"_cmd_{name}": record for name in [*_COMMANDS, "typo_ledger"]}
+    with mock.patch.multiple(cli, **commands), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue(), ran
+
+
 class TestParser:
-    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
-        # cli sees an argparse whose ArgumentParser is counted
-        counted = types.SimpleNamespace(**vars(argparse))
-        builds = count_calls(monkeypatch, counted, "ArgumentParser")
-        monkeypatch.setattr(cli, "argparse", counted)
+    def test_two_calls_build_one_parser(self, monkeypatch, request, capsys):
+        # cli sees an argparse whose ArgumentParser records each parser made;
+        # the subcommands' parsers are made with type(parser), so are recorded too
+        built = []
+
+        class Recorded(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "argparse",
+                            types.SimpleNamespace(**{**vars(argparse), "ArgumentParser": Recorded}))
         cli._build_parser.cache_clear()
+        request.addfinalizer(cli._build_parser.cache_clear)
+        tree = ["pathenum", "pathenum seq", "pathenum matrix", "pathenum hankel", "pathenum verify"]
         assert run("seq", "motzkin", "--N", "3", capsys=capsys)[0] == 0
-        assert run("matrix", "motzkin", "--n", "3", capsys=capsys)[0] == 0
-        assert builds[0] == 1
+        assert built == tree  # the whole tree, on first use
+        for argv in (["matrix", "motzkin", "--n", "3"], ["hankel", "--n", "2"],
+                     ["verify", "lemma", "--max", "2"], ["seq", "motzkin", "--N", "3"], ["--typo-ledger"]):
+            assert run(*argv, capsys=capsys)[0] == 0
+        assert built == tree
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ARGV)
+    @example(["seq", "motzkin", "--N", "3", "--typo-ledger"])
+    @example(["matrix", "grand", "--n", "2", "x"])
+    @example(["verify", "all", "--", "--max", "2"])
+    @example(["hankel", "--n", "2", "--omega=-2", "-h"])
+    @example(["--typo-ledger", "seq", "motzkin", "--N", "3"])
+    @example([])
+    def test_main_parses_as_the_top_level_parser(self, argv):
+        # main parses an argv that begins with a command by that command's
+        # parser; with no command's parser to hand it parses every argv with
+        # cli._build_parser().parse_args(argv), and the two must not differ
+        got = _outcome(argv)
+        with mock.patch.dict(cli._build_parser().commands, clear=True):
+            assert _outcome(argv) == got
+
+    @pytest.mark.parametrize("arg", ["--=", "--=x", "--=3"])
+    def test_an_argument_beginning_dash_dash_equals_exits_two(self, arg, capsys):
+        # the one argument the two parses read apart before Python 3.13: both
+        # reject it, with other error lines
+        code, out, err = run("seq", "motzkin", "--N", "3", arg, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "error: ambiguous option: --=" in err
+
+    _SEQ_USAGE = (
+        "usage: pathenum seq [-h] --N N [--k K] [--w W] [--j J]\n"
+        "                    [--family {motzkin,schroder,w-path}] [--omega OMEGA]\n"
+        "                    [--format {plain,csv,json}]\n"
+        "                    {motzkin,grand-motzkin,w-path,schroder-compressed,delannoy,banded}\n"
+    )
+    _USAGE = "usage: pathenum [-h] [--typo-ledger] {seq,matrix,hankel,verify} ...\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        # a subcommand's own error names the subcommand's parser
+        (["seq", "motzkin"],
+         _SEQ_USAGE + "pathenum seq: error: the following arguments are required: --N\n"),
+        # arguments left over after a command are the top-level parser's error
+        (["seq", "motzkin", "--N", "3", "--typo-ledger"],
+         _USAGE + "pathenum: error: unrecognized arguments: --typo-ledger\n"),
+    ])
+    def test_an_argparse_error_keeps_its_parsers_text(self, argv, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+        assert run(*argv, capsys=capsys) == (2, "", err)
+
+    def test_an_unknown_command_is_the_top_level_parsers_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        # newer Pythons list the choices without quotes
+        errs = {self._USAGE + "pathenum: error: argument command: invalid choice: 'sequence' "
+                f"(choose from {choices})\n"
+                for choices in ("'seq', 'matrix', 'hankel', 'verify'", "seq, matrix, hankel, verify")}
+        code, out, err = run("sequence", "motzkin", capsys=capsys)
+        assert (code, out) == (2, "") and err in errs
 
     def test_command_replaced_after_the_first_call_is_the_one_that_runs(self, monkeypatch, capsys):
         assert run("seq", "motzkin", "--N", "3", capsys=capsys)[0] == 0
