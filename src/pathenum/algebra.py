@@ -527,10 +527,6 @@ class TPoly:
     def to_series(self, order: int) -> "TSeries":
         return TSeries([self.coeff(n) for n in range(order + 1)], order)
 
-    def int_coeffs(self) -> list:
-        """Coefficients as plain ints; requires every coefficient constant in w."""
-        return _ints(self._c)
-
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self._c) + "]"
 

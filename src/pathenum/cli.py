@@ -45,10 +45,10 @@ subcommand's parser unread (the subcommand action takes the rest of the
 line), and reject what is left over; so the result is argparse's own, and
 main parses left-over arguments again with the top-level parser for its
 "unrecognized arguments" error.  The one difference is an argument that
-begins "--=": before Python 3.13 the top-level parser rejects it as
-ambiguous between --help and --typo-ledger, while the subcommand's parser
-names its own flags; both exit 2.  Every other query goes through the
-top-level parser.
+begins "--=": the top-level parser of Python 3.10.13, 3.11.7, 3.12.1 and
+3.13.0 rejects it as ambiguous between --help and --typo-ledger, while the
+subcommand's parser names its own flags (3.13.13 reads the two alike);
+both exit 2.  Every other query goes through the top-level parser.
 """
 
 from __future__ import annotations

@@ -48,11 +48,9 @@ A = 1 - omega t^a and y = t^b / A^2.  Then mu = A^(-1) C(y), C the Catalan
 series, and P_k = A^k p_k(y) for the band continuants p_k (Flajolet,
 Discrete Math. 32 (1980)), so every series of an (a, b) family has the
 form t^e A^(-c) G(y).  Its value at w = 0 is t^e G(t^b), an int run of
-the same builder, and the lift reads G off it: the coefficient of t^n w^r
-is g_m C(c + 2m - 1 + r, r), n = e + b m + a r.  _lift_rows makes row n,
-the coefficients in w of t^n, from row n - a: one product by a small int
-and one divmod per nonzero coefficient.  At W each of these builders is
-that lift, with
+the same builder, and the lift (_lift_rows) reads G off it: the
+coefficient of t^n w^r is g_m C(c + 2m - 1 + r, r), n = e + b m + a r.
+At W each of these builders is that lift, with
 
     _series, _banded_series    e = 0,            c = 1
     _column, _grand            e = (b - 1) j,    c = j + 1
@@ -64,15 +62,13 @@ _column over t^j, lifted from the int column with its j zeros dropped.
 Every exact division, of the int runs and of the lift, keeps its
 remainder check.
 
-Both row recurrences, _lift_rows and _band_rows, check their input when
-called and return a generator that holds only the rows it reads next.  A
-lifted series (_lift) and an inverse triangle (_band_triangle) are built
-from their rows on first read, so the library sees a TSeries or TriMatrix
-and the CLI streams the same rows instead, writing each as it is made.
-A check of the input (the step b, the lattice of the int run) raises when
-the lift is asked for; a check of a row, the remainder of a division,
-raises when that row is made, and so in the CLI after the rows before it
-were written.
+Each row recurrence, _lift_rows and _band_rows, is one generator: it
+checks its input before row 0 and holds only the rows it reads next.  _lift
+and _band_triangle read row 0 at the call, so a bad input (the step b, the
+lattice of the int run, the weight) raises there.  The other rows are built
+on first read into a TSeries or TriMatrix, or streamed by the CLI as they
+are made, so a remainder raises when its row is made: in the CLI, after the
+rows before it were written.
 
 Operations marked weight-1-only implement identities that simply do not
 hold for symbolic weight; they take no weight argument at all and build
@@ -102,7 +98,6 @@ from .algebra import (
     binom_general,
 )
 from .checks import CheckResult, first_mismatch
-from .kernels import vdivexact
 from .matrices import TriMatrix, _RowTriangle
 from .oracle import QUADRANT, CountTable, IndexOutOfTriangle, PathSpec, _step_length, compressed_series
 
@@ -121,10 +116,8 @@ def _lift_rows(a: int, b: int, e: int, c: int, q0: TSeries, order: int):
     InexactDivision (a bug sentinel) when its row is made; zeros are
     skipped.  For b = 1 or 2 the factor c - 1 + r + 2m steps by 1 - 2a/b
     from one r to the next.  Row n has (n - e)//a + 1 entries and none
-    below e.  Only the last a rows are held; a consumer must not change a
-    row it is given.
-
-    The input is checked here, before any row is made: any other b raises
+    below e.  Only the last min(a, order + 1) rows are held; a consumer
+    must not change a row it is given.  Before row 0, any other b raises
     ValueError, and a nonzero q0[n] off the lattice e + b m, or below e,
     raises InexactDivision.
     """
@@ -134,13 +127,8 @@ def _lift_rows(a: int, b: int, e: int, c: int, q0: TSeries, order: int):
     for n in range(order + 1):
         if q0[n] and (n < e or (n - e) % b):
             raise InexactDivision(f"coefficient {q0[n]} of t^{n} at w = 0 is off the lattice {e} + {b}m")
-    return _lift_walk(a, b, e, c, q0, order)
-
-
-def _lift_walk(a: int, b: int, e: int, c: int, q0: tuple, order: int):
-    """The rows of _lift_rows, from its checked coefficients q0 at w = 0."""
     step = 1 - 2 * a // b
-    held = [[]] * a  # row n - a, ..., row n - 1, at index n mod a
+    held = [[]] * min(a, order + 1)  # row n - a, ..., row n - 1, at index n mod a
     for n in range(order + 1):
         row = [q0[n]] if n >= e else []
         factor = c - 1 + 2 * (n - e) // b  # c - 1 + r + 2m at r = 0
@@ -164,12 +152,10 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
 
         g_m C(c+2m-1+r, r),  where n = e + b m + a r,
 
-    made row by row by _lift_rows.  Its checks of b and of q0 raise here;
-    the series is built on first read of its coefficients, where a remainder
-    raises, and the CLI streams its rows instead (stream).
+    made row by row by _lift_rows; its checks of b and q0 raise here.
     """
     rows = functools.partial(_lift_rows, a, b, e, c, q0, order)
-    rows()  # checks b and the lattice of q0 now, not on first read
+    next(rows())  # checks b and the lattice of q0 now, not on first read
     return _RowSeries(rows, order)
 
 
@@ -228,18 +214,13 @@ def _band_rows(a: int, b: int, n: int, omega, start: int):
 
     X_0 = 1, and X_m keeps a m + 1 entries, so a top coefficient that vanishes
     at an int weight still pads it; that needs b <= 2a, and b <= a if start is 1.
-    The arguments are checked here; the X_m come from the generator returned,
-    each made as it is read, and only X_(m-1) and X_(m-2) are held.  A
-    consumer must not change a list it is given.
+    The arguments are checked before X_0; only X_(m-1) and X_(m-2) are
+    held, and a consumer must not change a list it is given.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     _step_length(a)
-    return _band_walk(a, b, n, omega, start, *_ring(omega))
-
-
-def _band_walk(a: int, b: int, n: int, omega, start: int, zero, one):
-    """The lists X_0, ..., X_n of _band_rows, from its checked arguments and omega's ring."""
+    zero, one = _ring(omega)
     below, row = [one] * start, [one]  # X_(-1), X_0
     yield row
     for _ in range(n):
@@ -324,9 +305,7 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
 def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
     """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows.
 
-    Row i is X_i reversed.  The rows are built on first read of the
-    triangle, and the CLI streams them instead, one X_i at a time
-    (TriMatrix.stream).
+    Row i is X_i reversed, built on first read or streamed (stream).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -334,7 +313,7 @@ def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
     def rows():
         return (row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start)))
 
-    rows()  # checks the arguments of _band_rows now, not on first read
+    next(rows())  # checks the arguments of _band_rows now, not on first read
     return _RowTriangle(rows, n)
 
 
@@ -499,11 +478,6 @@ def _d_neg_at1(k: int) -> TPoly:
     return delannoy_poly(k, 1).at_neg_t()
 
 
-def _s_at1(n: int) -> TPoly:
-    """s_n(t) at weight 1, n >= 0: every caller passes a nonnegative index."""
-    return inverse_schroder_poly(n, 1)
-
-
 def banded_schroder_gf(k: int) -> RationalGF:
     """Weight-1 compressed banded counts as P_(k-1)/P_k, the band that seq banded prints.
 
@@ -530,9 +504,7 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
 
     d_(-1..bound+1)(-t), the compressed band polynomials P_0..P_bound and
     s_1..s_bound are each built once; at every n, in this order:
-    1. (1-t) s_n = t^2 d_(n-1)(-t) + d_(n+1)(-t), with the division by (1-t)
-       performed exactly by kernels.vdivexact on the integer coefficients
-       (InexactDivision on remainder);
+    1. (1-t) s_n = t^2 d_(n-1)(-t) + d_(n+1)(-t), compared as products;
     2. s_n = d_n(-t) - t d_(n-1)(-t);
     3. the normalized compressed band polynomial P_n equals d_n(-t);
     4. d_(n-1)(-t) = t d_(n-1)(-t) + t d_(n-2)(-t) + d_n(-t).
@@ -544,11 +516,8 @@ def delannoy_s_bridge_check(bound: int) -> CheckResult:
 
     def comparisons():
         for n in range(1, bound + 1):
-            sn = _s_at1(n)
-            q = vdivexact((d[n - 1].shift(2) + d[n + 1]).int_coeffs(), [1, -1])
-            if q is None:
-                raise InexactDivision(f"t^2 d_{n - 1}(-t) + d_{n + 1}(-t) not divisible by 1 - t")
-            yield f"quotient identity at n={n}", TPoly(q), sn
+            sn = inverse_schroder_poly(n, 1)
+            yield f"quotient identity at n={n}", ONE_MINUS_T * sn, d[n - 1].shift(2) + d[n + 1]
             yield f"difference identity at n={n}", sn, d[n] - d[n - 1].shift(1)
             yield f"band-polynomial bridge at n={n}", p[n], d[n]
             rhs = d[n - 1].shift(1) + d[n - 2].shift(1) + d[n]
@@ -561,10 +530,10 @@ def band_times_s(k: int, order: int) -> TSeries:
     """S s_(k-1) through t^(order+k), S = banded_schroder_gf(k), the engine's band at weight 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return banded_schroder_gf(k).expand(order + k) * _s_at1(k - 1)
+    return banded_schroder_gf(k).expand(order + k) * inverse_schroder_poly(k - 1, 1)
 
 
-def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) -> CheckResult:
+def theorem_schroeder_check(k: int, order: int, product: TSeries) -> CheckResult:
     """The Laurent split of t^(-k) S s_(k-1), on the coefficients c of S s_(k-1).
 
     At weight 1 and band k >= 2, with S the compressed banded series:
@@ -572,18 +541,15 @@ def theorem_schroeder_check(k: int, order: int, product: TSeries | None = None) 
       regular part c[k + n]  =  compressed banded count of paths of length
                                 n+k-1 ending at height k-1 (oracle-checked).
     Equivalently S*s_(k-1) - s_(k-2) = sum_n count(n, k-1) t^(n+1); the
-    alignment is calibrated on the oracle.  A caller that already holds
-    band_times_s(k, order) passes it as product.
+    alignment is calibrated on the oracle.  product is band_times_s(k, order).
     """
     if k < 2:
         raise ValueError("band height must be >= 2 (no s polynomial of index -1)")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if product is None:
-        product = band_times_s(k, order)
 
     def comparisons():
-        skm2 = _s_at1(k - 2)
+        skm2 = inverse_schroder_poly(k - 2, 1)
         for m in range(k):
             yield f"principal coefficient t^{m - k} (k={k})", product.coeffs[m], skm2.coeff(m)
         col = compressed_series(k - 1, order + k - 1, band=k, omega=1)

@@ -28,6 +28,7 @@ from pathenum.motzkin import (
 )
 from pathenum.oracle import CountTable, PathSpec, compressed_series, oracle_series
 from pathenum.schroder import (
+    band_times_s,
     banded_schroder_gf,
     banded_w_gf,
     compressed_p_poly,
@@ -175,7 +176,7 @@ def test_criterion_07_theorem_schroeder():
         5508097, 24183271, 106173180,
     ]
     for k in range(2, 7):
-        assert theorem_schroeder_check(k, 40), k
+        assert theorem_schroeder_check(k, 40, band_times_s(k, 40)), k
     report(7, "principal/regular split at k=4; calibrated band-column identity k=2..6, order 40")
 
 

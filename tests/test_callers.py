@@ -61,10 +61,6 @@ SHARED = {
         "algebra.TPoly.coeffs": "algebra: _quotient(self.num.coeffs, self.den.coeffs, order)",
         "algebra.TSeries.coeffs": "motzkin: mu = motzkin_series(2 * bound + 1).coeffs",
     },
-    "int_coeffs": {
-        "algebra.TPoly.int_coeffs": "schroder: (d[n - 1].shift(2) + d[n + 1]).int_coeffs()",
-        "algebra.TSeries.int_coeffs": "cli: values = ts.int_coeffs()",
-    },
     "stream": {
         "algebra._RowSeries.stream": "cli: rows = ts.stream()",
         # a count triangle is a TriMatrix, an inverse triangle a _RowTriangle

@@ -367,16 +367,23 @@ class TestVerify:
         assert "--omega" in err
 
     @pytest.mark.parametrize(
-        "argv, module, name, bad, corrupt",
+        "argv, module, name, bad, corrupt, where",
         [
             (["lemma", "--max", "6"], "motzkin", "inverse_motzkin_entry", (3, 1),
-             lambda v: v + 1),
-            (["bridge", "--N", "6"], "schroder", "_s_at1", (4,), lambda v: v + 1),
+             lambda v: v + 1, None),
+            # the suite checks n = 1..6 in one call and names n
+            (["bridge", "--N", "6"], "schroder", "inverse_schroder_poly", (4, 1),
+             lambda v: v + 1, "at n=4:"),
+            # a wrong d_2 leaves t^2 d_0(-t) + d_2(-t) with a remainder mod 1 - t:
+            # the product (1 - t) s_1 differs from it, a FAIL line, not a raise
+            (["bridge", "--N", "4"], "schroder", "_d_neg_at1", (2,), lambda v: v + 1,
+             "quotient identity at n=1: lhs=[1, -3, 2], rhs=[2, -3, 2]"),
             (["gould", "--k", "8"], "schroder", "gould_identity_check", (5, 2),
-             lambda v: PLANTED),
+             lambda v: PLANTED, None),
         ],
     )
-    def test_failure_is_reported(self, argv, module, name, bad, corrupt, monkeypatch, capsys):
+    def test_failure_is_reported(self, argv, module, name, bad, corrupt, where, monkeypatch,
+                                 capsys):
         # a suite that loops over many checks must report its first failure
         mod = getattr(cli, module)
         real = getattr(mod, name)
@@ -390,8 +397,8 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL ")
         assert "first mismatch" in out
-        if argv[0] == "bridge":  # the suite checks n = 1..6 in one call and names n
-            assert "at n=4:" in out
+        if where:
+            assert where in out
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -557,9 +564,10 @@ class TestLedgerAndMisc:
 # read alike: commands, the names of every family, kind and suite, every flag
 # (whole, abbreviated and in the --flag=value form), values, negative
 # numbers, "--", help, --typo-ledger after a command, and junk.  An argument
-# that begins "--=" is left out: before Python 3.13 the top-level parser calls
-# it ambiguous between --help and --typo-ledger, and the subcommand's parser
-# names its own flags instead (exit 2 either way, pinned below).
+# that begins "--=" is left out: on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+# the top-level parser calls it ambiguous between --help and --typo-ledger,
+# and the subcommand's parser names its own flags instead (exit 2 either way,
+# pinned below).
 _COMMANDS = ["seq", "matrix", "hankel", "verify"]
 _NAMES = sorted({*cli._SEQ, *cli._BAND, *cli._MATRIX, *cli._VERIFY, "all"})
 _FLAGS = ["--N", "--k", "--w", "--j", "--family", "--omega", "--format", "--n", "--alpha",
@@ -635,8 +643,8 @@ class TestParser:
 
     @pytest.mark.parametrize("arg", ["--=", "--=x", "--=3"])
     def test_an_argument_beginning_dash_dash_equals_exits_two(self, arg, capsys):
-        # the one argument the two parses read apart before Python 3.13: both
-        # reject it, with other error lines
+        # the one argument the two parses read apart, on Python 3.10.13,
+        # 3.11.7, 3.12.1 and 3.13.0: both reject it, with other error lines
         code, out, err = run("seq", "motzkin", "--N", "3", arg, capsys=capsys)
         assert (code, out) == (2, "")
         assert "error: ambiguous option: --=" in err

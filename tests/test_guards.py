@@ -44,7 +44,8 @@ GUARDS = [
     (lambda: schroder.banded_schroder_gf(0), ValueError, "band height must be >= 1"),
     (lambda: banded_schroder_gf_via_s(0), ValueError, "band height must be >= 1"),
     (lambda: schroder.delannoy_recursion_check(0), ValueError, "horizon must be >= 1"),
-    (lambda: schroder.theorem_schroeder_check(2, -1), ValueError, "order must be nonnegative"),
+    (lambda: schroder.theorem_schroeder_check(2, -1, schroder.band_times_s(2, 0)), ValueError,
+     "order must be nonnegative"),
     # oracle
     (lambda: PathSpec(0, "quadrant"), ValueError, "horizontal step length must be positive"),
     (lambda: PathSpec(1, "diagonal"), ValueError, "unknown mode 'diagonal'"),
@@ -256,15 +257,17 @@ def test_delannoy_recursion_names_a_wrong_number(monkeypatch):
 
 
 def _bridge_cases():
-    d, s = schroder._d_neg_at1, schroder._s_at1
+    d = schroder._d_neg_at1
+    s1, s2 = (schroder.inverse_schroder_poly(n, 1) for n in (1, 2))
     p2 = schroder._band_polys(1, 1, 3, 1)[2]
     one = TPoly([1])
     return [
-        # s_2 is read first by the quotient identity at n = 2
-        ("_s_at1", (2,), lambda v: v + 1, "quotient identity at n=2", s(2), s(2) + 1),
+        # s_2 is read first by the quotient identity at n = 2, as the product (1 - t) s_2
+        ("inverse_schroder_poly", (2, 1), lambda v: v + 1, "quotient identity at n=2",
+         schroder.ONE_MINUS_T * (s2 + 1), d(1).shift(2) + d(3)),
         # d_1 enters the quotient identity first at n = 0, which is not checked
         ("_d_neg_at1", (1,), lambda v: v + 1, "difference identity at n=1",
-         s(1), d(1) + 1 - d(0).shift(1)),
+         s1, d(1) + 1 - d(0).shift(1)),
         # the band polynomials are read only by the bridge itself
         ("_band_polys", (1, 1, 3, 1), lambda ps: ps[:2] + [ps[2] + 1] + ps[3:],
          "band-polynomial bridge at n=2", p2 + 1, d(2)),

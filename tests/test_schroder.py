@@ -440,9 +440,10 @@ class TestBridges:
         num = d2.shift(2) + d4
         assert TPoly([1, -1]) * eval_omega(inverse_schroder_poly(3), 1) == num
 
-    def test_remainder_raises(self, monkeypatch):
+    def test_remainder_is_a_named_mismatch(self, monkeypatch):
         # a planted error in d_4(-t) leaves t^2 d_2(-t) + d_4(-t) with a
-        # remainder mod 1 - t; the bridge must raise, not report a mismatch
+        # remainder mod 1 - t; the bridge compares the product (1 - t) s_3
+        # with it and reports both sides, it does not raise
         real = schroder._d_neg_at1
 
         def planted(k):
@@ -450,8 +451,11 @@ class TestBridges:
             return d + 1 if k == 4 else d
 
         monkeypatch.setattr(schroder, "_d_neg_at1", planted)
-        with pytest.raises(InexactDivision):
-            delannoy_s_bridge_check(6)
+        result = delannoy_s_bridge_check(6)
+        assert not result
+        lhs = TPoly([1, -1]) * inverse_schroder_poly(3, 1)
+        rhs = real(2).shift(2) + real(4) + 1
+        assert result.detail == f"first mismatch at quotient identity at n=3: lhs={lhs}, rhs={rhs}"
 
     def test_p_to_delannoy_bridge(self):
         for k in range(26):
@@ -462,7 +466,7 @@ class TestBridges:
 
 class TestTheorem:
     def test_k4_regular_and_principal(self):
-        assert theorem_schroeder_check(4, 12)
+        assert theorem_schroeder_check(4, 12, band_times_s(4, 12))
         s3 = eval_omega(inverse_schroder_poly(3), 1)
         s2 = eval_omega(inverse_schroder_poly(2), 1)
         product = banded_schroder_gf(4).expand(16) * s3
@@ -476,26 +480,26 @@ class TestTheorem:
         assert not (product - s2).coeff(0)
 
     def test_k2_against_oracle(self):
-        assert theorem_schroeder_check(2, 10)
+        assert theorem_schroeder_check(2, 10, band_times_s(2, 10))
         col = eval_omega(compressed_series(1, 12, band=2), 1)
         assert [col.coeff(n).evaluate(0) for n in (1, 2, 3)] == [1, 3, 8]
 
     def test_range_of_bands(self):
         for k in range(2, 7):
-            assert theorem_schroeder_check(k, 25), k
+            assert theorem_schroeder_check(k, 25, band_times_s(k, 25)), k
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
-            theorem_schroeder_check(1, 5)
+            theorem_schroeder_check(1, 5, band_times_s(1, 5))
 
     def test_principal_mismatch_is_named(self, monkeypatch):
-        real = schroder._s_at1
+        real = schroder.inverse_schroder_poly
 
-        def perturbed(n):  # s_2 = 1 - 4t + 2t^2 becomes 1 - 3t + 2t^2
-            return real(n) + TPoly([0, 1]) if n == 2 else real(n)
+        def perturbed(n, omega=W):  # s_2 = 1 - 4t + 2t^2 becomes 1 - 3t + 2t^2 at weight 1
+            return real(n, omega) + TPoly([0, 1]) if (n, omega) == (2, 1) else real(n, omega)
 
-        monkeypatch.setattr(schroder, "_s_at1", perturbed)
-        result = theorem_schroeder_check(4, 12)
+        monkeypatch.setattr(schroder, "inverse_schroder_poly", perturbed)
+        result = theorem_schroeder_check(4, 12, band_times_s(4, 12))
         assert not result
         assert "principal coefficient t^-3 (k=4)" in result.detail
         assert "lhs=-4, rhs=-3" in result.detail
@@ -510,7 +514,7 @@ class TestTheorem:
             return TSeries(coeffs, col.order)
 
         monkeypatch.setattr(schroder, "compressed_series", changed)
-        result = theorem_schroeder_check(4, 12)
+        result = theorem_schroeder_check(4, 12, band_times_s(4, 12))
         assert not result
         assert "regular coefficient t^2 (k=4)" in result.detail
         assert "lhs=36, rhs=37" in result.detail
@@ -598,7 +602,7 @@ class TestLift:
 
     def test_planted_binomial_step_raises_inexact_division(self, monkeypatch):
         # g C(s+r, r) = g C(s+r-1, r-1) (s+r) / r; a +1 on the product leaves
-        # a remainder at the first r >= 2.  _lift_walk divides by the builtin
+        # a remainder at the first r >= 2.  _lift_rows divides by the builtin
         # divmod, so the plant shadows that name in the module; the remainder
         # raises when its row is made, on first read of the series.
         q0 = schroder._series(1, 2, 10, 0)

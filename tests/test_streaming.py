@@ -4,7 +4,7 @@ At W every seq family and both inverse triangles are written one row at a
 time, as the row recurrences make them.  These tests check that the bytes
 equal the text of the materialized library object, that the lift's rows are
 the closed-form binomial coefficients, that an error after the first write
-keeps its exit code and leaves exactly the rows written, and that two large
+keeps its exit code and leaves exactly the rows written, and that three
 queries run in a fixed address space.
 """
 
@@ -122,7 +122,7 @@ class TestLiftRows:
         a, b = lattice
         g = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1))
         q0 = [g[m] if n == e + b * m else 0 for n in range(order + 1) for m in [max(n - e, 0) // b]]
-        rows = list(schroder._lift_rows(a, b, e, c, TSeries(q0, order), order))
+        rows = list(schroder._lift(a, b, e, c, TSeries(q0, order), order).stream())
         assert len(rows) == order + 1
         for n, row in enumerate(rows):
             assert len(row) == ((n - e) // a + 1 if n >= e else 0)
@@ -133,17 +133,20 @@ class TestLiftRows:
     def test_only_b_one_or_two_and_checked_on_call(self):
         # the checks of the input raise when the lift is asked for, not on first read
         with pytest.raises(ValueError, match="the lift needs b = 1 or 2, got 3"):
-            schroder._lift_rows(1, 3, 0, 1, TSeries([1]), 0)
-        with pytest.raises(ValueError, match="the lift needs b = 1 or 2, got 3"):
             schroder._lift(1, 3, 0, 1, TSeries([1]), 0)
         with pytest.raises(InexactDivision, match="off the lattice"):
-            schroder._lift_rows(1, 2, 0, 1, TSeries([0, 1]), 1)
+            schroder._lift(1, 2, 0, 1, TSeries([0, 1]), 1)
 
     def test_band_rows_checked_on_call(self):
-        with pytest.raises(ValueError, match="neither W nor an int"):
-            schroder._band_rows(1, 1, 2, "w", 0)
+        # weight, index and step are checked when the triangle or polynomials are asked for
         with pytest.raises(ValueError, match="neither W nor an int"):
             schroder._band_triangle(1, 1, 2, "w")
+        with pytest.raises(ValueError, match="neither W nor an int"):
+            schroder._band_polys(1, 1, 2, "w")
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            schroder._band_polys(1, 1, -1, W)
+        with pytest.raises(ValueError, match="step length"):
+            schroder._band_triangle(0, 1, 2, W)
 
     def test_shift_down_reads_a_row_built_series_whole(self):
         # the inherited TSeries.shift_down reads every row and checks the dropped ones at the call
@@ -245,13 +248,17 @@ CAPPED = [
      "f01241d569a44c7dce9639ccdbb6098916262f333cff8f2030ad5ff854a1e263"),
     (["matrix", "motzkin-inverse", "--n", "200"], 33_595_432,
      "364fe102a08141519025042f2a484b5c75b3dc96abf48c1662a9c247f18c07a6"),
+    # the lift holds at most order + 1 rows, however long the step
+    (["seq", "w-path", "--w", "1000000000", "--N", "3"], 11,
+     "cda6a2e499f23200fa297b03620f856845384b76750005f676c10696efec1e0b"),
 ]
 
 
 @pytest.mark.parametrize("argv, size, digest", CAPPED, ids=[" ".join(c[0]) for c in CAPPED])
 def test_streamed_output_fits_in_100_mb(argv, size, digest):
     # the child caps its own address space; building the whole object and
-    # its text before writing needs more than this cap for both queries
+    # its text before writing needs more than this cap for the first two
+    # queries, and holding one lift row per unit of the step w for the third
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
