@@ -11,23 +11,26 @@ computed over Z on int scalars, not over Z[w].  seq and verify reject any
 flag the chosen family or suite does not read, and verify rejects a bound
 below its suite's domain.  Exit codes: 0 success, 1 a mathematical
 disagreement was detected, or an internal check failed (an inexact
-division, with a traceback; since output at W is streamed, part of it may
-have been written), 2 usage error or a request too large for the
+division, with a traceback; since output is streamed, part of it may have
+been written), 2 usage error or a request too large for the
 available memory (one error line, no traceback; if memory ran out after
 part of the output was written, the line says that the output is partial),
 141 the reader closed standard output before it was written.  All output is
 deterministic and large integers are printed in full decimal.
 
 One writer (_write) writes every seq and matrix answer, behind _emit_series
-and _emit_matrix.  At W a seq family's series and an inverse triangle are
-made row by row (their stream methods), and each coefficient or row is
+and _emit_matrix, a coefficient or a row at a time at every weight; the
+weight picks only the text of each, and at an int weight _ints checks each
+row of a triangle.  A seq family's series at W and an inverse triangle at
+every weight are made row by row (stream), and each coefficient or row is
 written as soon as it is made, so the command holds a few rows, not the
-object and its text.  The count triangles are built whole and written a row
-at a time; at an int weight a series or a triangle is built whole and
-written as one text.  The bytes are those of the whole object.  A plain or
-csv row is its value texts joined by one separator (_sep): no value text
-needs the csv quoting that verify and hankel use (_csv_line).  JSON is
-{"coeffs":[...],"order":N} or {"n":N,"rows":[...]}, keys sorted (_dump_json).
+object and its text.  A count triangle's table is built whole and its rows
+are read off it; an int-weight series is built whole, as ints.  The bytes
+are those of the whole object.  A plain or csv row is its value texts
+joined by one separator (_sep): no value text needs the csv quoting that
+verify and hankel use (_csv_line).  JSON is {"coeffs":[...],"order":N} for
+a series at W, {"order":N,"values":[...]} for one at an int weight, and
+{"n":N,"rows":[...]} for a triangle, keys sorted (_dump_json).
 
 Each seq family, band family, matrix kind and verify suite is declared
 once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
@@ -62,9 +65,9 @@ import os
 import sys
 
 from . import discrepancies, hankel, motzkin, schroder
-from .algebra import W, TSeries, _w_json, _w_text
+from .algebra import W, TSeries, _ints, _w_json, _w_text
 from .checks import PASS
-from .matrices import TriMatrix
+from .matrices import _RowTriangle
 
 
 class UsageError(Exception):
@@ -130,42 +133,35 @@ def _joined(head: str, texts, sep: str, tail: str):
 
 
 def _emit_series(ts: TSeries, omega, fmt: str) -> None:
-    """Write the series: at an int weight as one line, at W one coefficient at a time.
+    """Write the series one coefficient at a time.
 
     At W every seq builder returns a lifted series, made row by row, and its
     rows are written as stream() makes them; the series itself is never built.
     """
-    if isinstance(omega, int):
-        values = ts.int_coeffs()  # raises if the weight was not bound in the builder
-        if fmt == "json":
-            _write((_dump_json({"order": ts.order, "values": values}), "\n"))
-        else:
-            _write((_sep(omega, fmt).join(map(str, values)), "\n"))
-        return
-    rows = ts.stream()  # each coefficient as its coefficient list in w
-    if fmt == "json":  # {"coeffs":[["1"],["0","1"],...],"order":N}: w-coefficients as strings
-        _write(_joined('{"coeffs":[', (_dump_json(_w_json(r)) for r in rows), ",",
-                       f'],"order":{ts.order}}}\n'))
+    if isinstance(omega, int):  # JSON {"order":N,"values":[1,...]}
+        texts = map(str, ts.int_coeffs())  # raises if the weight was not bound in the builder
+        head, tail = f'{{"order":{ts.order},"values":[', "]}\n"
+    else:  # JSON {"coeffs":[["1"],["0","1"],...],"order":N}: w-coefficients as strings
+        rows = ts.stream()  # each coefficient as its coefficient list in w
+        texts = map(_dump_json, map(_w_json, rows)) if fmt == "json" else map(_w_text, rows)
+        head, tail = '{"coeffs":[', f'],"order":{ts.order}}}\n'
+    if fmt == "json":
+        _write(_joined(head, texts, ",", tail))
     else:
-        _write(_joined("", map(_w_text, rows), _sep(omega, fmt), "\n"))
+        _write(_joined("", texts, _sep(omega, fmt), "\n"))
 
 
-def _emit_matrix(m: TriMatrix, omega, fmt: str) -> None:
-    """Write the triangle: at an int weight as one text, at W one row at a time."""
-    sep = _sep(omega, fmt)
-    if isinstance(omega, int):
-        rows = m.int_rows()  # raises likewise
-        if fmt == "json":
-            _write((_dump_json({"n": m.n, "rows": rows}), "\n"))
-        else:
-            _write(("\n".join(sep.join(map(str, row)) for row in rows), "\n"))
-        return
+def _emit_matrix(m: _RowTriangle, omega, fmt: str) -> None:
+    """Write the triangle one row at a time, as stream() makes it."""
     rows = m.stream()
-    if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
+    if isinstance(omega, int):
+        rows = map(_ints, rows)  # raises if the weight was not bound in the builder
+    elif fmt == "json":
         rows = ([e.to_json() for e in row] for row in rows)
+    if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
         _write(_joined(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n"))
     else:
-        _write(sep.join(map(str, row)) + "\n" for row in rows)
+        _write(_sep(omega, fmt).join(map(str, row)) + "\n" for row in rows)
 
 
 def _step(w: int) -> int:

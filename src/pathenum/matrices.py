@@ -1,11 +1,12 @@
 """Lower-triangular matrices of scalars (OmegaPoly, or int at an integer weight).
 
 A triangle's product and its inverse both sum products along a row and down a column (_row_dot).
+Every builder's triangle is a _RowTriangle, whose rows the CLI writes as stream() makes them.
 """
 
 from __future__ import annotations
 
-from .algebra import _ints, _one, _scalar_rows, _zero
+from .algebra import _one, _scalar_rows, _zero
 
 
 def _corner(rows) -> tuple:
@@ -76,22 +77,14 @@ class TriMatrix:
                         for j in range(i)] + [one])
         return TriMatrix(inv)
 
-    def int_rows(self) -> list:
-        """Rows as plain ints; requires every entry constant in w."""
-        return [_ints(row) for row in self.rows]
-
-    def stream(self):
-        """The rows, one at a time."""
-        return iter(self.rows)
-
 
 class _RowTriangle(TriMatrix):
     """An n x n triangle made row by row, its rows built on first read.
 
     rows() yields, afresh at each call, rows 0..n-1.  stream() hands them
-    to a caller that writes each one as it comes (the CLI), so that caller
-    never holds the triangle; any read of rows runs rows() once and keeps
-    its rows, so every other caller sees a plain TriMatrix.
+    to a caller that writes each as it comes (the CLI), which never holds
+    the triangle; a read of rows runs rows() once and keeps the rows, which
+    stream() then hands out, so every other caller sees a plain TriMatrix.
     """
 
     __slots__ = ("_rows",)
@@ -104,6 +97,7 @@ class _RowTriangle(TriMatrix):
         if name != "rows":
             raise AttributeError(name)
         self.rows = TriMatrix(self._rows()).rows
+        self._rows = self.rows.__iter__  # frees what the rows were read off (a count table)
         return self.rows
 
     def stream(self):

@@ -119,7 +119,7 @@ def inverse_motzkin_matrix(n: int, omega=W) -> TriMatrix:
     substitution and the closed-form entries inverse_motzkin_entry are the
     cross-checks.
     """
-    return _band_triangle(1, 2, n, omega)
+    return _band_triangle(2, n, omega)
 
 
 def inverse_motzkin_poly(k: int) -> TPoly:

@@ -33,10 +33,11 @@ t^(-k) S s_(k-1)) also live here.
 The engine checks its own parameters, each where it is used, with
 ValueError: the step length, an int a >= 1, in _disc and _band_rows,
 the index n >= 0 in _band_rows, the height j >= 0 and the order >= 0 in
-_column and _grand, and the band height k >= 1 in _banded.  The family
-builders below are bare calls into it, so a direct caller of the engine
-gets the same checks as a caller of a builder.  The exponent b is not
-checked: every caller passes the constant 1 or 2.
+_column and _grand, and the band height k >= 1 in _banded; at an int weight
+_column, _grand and _banded_series check a step, then cut it (_cut_step).
+The family builders below are bare calls into it, so a direct caller of
+the engine gets the same checks as a caller of a builder.  The exponent b
+is not checked: every caller passes the constant 1 or 2.
 
 The engine and the builders behind the CLI's seq and matrix take the
 weight as their last argument omega, the symbolic W by default.  The
@@ -159,6 +160,12 @@ def _lift(a: int, b: int, e: int, c: int, q0: TSeries, order: int) -> TSeries:
     return _RowSeries(rows, order)
 
 
+def _cut_step(a: int, top: int) -> int:
+    """The step length a, checked, cut to top + 1: no coefficient to t^top reads a longer step."""
+    _step_length(a)
+    return min(a, top + 1)
+
+
 def _disc(a: int, b: int, omega) -> tuple:
     """The terms (i, D_i) of D - 1 = -2 omega t^a + omega^2 t^(2a) - 4 t^b at an int weight.
 
@@ -252,6 +259,7 @@ def _column(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
         raise ValueError("order must be nonnegative")
     if _symbolic(omega):
         return _lift(a, b, (b - 1) * j, j + 1, _column(a, b, j, order, 0), order)
+    a = _cut_step(a, order + j)
     mu = _series(a, b, order + j, omega)
     if not j:
         return mu  # P_0 = 1, P_(-1) = 0
@@ -275,6 +283,7 @@ def _grand(a: int, b: int, j: int, order: int, omega=W) -> TSeries:
         raise ValueError("order must be nonnegative")
     if _symbolic(omega):
         return _lift(a, b, (b - 1) * j, j + 1, _grand(a, b, j, order, 0), order)
+    a = _cut_step(a, order + j)
     g = _disc_walk(_disc(a, b, omega), 1, 0, {}, [1], order + j)
     if not j:
         return TSeries(g, order)
@@ -299,11 +308,11 @@ def _banded_series(a: int, b: int, k: int, order: int, omega=W) -> TSeries:
     """
     if _symbolic(omega):
         return _lift(a, b, 0, 1, _banded_series(a, b, k, order, 0), order)
-    return _banded(a, b, k, omega).expand(order)
+    return _banded(_cut_step(a, max(order, 0)), b, k, omega).expand(order)
 
 
-def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
-    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows.
+def _band_triangle(b: int, n: int, omega, start: int = 0) -> _RowTriangle:
+    """n x n triangle whose entry (i, j) is the coefficient of t^(i-j) in X_i of _band_rows, a = 1.
 
     Row i is X_i reversed, built on first read or streamed (stream).
     """
@@ -311,25 +320,25 @@ def _band_triangle(a: int, b: int, n: int, omega, start: int = 0) -> TriMatrix:
         raise ValueError("dimension must be >= 1")
 
     def rows():
-        return (row[i::-1] for i, row in enumerate(_band_rows(a, b, n - 1, omega, start)))
+        return (row[::-1] for row in _band_rows(1, b, n - 1, omega, start))
 
     next(rows())  # checks the arguments of _band_rows now, not on first read
     return _RowTriangle(rows, n)
 
 
-def _count_triangle(spec: PathSpec, n: int, omega=W) -> TriMatrix:
+def _count_triangle(spec: PathSpec, n: int, omega=W) -> _RowTriangle:
     """n x n oracle triangle; entry (i, j) counts paths to (w i - (w-1) j, j).
 
     That is the point (i, j) for w = 1 and the compressed entry for w = 2.
-    No path to an entry rises to height n, so a quadrant spec is counted in that band.
+    No path to an entry rises to height n, so a quadrant spec is counted in
+    that band.  The table is built at the call; rows are read off it as _band_triangle's are.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     w = spec.w
     table = CountTable(PathSpec.banded(n, w) if spec.mode == QUADRANT else spec, w * (n - 1), omega)
-    return TriMatrix(
-        [[table.value(w * i - (w - 1) * j, j) for j in range(i + 1)] for i in range(n)]
-    )
+    return _RowTriangle(
+        lambda: ([table.value(w * i - (w - 1) * j, j) for j in range(i + 1)] for i in range(n)), n)
 
 
 def w_series(w: int, order: int) -> TSeries:
@@ -422,7 +431,7 @@ def inverse_schroder_matrix(n: int, omega=W) -> TriMatrix:
     t^(i-j).  Inverting schroder_matrix_compressed by forward substitution
     and the closed-form entries inverse_schroder_entry are the cross-checks.
     """
-    return _band_triangle(1, 1, n, omega, 1)
+    return _band_triangle(1, n, omega, 1)
 
 
 def inverse_schroder_column_gf(k: int, order: int) -> TSeries:

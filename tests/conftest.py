@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, TSeries, W
+from pathenum.algebra import OP_ONE, OP_ZERO, OmegaPoly, RationalGF, TPoly, TSeries, W, _ints
 from pathenum.matrices import TriMatrix
 from pathenum.oracle import BANDED, GRAND, IndexOutOfTriangle, PathSpec
 from pathenum.schroder import inverse_schroder_poly
@@ -16,6 +16,11 @@ def random_opoly(rng: random.Random, max_deg: int = 4, max_abs: int = 9) -> Omeg
 def identity(n: int) -> TriMatrix:
     """The n x n identity, as an int TriMatrix (equal to its OmegaPoly form)."""
     return TriMatrix([[1 if j == i else 0 for j in range(i + 1)] for i in range(n)])
+
+
+def as_int_rows(m: TriMatrix) -> list:
+    """The rows of m as plain ints; ValueError for an entry that still depends on w."""
+    return [_ints(row) for row in m.rows]
 
 
 def count_table_rec(spec: PathSpec, n_max: int) -> dict:

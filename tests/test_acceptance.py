@@ -44,7 +44,9 @@ from pathenum.schroder import (
     theorem_schroeder_check,
     w_series,
 )
-from conftest import banded_schroder_gf_via_s, eval_omega, identity, inverse_motzkin_entry_rec
+from conftest import (
+    as_int_rows, banded_schroder_gf_via_s, eval_omega, identity, inverse_motzkin_entry_rec,
+)
 
 
 def report(n, text):
@@ -66,7 +68,7 @@ def test_criterion_01_motzkin_sequence():
 
 
 def test_criterion_02_inverse_motzkin():
-    assert eval_omega(inverse_motzkin_matrix(5), 1).int_rows() == [
+    assert as_int_rows(eval_omega(inverse_motzkin_matrix(5), 1)) == [
         [1],
         [-1, 1],
         [0, -2, 1],
@@ -123,14 +125,14 @@ def test_criterion_04_hankel():
 
 
 def test_criterion_05_compressed_schroder():
-    assert eval_omega(schroder_matrix_compressed(5), 1).int_rows() == [
+    assert as_int_rows(eval_omega(schroder_matrix_compressed(5), 1)) == [
         [1],
         [2, 1],
         [6, 4, 1],
         [22, 16, 6, 1],
         [90, 68, 30, 8, 1],
     ]
-    assert eval_omega(inverse_schroder_matrix(5), 1).int_rows() == [
+    assert as_int_rows(eval_omega(inverse_schroder_matrix(5), 1)) == [
         [1],
         [-2, 1],
         [2, -4, 1],

@@ -25,7 +25,7 @@ from pathenum.algebra import (
 )
 from pathenum.hankel import det_fraction_free
 from pathenum.matrices import TriMatrix
-from conftest import eval_omega, random_opoly, truncate
+from conftest import as_int_rows, eval_omega, random_opoly, truncate
 
 opolys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(OmegaPoly)
 
@@ -195,7 +195,7 @@ class TestScalarKinds:
         # a bool counts as the int it equals
         coeffs = TPoly([True, 2]).coeffs
         assert coeffs == (1, 2) and all(type(c) is int for c in coeffs)
-        rows = TriMatrix([[True]]).int_rows()
+        rows = as_int_rows(TriMatrix([[True]]))
         assert rows == [[1]] and type(rows[0][0]) is int
         det = det_fraction_free([[True, False], [False, True]])
         assert det == 1 and type(det) is int

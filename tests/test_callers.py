@@ -63,8 +63,6 @@ SHARED = {
     },
     "stream": {
         "algebra._RowSeries.stream": "cli: rows = ts.stream()",
-        # a count triangle is a TriMatrix, an inverse triangle a _RowTriangle
-        "matrices.TriMatrix.stream": "cli: rows = m.stream()",
         "matrices._RowTriangle.stream": "cli: rows = m.stream()",
     },
 }

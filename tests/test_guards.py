@@ -142,6 +142,13 @@ GUARDS = [
     (lambda: schroder._grand(2, 2, 1, -1, 1), ValueError, "order must be nonnegative"),
     # PathSpec checks the step length before the band
     (lambda: PathSpec(0, "banded", 1.5), ValueError, "horizontal step length must be positive"),
+    # a step is checked before it is cut to the order: no min(1.5, 1) = 1
+    (lambda: schroder.w_column_gf(0, 1.5, 0), ValueError,
+     "horizontal step length must be an int, got 1.5"),
+    (lambda: schroder.banded_w_series(1, 1.5, 0), ValueError,
+     "horizontal step length must be an int, got 1.5"),
+    # and a negative order is not cut to a step of 0: the expansion names the order
+    (lambda: schroder.banded_w_series(1, 2, -1, 1), ValueError, "truncation order must be >= 0"),
 ]
 
 

@@ -27,6 +27,7 @@ from pathenum.schroder import (
     banded_schroder_gf,
     banded_schroder_series,
     banded_w_gf,
+    banded_w_series,
     central_delannoy_series,
     compressed_column_gf,
     compressed_p_poly,
@@ -46,7 +47,7 @@ from pathenum.schroder import (
     w_p_poly,
     w_series,
 )
-from conftest import banded_schroder_gf_via_s, eval_omega, identity
+from conftest import as_int_rows, banded_schroder_gf_via_s, eval_omega, identity
 
 
 class TestWSeries:
@@ -156,6 +157,20 @@ class TestColumnGenerating:
             for j in range(2, 5):
                 assert t * cols[j] == step * cols[j - 1] - t * cols[j - 2], (w, j)
 
+    @pytest.mark.parametrize("omega", [W, 1, -2])
+    def test_a_step_longer_than_the_order_is_cut(self, omega):
+        # the engine cuts the step to the order, the oracle counts with the step itself;
+        # that the cut saves the memory of a step of 10^9 is checked in test_streaming
+        w, order = 10**5, 6
+        for j in range(3):
+            want = oracle_series(PathSpec.quadrant(w), j, order, omega)
+            assert w_column_gf(j, w, order, omega) == want, j
+            assert schroder._grand(w, 2, j, order, omega) == oracle_series(
+                PathSpec.grand(w), j, order, omega), j
+        for k in range(1, 4):
+            want = oracle_series(PathSpec.banded(k, w), 0, order, omega)
+            assert banded_w_series(k, w, order, omega) == want, k
+
 
 class TestBandedGeneral:
     def test_w1_reduces_to_motzkin_band(self):
@@ -185,7 +200,7 @@ class TestBandedGeneral:
 
 class TestCompressedTriangle:
     def test_display(self):
-        assert eval_omega(schroder_matrix_compressed(5), 1).int_rows() == [
+        assert as_int_rows(eval_omega(schroder_matrix_compressed(5), 1)) == [
             [1],
             [2, 1],
             [6, 4, 1],
@@ -221,7 +236,7 @@ class TestInverseSchroder:
             inverse_schroder_entry(4, 1)
 
     def test_display(self):
-        assert eval_omega(inverse_schroder_matrix(5), 1).int_rows() == [
+        assert as_int_rows(eval_omega(inverse_schroder_matrix(5), 1)) == [
             [1],
             [-2, 1],
             [2, -4, 1],
@@ -240,7 +255,7 @@ class TestInverseSchroder:
                 assert inverse_schroder_entry(k, j) == inv.rows[k][j]
 
     def test_column_zero_weight_one(self):
-        inv = eval_omega(inverse_schroder_matrix(5), 1).int_rows()
+        inv = as_int_rows(eval_omega(inverse_schroder_matrix(5), 1))
         assert [inv[n][0] for n in range(5)] == [1, -2, 2, -2, 2]
 
 

@@ -1,15 +1,18 @@
-"""Symbolic output streamed row by row: the lift's rows, the one writer, errors mid-stream, memory.
+"""Output streamed row by row: the lift's rows, the one writer, errors mid-stream, memory.
 
-At W every seq family and both inverse triangles are written one row at a
-time, as the row recurrences make them.  These tests check that the bytes
-equal the text of the materialized library object, that the lift's rows are
-the closed-form binomial coefficients, that an error after the first write
-keeps its exit code and leaves exactly the rows written, and that three
-queries run in a fixed address space.
+Every seq answer is written one coefficient at a time and every triangle
+one row at a time, at W and at an int weight; at W the series and the
+inverse triangles are written as the row recurrences make them.  These
+tests check that the bytes equal the text of the materialized library
+object (at an int weight, of the W object evaluated there), that the
+lift's rows are the closed-form binomial coefficients, that an error after
+the first write keeps its exit code and leaves exactly the rows written,
+and that the queries of CAPPED run in a fixed address space.
 """
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +21,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from pathenum import cli, motzkin, schroder
 from pathenum.algebra import InexactDivision, TSeries, W, _RowSeries
 from pathenum.matrices import _RowTriangle
+from conftest import as_int_rows, eval_omega
 
 FORMATS = ("plain", "csv", "json")
 FLAG_RANGE = {"j": (0, 3), "k": (1, 6), "w": (1, 3)}
@@ -105,9 +110,38 @@ class TestDifferential:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_count_triangle(self, fmt):
-        # count triangles stay materialized; the writer still writes them row by row
+        # a count triangle's table is built whole at the call; its rows are read off it as written
         rows = motzkin.grand_matrix(5).rows
         assert run_cli(["matrix", "grand", "--n", "5", "--format", fmt]) == (0, matrix_text(rows, fmt))
+
+    def test_a_read_count_triangle_keeps_its_rows_not_its_table(self, monkeypatch):
+        # once its rows are read, stream() hands them out and the table is freed
+        tables, real = [], schroder.CountTable
+
+        def recorded(*args):
+            table = real(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(schroder, "CountTable", recorded)
+        triangle = motzkin.grand_matrix(5)
+        rows = triangle.rows
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None
+        assert tuple(triangle.stream()) == rows
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(sorted(cli._MATRIX)), n=st.integers(1, 12), omega=st.integers(-3, 3),
+           fmt=st.sampled_from(FORMATS))
+    def test_triangle_at_an_int_weight(self, kind, n, omega, fmt):
+        # the bytes at an int weight are the text of the W triangle evaluated there
+        rows = as_int_rows(eval_omega(cli._MATRIX[kind](n, W), omega))
+        if fmt == "json":
+            want = canonical_json({"n": n, "rows": rows})
+        else:
+            want = csv_text(rows) if fmt == "csv" else "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        argv = ["matrix", kind, "--n", str(n), "--omega", str(omega), "--format", fmt]
+        assert run_cli(argv) == (0, want)
 
 
 LATTICES = [(1, 2), (1, 1), (2, 2), (3, 2), (4, 2)]
@@ -138,15 +172,13 @@ class TestLiftRows:
             schroder._lift(1, 2, 0, 1, TSeries([0, 1]), 1)
 
     def test_band_rows_checked_on_call(self):
-        # weight, index and step are checked when the triangle or polynomials are asked for
+        # weight and index are checked when the triangle or polynomials are asked for
         with pytest.raises(ValueError, match="neither W nor an int"):
-            schroder._band_triangle(1, 1, 2, "w")
+            schroder._band_triangle(1, 2, "w")
         with pytest.raises(ValueError, match="neither W nor an int"):
             schroder._band_polys(1, 1, 2, "w")
         with pytest.raises(ValueError, match="index must be nonnegative"):
             schroder._band_polys(1, 1, -1, W)
-        with pytest.raises(ValueError, match="step length"):
-            schroder._band_triangle(0, 1, 2, W)
 
     def test_shift_down_reads_a_row_built_series_whole(self):
         # the inherited TSeries.shift_down reads every row and checks the dropped ones at the call
@@ -164,9 +196,13 @@ class TestLiftRows:
         monkeypatch.setattr(_RowTriangle, "__getattr__", no_read)
         assert cli.main(["seq", "motzkin", "--N", "4", "--j", "1"]) == 0
         assert cli.main(["matrix", "schroder-inverse", "--n", "3", "--format", "json"]) == 0
+        assert cli.main(["matrix", "motzkin-inverse", "--n", "3", "--omega", "2"]) == 0
+        assert cli.main(["matrix", "grand", "--n", "3"]) == 0
         assert capsys.readouterr().out == (
             "1; 2*w; 2 + 3*w^2; 8*w + 4*w^3; 5 + 20*w^2 + 5*w^4\n"
-            '{"n":3,"rows":[[["1"]],[["-1","-1"],["1"]],[["0","1","1"],["-2","-2"],["1"]]]}\n')
+            '{"n":3,"rows":[[["1"]],[["-1","-1"],["1"]],[["0","1","1"],["-2","-2"],["1"]]]}\n'
+            "1\n-2 1\n3 -4 1\n"
+            "1\nw; 1\n2 + w^2; 2*w; 1\n")
 
 
 def failing_after(count, exc):
@@ -204,6 +240,8 @@ class _Stdout(io.StringIO):
 class TestErrorsMidStream:
     PARTIAL = {
         "matrix": (["matrix", "motzkin-inverse", "--n", "6"], "1\n-w; 1\n-1 + w^2; -2*w; 1\n"),
+        "matrix at an int weight": (["matrix", "motzkin-inverse", "--n", "6", "--omega", "2"],
+                                    "1\n-2 1\n3 -4 1\n"),
         "seq": (["seq", "motzkin", "--N", "6"], "1; w; 1 + w^2"),
     }
 
@@ -251,14 +289,23 @@ CAPPED = [
     # the lift holds at most order + 1 rows, however long the step
     (["seq", "w-path", "--w", "1000000000", "--N", "3"], 11,
      "cda6a2e499f23200fa297b03620f856845384b76750005f676c10696efec1e0b"),
+    # a step longer than the order is cut before a band polynomial is built
+    (["seq", "w-path", "--j", "1", "--w", "1000000000", "--N", "3"], 11,
+     "9344f9a61da5dc82e90705020ef2ed8702c65395b0d5e0adc7df04a8463f3f73"),
+    (["seq", "banded", "--family", "w-path", "--k", "2", "--w", "1000000000", "--N", "3"], 11,
+     "cda6a2e499f23200fa297b03620f856845384b76750005f676c10696efec1e0b"),
+    # an int-weight triangle is written a row at a time, as at W
+    (["matrix", "motzkin-inverse", "--n", "1000", "--omega", "1"], 59_819_560,
+     "acefa31907a36e6c0ff643dd35c3eaf8a59b2f9e4060289b22b0fb40b63b51f7"),
 ]
 
 
 @pytest.mark.parametrize("argv, size, digest", CAPPED, ids=[" ".join(c[0]) for c in CAPPED])
 def test_streamed_output_fits_in_100_mb(argv, size, digest):
     # the child caps its own address space; building the whole object and
-    # its text before writing needs more than this cap for the first two
-    # queries, and holding one lift row per unit of the step w for the third
+    # its text before writing needs more than this cap for the long outputs,
+    # and holding a lift row or a band coefficient per unit of the step w
+    # for the long steps
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
