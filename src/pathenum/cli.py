@@ -19,18 +19,19 @@ part of the output was written, the line says that the output is partial),
 deterministic and large integers are printed in full decimal.
 
 One writer (_write) writes every seq and matrix answer, behind _emit_series
-and _emit_matrix, a coefficient or a row at a time at every weight; the
-weight picks only the text of each, and at an int weight _ints checks each
-row of a triangle.  A seq family's series at W and an inverse triangle at
-every weight are made row by row (stream), and each coefficient or row is
-written as soon as it is made, so the command holds a few rows, not the
-object and its text.  A count triangle's table is built whole and its rows
-are read off it; an int-weight series is built whole, as ints.  The bytes
-are those of the whole object.  A plain or csv row is its value texts
-joined by one separator (_sep): no value text needs the csv quoting that
-verify and hankel use (_csv_line).  JSON is {"coeffs":[...],"order":N} for
-a series at W, {"order":N,"values":[...]} for one at an int weight, and
-{"n":N,"rows":[...]} for a triangle, keys sorted (_dump_json).
+and _emit_matrix, from the text of each coefficient or row at every weight;
+the weight picks only the text of each, and at an int weight _ints checks
+each row of a triangle.  A seq family's series at W and an inverse triangle
+at every weight are made row by row (stream), and the writer gathers their
+texts into writes of a few KB, or one text if it is longer, so the command
+holds a few rows, not the object and its text.  A count triangle's table is
+built whole and its rows are read off it; an int-weight series is built
+whole, as ints.  The bytes are those of the whole object.  A plain or csv
+row is its value texts joined by one separator (_sep): no value text needs
+the csv quoting that verify and hankel use (_csv_line).  JSON is
+{"coeffs":[...],"order":N} for a series at W, {"order":N,"values":[...]}
+for one at an int weight, and {"n":N,"rows":[...]} for a triangle, keys
+sorted (_dump_json).
 
 Each seq family, band family, matrix kind and verify suite is declared
 once, in a module-level table (_SEQ, _BAND, _MATRIX, _VERIFY) that holds
@@ -42,12 +43,19 @@ builder up through its module at each call, so a function replaced there
 The argument parser is built once per process, on first use, and keeps each
 subcommand's parser by name.  It records the subcommand's name, and main
 looks up its _cmd_ function at each call.  A query whose first argument is a
-subcommand's name is parsed by that subcommand's parser alone.  The
-top-level parser would read that name, hand every later argument to the
-subcommand's parser unread (the subcommand action takes the rest of the
-line), and reject what is left over; so the result is argparse's own, and
-main parses left-over arguments again with the top-level parser for its
-"unrecognized arguments" error.  The one difference is an argument that
+subcommand's name is parsed for that subcommand alone.  The top-level
+parser would read that name, hand every later argument to the subcommand's
+parser unread (the subcommand action takes the rest of the line), and
+reject what is left over.  When the rest has the canonical form (the
+subcommand's positional, then pairs of an exact flag and one value, each
+flag once, every value of its type and within its choices, no required
+flag missing), _quick_parse builds the subcommand parser's Namespace from
+that parser's own actions, without running argparse.  The subcommand's
+parser reads any other rest: abbreviations, --flag=value, repeats, a
+positional after the flags, "--", -h, a missing required flag, a bad value
+and junk; main parses left-over arguments again with the top-level parser
+for its "unrecognized arguments" error.  So every result, help, usage and
+error text is argparse's own.  The one difference is an argument that
 begins "--=": the top-level parser of Python 3.10.13, 3.11.7, 3.12.1 and
 3.13.0 rejects it as ambiguous between --help and --typo-ledger, while the
 subcommand's parser names its own flags (3.13.13 reads the two alike);
@@ -60,6 +68,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -104,36 +113,55 @@ class _PartialOutput(MemoryError):
     """Memory ran out after part of the output was written."""
 
 
-def _write(pieces) -> None:
-    """Write each piece of text to standard output as soon as it is made: the one writer.
+def _write(head: str, texts, sep: str, tail: str) -> None:
+    """Write head, the texts separated by sep, and tail to standard output: the one writer.
 
-    sys.stdout is looked up at each call, so output redirected by the caller
-    (a test, a benchmark client) receives it.  Memory that runs out after the
-    first nonempty piece raises _PartialOutput, so that the error line can
-    say so.
+    The texts are read in batches, each joined onto the text held: 32 texts
+    first, then twice as many each time, until the text held reaches
+    io.DEFAULT_BUFFER_SIZE characters; it is written, and the batches start
+    again at one text.  An answer's first texts are its shortest (its
+    coefficients and rows grow with their index), so a short answer is one
+    read and one write, a long answer of short texts costs a few writes, and
+    past the first batch a text longer than the buffer is written as soon
+    as it is made.  Whatever exception leaves the loop, the text held and
+    every text read before it are written first.
+    sys.stdout is looked up at each call, so output redirected by the
+    caller (a test, a benchmark client) receives it.  Memory that runs out
+    after some text was written raises _PartialOutput, so that the error
+    line can say so.
     """
-    out = sys.stdout
-    written = False
+    out, texts = sys.stdout, iter(texts)
+    held, lead, batch, count, written = head, "", [], 32, False
     try:
-        for piece in pieces:
-            out.write(piece)
-            written = written or bool(piece)
+        try:
+            while True:
+                batch.extend(itertools.islice(texts, count))  # keeps what was read if it raises
+                last = len(batch) < count
+                if batch:
+                    held, lead, batch = held + lead + sep.join(batch), sep, []
+                if last:
+                    break
+                if len(held) < io.DEFAULT_BUFFER_SIZE:
+                    count *= 2
+                else:
+                    text, held, count = held, "", 1
+                    out.write(text)
+                    written = True
+            held += tail
+        finally:
+            if batch:
+                held += lead + sep.join(batch)
+            if held:
+                out.write(held)
+                written = True
     except MemoryError as exc:
         if not written:
             raise
         raise _PartialOutput from exc
 
 
-def _joined(head: str, texts, sep: str, tail: str):
-    """The pieces head, texts separated by sep, tail, as the texts are made."""
-    yield head
-    for i, text in enumerate(texts):
-        yield sep + text if i else text
-    yield tail
-
-
 def _emit_series(ts: TSeries, omega, fmt: str) -> None:
-    """Write the series one coefficient at a time.
+    """Write the series from the text of each coefficient.
 
     At W every seq builder returns a lifted series, made row by row, and its
     rows are written as stream() makes them; the series itself is never built.
@@ -146,9 +174,9 @@ def _emit_series(ts: TSeries, omega, fmt: str) -> None:
         texts = map(_dump_json, map(_w_json, rows)) if fmt == "json" else map(_w_text, rows)
         head, tail = '{"coeffs":[', f'],"order":{ts.order}}}\n'
     if fmt == "json":
-        _write(_joined(head, texts, ",", tail))
+        _write(head, texts, ",", tail)
     else:
-        _write(_joined("", texts, _sep(omega, fmt), "\n"))
+        _write("", texts, _sep(omega, fmt), "\n")
 
 
 def _emit_matrix(m: _RowTriangle, omega, fmt: str) -> None:
@@ -159,9 +187,9 @@ def _emit_matrix(m: _RowTriangle, omega, fmt: str) -> None:
     elif fmt == "json":
         rows = ([e.to_json() for e in row] for row in rows)
     if fmt == "json":  # the bytes of _dump_json({"n": m.n, "rows": rows})
-        _write(_joined(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n"))
-    else:
-        _write(_sep(omega, fmt).join(map(str, row)) + "\n" for row in rows)
+        _write(f'{{"n":{m.n},"rows":[', map(_dump_json, rows), ",", "]}\n")
+    else:  # each row ends its own line, so an error after it leaves it whole
+        _write("", (_sep(omega, fmt).join(map(str, row)) + "\n" for row in rows), "", "")
 
 
 def _step(w: int) -> int:
@@ -419,17 +447,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quick_parse(command: argparse.ArgumentParser, argv, preset: dict):
+    """The Namespace command.parse_known_args(argv, Namespace(**preset)) makes,
+    with nothing left over, when argv has the canonical form; else None.
+
+    The canonical form is the command's positionals, then pairs of an exact
+    option string of a store action and its one value, each action at most
+    once.  Each value is converted by its action's type and lies within its
+    choices, and it begins with a prefix character only where the parser
+    reads it as a negative number (so it is never empty).  No required
+    action is missing, and no default left unread is a string for a type to
+    convert.  Every fact comes from the parser's own actions; the parsers
+    of _build_parser give each action its own dest.  Any other argv gets
+    None, and argparse reads it, with its own help, usage and error text.
+    """
+    actions = command._actions
+    positionals = [action for action in actions if not action.option_strings]
+    start = len(positionals)
+    if len(argv) < start or (len(argv) - start) % 2:
+        return None
+    given = dict(zip(positionals, argv))
+    for flag, text in zip(argv[start::2], argv[start + 1::2]):
+        action = command._option_string_actions.get(flag)
+        if action is None or action in given:
+            return None
+        given[action] = text
+    args = argparse.Namespace(**preset)
+    values = vars(args)
+    for action in actions:
+        text = given.get(action)
+        if text is not None:
+            if type(action) is not argparse._StoreAction or action.nargs is not None:
+                return None
+            if text[:1] in command.prefix_chars and not (
+                    command._negative_number_matcher.match(text)
+                    and not command._has_negative_number_optionals):
+                return None
+            try:
+                value = command._registry_get("type", action.type, action.type)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        elif action.required or (isinstance(action.default, str) and action.type is not None):
+            return None
+        elif (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+              and action.dest not in values):
+            values[action.dest] = action.default
+    return args
+
+
 def main(argv=None) -> int:
     """Run one query (argv, or sys.argv[1:] when None) and return its exit code.
 
-    An argv that begins with a subcommand's name is parsed by that
-    subcommand's parser alone, into a Namespace that already records the
-    command: the top-level parser would hand it every later argument unread,
-    so the result is the same.  Arguments it leaves over are parsed again by
-    the top-level parser, which exits 2 naming them.  Any other argv (no
-    command, --typo-ledger, -h, an unknown command) is parsed by the
-    top-level parser.  An argument that begins "--=" is the one exception
-    (see the module docstring).
+    An argv that begins with a subcommand's name is parsed for that
+    subcommand alone, into a Namespace that already records the command:
+    the top-level parser would hand it every later argument unread, so the
+    result is the same.  _quick_parse reads the rest when it has the
+    canonical form (the positional, then one value for each exact flag
+    given, every value valid); the subcommand's parser reads any other
+    rest, and arguments it leaves over are parsed again by the top-level
+    parser, which exits 2 naming them.  Any other argv (no command,
+    --typo-ledger, -h, an unknown command) is parsed by the top-level
+    parser.  An argument that begins "--=" is the one exception (see the
+    module docstring).
     """
     parser = _build_parser()
     # Int flags are read and values printed in full decimal, past Python's
@@ -445,10 +527,12 @@ def main(argv=None) -> int:
         if command is None:
             args = parser.parse_args(argv)
         else:
-            args, extras = command.parse_known_args(
-                argv[1:], argparse.Namespace(typo_ledger=False, command=argv[0]))
-            if extras:  # argparse's own top-level error: "unrecognized arguments: ..."
-                args = parser.parse_args(argv)
+            preset = {"typo_ledger": False, "command": argv[0]}
+            args = _quick_parse(command, argv[1:], preset)
+            if args is None:
+                args, extras = command.parse_known_args(argv[1:], argparse.Namespace(**preset))
+                if extras:  # argparse's own top-level error: "unrecognized arguments: ..."
+                    args = parser.parse_args(argv)
         if args.typo_ledger and args.command:
             print(f"error: --typo-ledger takes no command, got {args.command}", file=sys.stderr)
             return 2

@@ -572,9 +572,10 @@ _COMMANDS = ["seq", "matrix", "hankel", "verify"]
 _NAMES = sorted({*cli._SEQ, *cli._BAND, *cli._MATRIX, *cli._VERIFY, "all"})
 _FLAGS = ["--N", "--k", "--w", "--j", "--family", "--omega", "--format", "--n", "--alpha",
           "--beta", "--shift", "--max", "--fam", "--om", "--form", "--al", "--sh", "--ma"]
-_VALUES = ["3", "0", "1", "2", "-1", "-2", "symbolic", "plain", "csv", "json", "motzkin"]
+_VALUES = ["3", "0", "1", "2", "-1", "-2", "symbolic", "plain", "csv", "json", "motzkin",
+           "xml", ""]
 _TOKENS = [*_COMMANDS, *_NAMES, *_FLAGS, *_VALUES, "--N=3", "--omega=-2", "--n=2",
-           "--format=json", "--", "-h", "--help", "--typo-ledger", "--ty", "-", "",
+           "--format=json", "--", "-h", "--help", "--typo-ledger", "--ty", "-",
            "x", "-x", "--x", "-N", "---N", "--typo-ledger=1"]
 _PIECES = st.sampled_from(_TOKENS).map(lambda t: [t]) | st.tuples(
     st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list)
@@ -584,6 +585,21 @@ _ARGV = st.builds(
     st.lists(st.sampled_from(_NAMES), max_size=1),
     st.lists(_PIECES, max_size=6),
 )
+
+# argv in or near the canonical form that main reads without argparse: a
+# command, a name it takes, then distinct flags of its own, each with a value
+_CANONICAL = st.sampled_from([
+    ("seq", sorted(cli._SEQ), ["--N", "--k", "--w", "--j", "--family", "--omega", "--format"]),
+    ("matrix", sorted(cli._MATRIX), ["--n", "--omega", "--format"]),
+    ("hankel", [None], ["--n", "--alpha", "--beta", "--shift", "--omega", "--format"]),
+    ("verify", sorted([*cli._VERIFY, "all"]), ["--max", "--k", "--N", "--format"]),
+]).flatmap(lambda spec: st.builds(
+    lambda name, pairs: [spec[0], *filter(None, [name]), *[t for pair in pairs for t in pair]],
+    st.sampled_from(spec[1]),
+    st.lists(st.tuples(st.sampled_from(spec[2]),
+                       st.sampled_from(_VALUES) | st.integers(-3, 3).map(str)),
+             unique_by=lambda pair: pair[0], max_size=len(spec[2])),
+))
 
 
 def _outcome(argv):
@@ -626,20 +642,41 @@ class TestParser:
         assert built == tree
 
     @settings(max_examples=400, deadline=None)
-    @given(_ARGV)
+    @given(_ARGV | _CANONICAL)
     @example(["seq", "motzkin", "--N", "3", "--typo-ledger"])
     @example(["matrix", "grand", "--n", "2", "x"])
     @example(["verify", "all", "--", "--max", "2"])
     @example(["hankel", "--n", "2", "--omega=-2", "-h"])
     @example(["--typo-ledger", "seq", "motzkin", "--N", "3"])
     @example([])
+    @example(["seq", "motzkin", "--N", "3", "--N", "4"])
+    @example(["seq", "motzkin", "--N", "x", "--N", "4"])
+    @example(["seq", "--N", "3", "motzkin"])
+    @example(["seq", "motzkin", "--N", "x"])
+    @example(["matrix", "grand", "--n", "2", "--format", "xml"])
+    @example(["seq", "motzkin", "--omega", "1"])
+    @example(["seq", "motzkin", "--N", "-1", "--k", "-1", "--w", "-1", "--j", "-1"])
+    @example(["matrix", "grand", "--n", "-1", "--omega", "-1"])
+    @example(["hankel", "--n", "-1", "--alpha", "-1", "--beta", "-1", "--shift", "-1"])
+    @example(["verify", "all", "--max", "-1", "--k", "-1", "--N", "-1"])
+    @example(["seq", "motzkin", "--N", "3", "--j", "-1_0"])
+    @example(["seq", "motzkin", "--N", ""])
+    @example(["matrix", "", "--n", "2"])
     def test_main_parses_as_the_top_level_parser(self, argv):
-        # main parses an argv that begins with a command by that command's
-        # parser; with no command's parser to hand it parses every argv with
-        # cli._build_parser().parse_args(argv), and the two must not differ
+        # main reads an argv that begins with a command and has the canonical
+        # form from that command's parser's actions, and gives any other to
+        # that parser; with no command's parser to hand it parses every argv
+        # with cli._build_parser().parse_args(argv), and the two must not differ
         got = _outcome(argv)
         with mock.patch.dict(cli._build_parser().commands, clear=True):
             assert _outcome(argv) == got
+
+    def test_each_action_of_a_command_has_its_own_dest(self):
+        # cli._quick_parse reads each action at most once; two actions of one
+        # dest would leave the value to the order argparse reads them in
+        for command in cli._build_parser().commands.values():
+            dests = [action.dest for action in command._actions]
+            assert len(set(dests)) == len(dests), command.prog
 
     @pytest.mark.parametrize("arg", ["--=", "--=x", "--=3"])
     def test_an_argument_beginning_dash_dash_equals_exits_two(self, arg, capsys):

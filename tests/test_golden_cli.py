@@ -10,6 +10,7 @@ intended output change:
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -253,6 +254,29 @@ def test_golden_covers_argv_list(golden):
 @pytest.mark.parametrize("index", range(len(ARGV)), ids=lambda i: " ".join(ARGV[i]) or "<none>")
 def test_golden(golden, index):
     assert _run(ARGV[index]) == golden[index]
+
+
+class _ArgparseRan(Exception):
+    pass
+
+
+def test_a_golden_query_with_a_command_is_read_without_argparse(golden, monkeypatch):
+    # every golden query that begins with a command has the canonical form,
+    # which cli reads from its parser's actions; argparse reads only the one
+    # whose value no type accepts, for its error text
+    def refuse(parser, *args, **kwargs):
+        raise _ArgparseRan(parser.prog)
+
+    commands = cli._build_parser().commands
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    read_by_argparse = []
+    for case in golden:
+        if case["argv"] and case["argv"][0] in commands:
+            try:
+                assert _run(case["argv"]) == case
+            except _ArgparseRan:
+                read_by_argparse.append(case["argv"])
+    assert read_by_argparse == [["seq", "motzkin", "--N", "3", "--omega", "pi"]]
 
 
 if __name__ == "__main__":

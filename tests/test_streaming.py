@@ -1,8 +1,9 @@
 """Output streamed row by row: the lift's rows, the one writer, errors mid-stream, memory.
 
-Every seq answer is written one coefficient at a time and every triangle
-one row at a time, at W and at an int weight; at W the series and the
-inverse triangles are written as the row recurrences make them.  These
+Every seq answer is read one coefficient at a time and every triangle one
+row at a time, at W and at an int weight, and the writer gathers them into
+writes of a few KB; at W the series and the inverse triangles are written
+as the row recurrences make them.  These
 tests check that the bytes equal the text of the materialized library
 object (at an int weight, of the W object evaluated there), that the
 lift's rows are the closed-form binomial coefficients, that an error after
@@ -279,6 +280,35 @@ class TestErrorsMidStream:
             assert cli.main(argv) == 141
         assert stdout.getvalue() == rows
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, sep, count", [
+        *((["matrix", "motzkin-inverse", "--n", "6"], "", count) for count in range(6)),
+        *((["seq", "motzkin", "--N", "6"], "; ", count) for count in range(7)),
+        (["matrix", "motzkin-inverse", "--n", "40"], "", 30),  # after writes of a few KB
+    ])
+    def test_an_error_leaves_every_row_made_before_it(self, argv, sep, count, monkeypatch, capsys):
+        # the writer reads rows in batches; an error inside a batch still
+        # leaves every row made before it, and says so if any was made
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        rows = whole[:-1].split(sep) if sep else whole.splitlines(True)
+        matrix, series = failing_after(count, MemoryError())
+        monkeypatch.setattr(cli.motzkin, "inverse_motzkin_matrix", matrix)
+        monkeypatch.setattr(cli.motzkin, "motzkin_column_gf", series)
+        assert cli.main(argv) == 2
+        partial = "; the output is partial" if count else ""
+        assert capsys.readouterr() == (
+            sep.join(rows[:count]), f"error: out of memory{partial}; ask for a smaller size\n")
+    def test_memory_error_right_after_a_write_says_partial(self, capsys):
+        # the first batch of texts fills the buffer and is written before
+        # the next text is read, so nothing is held when memory runs out
+        def texts():
+            yield from ["x" * io.DEFAULT_BUFFER_SIZE] * 32
+            raise MemoryError
+
+        with pytest.raises(cli._PartialOutput):
+            cli._write("", texts(), "", "")
+        assert capsys.readouterr().out == "x" * (32 * io.DEFAULT_BUFFER_SIZE)
 
 
 CAPPED = [
